@@ -83,7 +83,7 @@ class Bounds:
     def contains_all(self, pts: np.ndarray) -> np.ndarray:
         """Row-wise containment mask for an (n, d) array of points."""
         pts = np.asarray(pts, dtype=float)
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        return np.logical_and.reduce((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,11 @@ class RunRecord:
     canonical DE). ``generations_used`` counts the evolution steps applied
     to each subpopulation. ``problem`` and ``matched_minimizers`` are filled
     by the harness once the run is matched against a benchmark registry
-    entry; ``trace`` holds per-generation rows when tracing was requested.
+    entry. When tracing was requested, ``trace`` holds one row per
+    subpopulation and generation as an ``(rows, d + 4)`` float array:
+    generation, subpopulation, the best point's coordinates, its base
+    fitness and the spreading. It is an array because a row then takes
+    ``8 * (d + 4)`` bytes, about a fifth of a tuple of Python objects.
     """
 
     algorithm: str
@@ -132,7 +136,7 @@ class RunRecord:
     generations_used: list[int]
     problem: Optional[str] = None
     matched_minimizers: Optional[set[int]] = None
-    trace: Optional[list[tuple]] = field(default=None, repr=False)
+    trace: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def ngp(self) -> Optional[int]:
@@ -141,10 +145,12 @@ class RunRecord:
 
 
 def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
-    """Evaluate ``objective`` on the rows of ``pts``, checking finiteness.
+    """Evaluate ``objective`` on the rows of ``pts``, checking the result.
 
     Uses the objective's vectorized ``batch`` method when it has one,
     otherwise falls back to one call per row. Raises
+    :class:`ConfigurationError` unless there is exactly one value per row,
+    so a wrongly shaped ``batch`` is never broadcast into the fitness, and
     :class:`EvaluationError` carrying the first offending point if any
     value comes back NaN or infinite.
     """
@@ -154,9 +160,14 @@ def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
         values = np.asarray(batch(pts), dtype=float)
     else:
         values = np.array([objective(p) for p in pts], dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
+    if values.shape != (len(pts),):
+        raise ConfigurationError(
+            f"objective returned values shaped {values.shape} for {len(pts)} points; "
+            f"expected ({len(pts)},)"
+        )
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < len(values):
+        k = int(np.argmin(finite))
         raise EvaluationError(
             f"objective returned non-finite value {values[k]} at {pts[k]}",
             point=pts[k].copy(),
@@ -241,14 +252,19 @@ def _spreading(coords: np.ndarray, best: np.ndarray, bounds: Bounds) -> float:
     instead.
     """
     span = bounds.span
-    rel = (coords - best) / span
-    numer = np.sqrt(np.sum(rel * rel, axis=1))
+    # One row per dimension, in C order: reducing over axis 0 then adds the
+    # squared terms dimension by dimension, whatever the memory layout of
+    # ``coords``. np.add.reduce is what np.sum and ndarray.mean reduce with,
+    # minus their Python wrappers.
+    diff = np.subtract(coords.T, best[:, None], order="C")  # (d, n)
     best_rel = best / span
     denom = math.sqrt(float(np.dot(best_rel, best_rel)))
     if denom < DEGENERATE_NORM:
-        dist = np.sqrt(np.sum((coords - best) ** 2, axis=1))
-        return float(dist.mean() / bounds.diagonal)
-    return float((numer / denom).mean())
+        dist = np.sqrt(np.add.reduce(diff ** 2, axis=0))
+        return float(np.add.reduce(dist) / len(dist) / bounds.diagonal)
+    rel = diff / span[:, None]
+    numer = np.sqrt(np.add.reduce(rel * rel, axis=0))
+    return float(np.add.reduce(numer / denom) / len(numer))
 
 
 def spreading_measure(pop: Sequence[Point], best: Point, bounds: Bounds) -> float:
@@ -270,15 +286,20 @@ def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> 
         raise ConfigurationError("mutation needs a population of at least 4")
     own = np.arange(n)
     r = rng.integers(0, n, size=(n, 3))
-    while True:
-        bad = (
-            (r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
-            | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2])
-        )
-        if not bad.any():
-            break
-        r[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
-    donors = coords[r[:, 0]] + F * (coords[r[:, 1]] - coords[r[:, 2]])
+    bad = (
+        (r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
+        | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2])
+    )
+    # Rows that passed keep their triple, so only the few redrawn rows are
+    # checked again, in plain Python.
+    rows = own[bad].tolist()
+    while rows:
+        sub = rng.integers(0, n, size=(len(rows), 3))
+        r[rows] = sub
+        rows = [i for i, (a, b, c) in zip(rows, sub.tolist())
+                if a == i or b == i or c == i or a == b or a == c or b == c]
+    x = coords[r.T]                                         # (3, n, d)
+    donors = x[0] + F * (x[1] - x[2])
     rnbr = rng.integers(0, d, size=n)
     take = rng.uniform(size=(n, d)) <= CR
     take[own, rnbr] = True

@@ -113,18 +113,31 @@ def penalized_objective(base: Callable, x, own_index: int, anchors: AnchorSet,
 
 def penalty_batch(pts: np.ndarray, own_index: int, anchors: AnchorSet,
                   params: PenaltyParams) -> np.ndarray:
-    """Vectorized :func:`penalty_term` over the rows of ``pts``."""
+    """Vectorized :func:`penalty_term` over the rows of ``pts``.
+
+    Rows are independent: stacking two point sets and splitting the result
+    gives each set's penalties bit for bit.
+    """
     pts = np.asarray(pts, dtype=float)
-    if pts.shape[1] != anchors.dim:
+    matrix = anchors.matrix
+    if pts.shape[1] != matrix.shape[0]:
         raise ConfigurationError("point dimension does not match anchor matrix")
-    cols = [k for k in range(anchors.count) if k != own_index]
-    if not cols:
+    if not 0 <= own_index < matrix.shape[1]:
+        raise ConfigurationError("own_index must name a column of the anchor matrix")
+    anchor_rows = matrix.T                                  # (count, d)
+    foreign = np.concatenate((anchor_rows[:own_index], anchor_rows[own_index + 1:]))
+    if len(foreign) == 0:
         return np.zeros(len(pts))
-    foreign = anchors.matrix[:, cols]                       # (d, K)
-    diff = pts[:, :, None] - foreign[None, :, :]            # (n, d, K)
-    delta = np.sqrt(np.sum(diff * diff, axis=1))            # (n, K)
+    # (n, K, d) in C order: every distance sums its d squared terms along one
+    # contiguous row, whatever the layout of ``pts`` or of the anchors, so a
+    # row's penalty does not depend on the rows stacked beside it.
+    diff = np.subtract(pts[:, None, :], foreign, order="C")
+    delta = np.sqrt(np.add.reduce(diff * diff, axis=2))     # (n, K)
     active = delta <= params.radius
-    return params.magnitude * np.sum(np.exp(-delta) * active, axis=1)
+    if not np.count_nonzero(active):
+        # What the formula below gives, since every term is multiplied by 0.
+        return np.zeros(len(pts))
+    return params.magnitude * np.add.reduce(np.exp(-delta) * active, axis=1)
 
 
 class ResidualObjective:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .benchmarks import BenchmarkProblem, get_problem, list_problems
 from .core import run_de
 from .errors import ConfigurationError
@@ -37,6 +39,18 @@ AGGREGATES_CSV_HEADER = ["algorithm", "problem", "metric", "mean", "stddev", "cv
 SWEEP_CSV_HEADER = ["parameter", "value"] + AGGREGATES_CSV_HEADER
 TRACE_CSV_HEADER = ["algorithm", "problem", "seed", "generation", "subpop",
                     "best_x", "best_y", "best_f", "spreading"]
+
+
+def trace_csv_header(dim: int) -> list[str]:
+    """``trace.csv`` columns for runs in ``dim`` dimensions.
+
+    2-D runs keep ``best_x,best_y`` (:data:`TRACE_CSV_HEADER`); any other
+    dimension names its coordinates ``best_x1`` to ``best_x<dim>``.
+    """
+    if dim == 2:
+        return list(TRACE_CSV_HEADER)
+    coords = [f"best_x{k}" for k in range(1, dim + 1)]
+    return TRACE_CSV_HEADER[:5] + coords + TRACE_CSV_HEADER[-2:]
 
 
 @dataclass
@@ -420,7 +434,8 @@ def emit_outputs(report, out_dir) -> list[Path]:
 
     Experiment reports produce ``runs.csv`` (one row per executed run),
     ``aggregates.csv`` (one row per cell and metric), ``report.json``, and
-    ``trace.csv`` when any run carried a per-generation trace. Sweep
+    ``trace.csv`` when any run carried a per-generation trace, with one
+    coordinate column per dimension (see :func:`trace_csv_header`). Sweep
     reports produce ``sweep.csv`` and ``report.json``. Re-running with the
     same master seed reproduces every file byte for byte except the
     elapsed-time fields.
@@ -444,6 +459,15 @@ def emit_outputs(report, out_dir) -> list[Path]:
         written.append(path)
         return written
 
+    traces = [(r, np.asarray(r.trace, dtype=float)) for cell in report.cells
+              for r in cell.records if r.trace is not None and len(r.trace)]
+    # columns: generation, subpop, coordinates..., best_f, spreading
+    dims = {trace.shape[1] - 4 for _, trace in traces}
+    if len(dims) > 1:
+        raise ConfigurationError(
+            f"runs in {sorted(dims)} dimensions cannot share one trace.csv header"
+        )
+
     run_rows = [_record_row(r) for cell in report.cells for r in cell.records]
     path = out / "runs.csv"
     _write_csv(path, RUNS_CSV_HEADER, run_rows)
@@ -460,22 +484,15 @@ def emit_outputs(report, out_dir) -> list[Path]:
         fh.write("\n")
     written.append(path)
 
-    trace_rows = []
-    for cell in report.cells:
-        for record in cell.records:
-            if not record.trace:
-                continue
-            for row in record.trace:
-                gen, subpop = row[0], row[1]
-                coords = row[2:-2]
-                best_f, spreading = row[-2], row[-1]
-                trace_rows.append(
-                    [record.algorithm, record.problem, record.seed, gen, subpop]
-                    + [_sig17(c) for c in coords]
-                    + [_sig17(best_f), _sig17(spreading)]
-                )
+    trace_rows = [
+        [record.algorithm, record.problem, record.seed, int(gen), int(subpop)]
+        + [_sig17(c) for c in coords]
+        + [_sig17(best_f), _sig17(spreading)]
+        for record, trace in traces
+        for gen, subpop, *coords, best_f, spreading in trace.tolist()
+    ]
     if trace_rows:
         path = out / "trace.csv"
-        _write_csv(path, TRACE_CSV_HEADER, trace_rows)
+        _write_csv(path, trace_csv_header(dims.pop()), trace_rows)
         written.append(path)
     return written

@@ -39,7 +39,9 @@ class PopulationTensor:
 
     ``fitness`` caches the base objective value of every individual
     (penalties are never cached here, because the anchors they depend on
-    move every generation).
+    move every generation). The engines keep their population
+    subpopulation-major and hand observers a tensor of transposed views,
+    so it always shows the live state.
     """
 
     data: np.ndarray
@@ -85,7 +87,6 @@ class SubpopState:
     frozen: bool = False
     deflation_active: bool = True
     last_spreading: Optional[float] = None
-    best: Optional[Point] = None
 
 
 @dataclass(frozen=True)
@@ -144,48 +145,61 @@ def selection_step(
     are evaluated once on the base objective; the comparison is made on
     base + repulsion penalty when ``use_penalty`` is set (parents reuse
     their cached base fitness) and on the base values otherwise. Ties go
-    to the trial. Returns the new coordinates and base-fitness arrays.
+    to the trial. Returns new coordinates and base-fitness arrays; the
+    inputs are left untouched.
     """
     if use_penalty and (anchors is None or penalty is None):
         raise ConfigurationError("penalized selection needs anchors and penalty parameters")
-    new_coords = coords.copy()
-    new_fitness = fitness.copy()
     feasible = bounds.contains_all(trials)
-    if not feasible.any():
-        return new_coords, new_fitness
-    cand = trials[feasible]
-    cand_fit = evaluate_batch(objective, cand)
-    if use_penalty:
-        cand_score = cand_fit + penalty_batch(cand, own_index, anchors, penalty)
-        parent_score = fitness[feasible] + penalty_batch(coords[feasible], own_index, anchors, penalty)
+    n_feasible = np.count_nonzero(feasible)
+    if n_feasible == len(feasible):
+        rows = None
+        cand, parents, parent_fit = trials, coords, fitness
+    elif n_feasible:
+        rows = feasible.nonzero()[0]
+        cand, parents, parent_fit = trials[rows], coords[rows], fitness[rows]
     else:
-        cand_score = cand_fit
-        parent_score = fitness[feasible]
+        return coords.copy(), fitness.copy()
+    cand_fit = evaluate_batch(objective, cand)
+    cand_score, parent_score = cand_fit, parent_fit
+    if use_penalty:
+        # Penalty rows are independent, so one call scores trials and parents.
+        pen = penalty_batch(np.concatenate((cand, parents)), own_index, anchors, penalty)
+        m = len(cand)
+        cand_score = cand_fit + pen[:m]
+        parent_score = parent_fit + pen[m:]
     wins = cand_score <= parent_score
-    rows = np.flatnonzero(feasible)[wins]
+    if rows is None:
+        return np.where(wins[:, None], cand, coords), np.where(wins, cand_fit, fitness)
+    new_coords, new_fitness = coords.copy(), fitness.copy()
+    rows = rows[wins]
     new_coords[rows] = cand[wins]
     new_fitness[rows] = cand_fit[wins]
     return new_coords, new_fitness
 
 
 class _CountingObjective:
-    """Wraps an objective and counts every base evaluation."""
+    """Wraps an objective and counts every base evaluation.
+
+    ``batch`` returns the raw values; the engine reads them through
+    :func:`evaluate_batch`, which checks them once.
+    """
 
     def __init__(self, fn):
         self._fn = fn
+        self._batch = getattr(fn, "batch", None)
         self.count = 0
-
-    def __call__(self, x):
-        return float(self.batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def batch(self, pts):
         self.count += len(pts)
-        return evaluate_batch(self._fn, pts)
+        if self._batch is not None:
+            return self._batch(pts)
+        return [self._fn(p) for p in pts]
 
 
-def _partial_record(algorithm, seed, t0, counter, gens, tensor, initialized):
+def _partial_record(algorithm, seed, t0, counter, gens, tensor):
     bests = []
-    if initialized and tensor is not None:
+    if tensor is not None:
         bests = [best_of_subpop(tensor, j) for j in range(tensor.n_subpops)]
     return RunRecord(
         algorithm=algorithm,
@@ -213,14 +227,13 @@ def _run_engine(
     """Shared generation loop for the three engines.
 
     Subpopulations are updated in ascending order. In the default
-    ``sequential`` anchor mode the anchor matrix is rebuilt from the live
-    tensor immediately before each subpopulation's update, so improvements
-    made earlier in the same generation already repel later
-    subpopulations; ``synchronous`` mode snapshots the anchors once per
-    generation, which is the deterministic semantics a per-subpopulation
-    parallel update would need. ``observer(gen, tensor, states)`` is
-    called after every generation for instrumentation; treat its
-    arguments as read-only.
+    ``sequential`` anchor mode each subpopulation's anchor column is
+    rewritten right after its update, so improvements made earlier in the
+    same generation already repel later subpopulations; ``synchronous``
+    mode copies the anchors once per generation, which is the
+    deterministic semantics a per-subpopulation parallel update would
+    need. ``observer(gen, tensor, states)`` is called after every
+    generation for instrumentation; treat its arguments as read-only.
     """
     if anchor_mode not in ("sequential", "synchronous"):
         raise ConfigurationError("anchor_mode must be 'sequential' or 'synchronous'")
@@ -228,20 +241,22 @@ def _run_engine(
     counter = _CountingObjective(objective)
     t0 = time.perf_counter()
     gens = [0] * nsp
-    tensor = None
-    initialized = False
+    tensor = None  # set once every subpopulation is initialized
     try:
         streams = stream.split(nsp)
-        d = bounds.dim
-        data = np.empty((d, de.pop_size, nsp))
-        fitness = np.empty((de.pop_size, nsp))
+        # pop[j] is subpopulation j as one C-contiguous (pop_size, dim)
+        # block; the tensor observers see is a transposed view of pop/fit.
+        pop = np.empty((nsp, de.pop_size, bounds.dim))
+        fit = np.empty((nsp, de.pop_size))
         for j in range(nsp):
-            pts = init_population(bounds, de.pop_size, streams[j])
-            coords = np.stack([p.coords for p in pts])
-            data[:, :, j] = coords.T
-            fitness[:, j] = evaluate_batch(counter, coords)
-        tensor = PopulationTensor(data, fitness, generation=0)
-        initialized = True
+            coords = np.stack([p.coords for p in init_population(bounds, de.pop_size, streams[j])])
+            pop[j] = coords
+            fit[j] = evaluate_batch(counter, coords)
+        tensor = PopulationTensor(pop.transpose(2, 1, 0), fit.T, generation=0)
+        # best[j] is the argmin of fit[j], refreshed whenever fit[j] changes;
+        # anchor column j is pop[j, best[j]], rewritten at the same time.
+        best = [int(fit[j].argmin()) for j in range(nsp)]
+        anchors = snapshot_anchors(tensor)
         states = [SubpopState(deflation_active=(algorithm == "mde-itmf")) for _ in range(nsp)]
         trace = [] if collect_trace else None
 
@@ -249,19 +264,20 @@ def _run_engine(
             if all(st.frozen for st in states):
                 break
             tensor.generation = gen
-            shared = snapshot_anchors(tensor) if anchor_mode == "synchronous" else None
+            step_anchors = AnchorSet(anchors.matrix) if anchor_mode == "synchronous" else anchors
             for j in range(nsp):
                 st = states[j]
                 if st.frozen:
                     continue
-                spread = subpop_spreading(tensor, j, bounds)
+                coords = pop[j]
+                spread = _spreading(coords, coords[best[j]], bounds)
                 st.last_spreading = spread
                 if spread < de.spread_tol:
                     st.frozen = True
                     st.deflation_active = False
                     if collect_trace:
-                        b = best_of_subpop(tensor, j)
-                        trace.append((gen, j, *b.coords, b.fitness, spread))
+                        b = best[j]
+                        trace.append((gen, j, *coords[b].tolist(), float(fit[j, b]), spread))
                     continue
                 if algorithm == "de":
                     use_penalty = False
@@ -270,40 +286,32 @@ def _run_engine(
                 else:
                     use_penalty = spread >= switch_tol
                 st.deflation_active = use_penalty
-                anchors = None
-                if use_penalty:
-                    anchors = shared if shared is not None else snapshot_anchors(tensor)
-                coords = tensor.subpop(j)
                 trials = generate_trials(coords, de.F, de.CR, streams[j])
                 new_coords, new_fitness = selection_step(
-                    coords, tensor.fitness[:, j], trials, j,
-                    anchors, penalty, bounds, use_penalty, counter,
+                    coords, fit[j], trials, j,
+                    step_anchors if use_penalty else None, penalty, bounds, use_penalty, counter,
                 )
-                tensor.data[:, :, j] = new_coords.T
-                tensor.fitness[:, j] = new_fitness
+                pop[j] = new_coords
+                fit[j] = new_fitness
+                b = best[j] = int(new_fitness.argmin())
+                anchors.matrix[:, j] = new_coords[b]
                 gens[j] += 1
                 if collect_trace:
-                    b = best_of_subpop(tensor, j)
-                    trace.append((gen, j, *b.coords, b.fitness, spread))
+                    trace.append((gen, j, *new_coords[b].tolist(), float(new_fitness[b]), spread))
             if observer is not None:
                 observer(gen, tensor, states)
 
-        bests = [best_of_subpop(tensor, j) for j in range(nsp)]
-        for j, st in enumerate(states):
-            st.best = bests[j]
         return RunRecord(
             algorithm=algorithm,
             seed=stream.seed,
             elapsed_seconds=time.perf_counter() - t0,
             nfe=counter.count,
-            final_bests=bests,
+            final_bests=[best_of_subpop(tensor, j) for j in range(nsp)],
             generations_used=gens,
-            trace=trace,
+            trace=None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4),
         )
     except EvaluationError as err:
-        err.partial_record = _partial_record(
-            algorithm, stream.seed, t0, counter, gens, tensor, initialized
-        )
+        err.partial_record = _partial_record(algorithm, stream.seed, t0, counter, gens, tensor)
         raise
 
 
@@ -365,11 +373,6 @@ def run_dewi(
         rng, "dewi", anchor_mode=anchor_mode,
         collect_trace=collect_trace, observer=observer,
     )
-
-
-def de_params_for(params: MultiParams) -> DEParams:
-    """The canonical-DE portion of a multipopulation parameter bundle."""
-    return params.de
 
 
 def without_switch_tol(params: MultiParams) -> MultiParams:

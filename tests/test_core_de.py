@@ -21,7 +21,7 @@ from multide import (
     select_greedy,
     spreading_measure,
 )
-from multide.core import donor_indices
+from multide.core import donor_indices, evaluate_batch
 
 UNIT = Bounds(np.zeros(2), np.ones(2))
 
@@ -326,3 +326,21 @@ def test_run_de_aborts_with_partial_record_on_bad_objective():
     assert partial is not None
     assert partial.nfe > 0
     assert info.value.point is not None
+
+
+@pytest.mark.parametrize("shape", ["scalar", "column"])
+def test_wrongly_shaped_batch_is_a_configuration_error(shape):
+    problem = get_problem("B1")
+
+    class Misshaped:
+        def __call__(self, x):
+            return problem.objective(x)
+
+        def batch(self, pts):
+            values = problem.objective.batch(pts)
+            return float(values[0]) if shape == "scalar" else values[:, None]
+
+    with pytest.raises(ConfigurationError, match="shaped"):
+        evaluate_batch(Misshaped(), np.zeros((3, 2)))
+    with pytest.raises(ConfigurationError, match="shaped"):
+        run_de(Misshaped(), problem.bounds, problem.default_params.de, 0)

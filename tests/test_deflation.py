@@ -109,6 +109,14 @@ def test_penalty_dimension_mismatch():
         penalty_term(np.array([0.0, 0.0]), 0, anchors, params)
 
 
+def test_penalty_own_index_must_name_an_anchor_column():
+    params = PenaltyParams(magnitude=10.0, radius=1.0)
+    anchors = anchors_of([0.0, 0.0], [1.0, 1.0])
+    for own in (-1, 2):
+        with pytest.raises(ConfigurationError):
+            penalty_term(np.array([0.0, 0.0]), own, anchors, params)
+
+
 def test_penalty_batch_matches_scalar():
     rng = RngStream(21)
     params = PenaltyParams(magnitude=7.0, radius=1.3)

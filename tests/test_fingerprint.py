@@ -1,0 +1,135 @@
+"""Golden outputs: engine results must not move unless a change means them to.
+
+Each case hashes the seed-ordered ``nfe``, ``generations_used`` and final
+bests at 17 significant digits, plus the trace rows when a run is traced.
+The hashes were recorded before the generation step was rewritten for
+speed, so they pin the RNG draw order and every floating-point result of
+the engines. A change that alters outputs on purpose updates the hashes
+here and says so in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from multide import (
+    Bounds,
+    DEParams,
+    MultiParams,
+    PenaltyParams,
+    get_problem,
+    run_de,
+    run_dewi,
+    run_mde_itmf,
+)
+from multide.multipop import without_switch_tol
+
+SEEDS = (0, 1, 2)
+
+
+class DoubleWell:
+    """sum (x_k^2 - 1)^2 on [-2, 2]^d: 2^d global minima at the corners +-1."""
+
+    def __call__(self, x):
+        return float(self.batch(np.asarray(x, dtype=float)[None, :])[0])
+
+    def batch(self, pts):
+        return np.sum((pts * pts - 1.0) ** 2, axis=1)
+
+
+WELL_PARAMS = MultiParams(
+    de=DEParams(pop_size=20, F=0.5, CR=0.9, max_generations=300),
+    penalty=PenaltyParams(magnitude=50.0, radius=0.5),
+    subpops=3,
+    switch_tol=5e-4,
+)
+
+
+def _run(algorithm, objective, bounds, params, seed, **kw):
+    if algorithm == "de":
+        return run_de(objective, bounds, params.de, seed, **kw)
+    if algorithm == "mde-itmf":
+        return run_mde_itmf(objective, bounds, without_switch_tol(params), seed, **kw)
+    return run_dewi(objective, bounds, params, seed, **kw)
+
+
+def _digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        bests = ";".join(
+            ",".join(f"{float(v):.17g}" for v in (*p.coords, p.fitness)) for p in r.final_bests
+        )
+        gens = ",".join(str(g) for g in r.generations_used)
+        h.update(f"{r.algorithm} {r.seed} {r.nfe} {gens} {bests}\n".encode())
+        for row in () if r.trace is None else r.trace:
+            h.update((" ".join(f"{float(v):.17g}" for v in row) + "\n").encode())
+    return h.hexdigest()
+
+
+def _problem_case(pid, algorithm, plain=False, **kw):
+    problem = get_problem(pid)
+    objective = problem.objective
+    if plain:
+        def objective(p, _f=problem.objective):  # a callable without ``batch``
+            return _f(p)
+    return [_run(algorithm, objective, problem.bounds, problem.default_params, s, **kw)
+            for s in SEEDS]
+
+
+def _well_case(algorithm, dim=3, subpops=3, max_generations=300, radius=0.5):
+    # dim >= 8 is where numpy's sums over a row switch to pairwise order;
+    # the radius is chosen so that the penalty decides some selections.
+    bounds = Bounds(np.full(dim, -2.0), np.full(dim, 2.0))
+    params = replace(WELL_PARAMS, subpops=subpops,
+                     de=replace(WELL_PARAMS.de, max_generations=max_generations),
+                     penalty=replace(WELL_PARAMS.penalty, radius=radius))
+    return [_run(algorithm, DoubleWell(), bounds, params, s) for s in SEEDS]
+
+
+CASES = {
+    "B1 de": lambda: _problem_case("B1", "de"),
+    "B1 mde-itmf": lambda: _problem_case("B1", "mde-itmf"),
+    "B1 dewi": lambda: _problem_case("B1", "dewi"),
+    "B7 de": lambda: _problem_case("B7", "de"),
+    "B7 mde-itmf": lambda: _problem_case("B7", "mde-itmf"),
+    "B7 dewi": lambda: _problem_case("B7", "dewi"),
+    "B1 mde-itmf synchronous": lambda: _problem_case("B1", "mde-itmf", anchor_mode="synchronous"),
+    "B7 dewi synchronous": lambda: _problem_case("B7", "dewi", anchor_mode="synchronous"),
+    "B1 dewi traced": lambda: _problem_case("B1", "dewi", collect_trace=True),
+    "B4 de traced": lambda: _problem_case("B4", "de", collect_trace=True),
+    "B1 mde-itmf plain callable": lambda: _problem_case("B1", "mde-itmf", plain=True),
+    "B7 de plain callable": lambda: _problem_case("B7", "de", plain=True),
+    "3-D nsp=3 mde-itmf": lambda: _well_case("mde-itmf"),
+    "3-D nsp=3 dewi": lambda: _well_case("dewi"),
+    "3-D nsp=2 mde-itmf": lambda: _well_case("mde-itmf", subpops=2),
+    "9-D nsp=3 mde-itmf": lambda: _well_case("mde-itmf", dim=9, max_generations=60, radius=3.0),
+    "9-D nsp=2 dewi": lambda: _well_case("dewi", dim=9, subpops=2, max_generations=60,
+                                         radius=3.0),
+}
+
+GOLDEN = {
+    "3-D nsp=2 mde-itmf": "741bb8d38b9629adc7eac10561c446662456d60554f63bfbf38d5dbf7d80d998",
+    "3-D nsp=3 dewi": "0730e5846cda8912e18590955c7039020a6ef670824fa65169e0539d96923621",
+    "3-D nsp=3 mde-itmf": "92bc58d653de8f6cadebaedb40c6392c55e00383ec936d51a3d2c1bbd87062f4",
+    "9-D nsp=2 dewi": "944247cf005a351201c131a33f95939669d18b678ab8a68e5b0d65b790768c42",
+    "9-D nsp=3 mde-itmf": "5afca9106d826c709972acbf0efe3d29dd22a9b6fd0ed6ee83617b6b23e42f89",
+    "B1 de": "d36b2bda87fa46d52f04e646f7bb61d80b1111eaeb502ccc3165307d1353b410",
+    "B1 dewi": "7226acd57c61270e402871acb06ae9bbaeacae1dd5824ce0acc28394df56c474",
+    "B1 dewi traced": "6c61f8bb70102553eab3f119f1e811476e169f653605992a351f01a8632d217d",
+    "B1 mde-itmf": "8326436aea5eae5d6a198e90b561c7517a9da6eecff15af62997c90346fc638b",
+    "B1 mde-itmf plain callable": "8326436aea5eae5d6a198e90b561c7517a9da6eecff15af62997c90346fc638b",
+    "B1 mde-itmf synchronous": "844aa4a604ae139a454bfb701ed791ab64c338d7f74c79f35198c88a6e62e84b",
+    "B4 de traced": "9ea1170d0234b1e0936c756e77ad1bd83e1d0d56fcd7357345299e885985bc86",
+    "B7 de": "854db32fff2ad57d1e2e144526e1b50794acad9176c27e318dbbea2b062ea7b2",
+    "B7 de plain callable": "854db32fff2ad57d1e2e144526e1b50794acad9176c27e318dbbea2b062ea7b2",
+    "B7 dewi": "f15e4fff0b5c9c4fe0752b0ec0038101961a11d3806f49327821158ac086bcf9",
+    "B7 dewi synchronous": "db227c06c2828de568472e5d1ea52ab864dcc449469a925473c360d6fe8c9b0a",
+    "B7 mde-itmf": "5b84b87c1a62e2ec45beb77928d23c0d6b2f39afaaa68c049408bd4cdb58e7dc",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_fingerprint(case):
+    assert _digest(CASES[case]()) == GOLDEN[case]

@@ -6,10 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from multide import ConfigurationError, ExperimentConfig, SweepConfig, emit_outputs
+from multide import (
+    ConfigurationError,
+    ExperimentConfig,
+    Point,
+    RunRecord,
+    SweepConfig,
+    emit_outputs,
+)
 from multide.cli import main as cli_main
 from multide.harness import (
     AGGREGATES_CSV_HEADER,
+    CellResult,
+    ExperimentReport,
     RUNS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     TRACE_CSV_HEADER,
@@ -197,6 +206,41 @@ def test_emit_outputs_files_and_headers(tmp_path):
         blob = json.load(fh)
     assert set(blob) == {"cells", "config", "failures", "problems"}
     assert blob["problems"]["B3"]["formula"]
+
+
+def traced_report(*dims):
+    """A one-cell report with one hand-made traced run per dimension."""
+    records = [
+        RunRecord(algorithm="mde-itmf", seed=i, elapsed_seconds=0.0, nfe=1,
+                  final_bests=[Point(np.zeros(d), 0.0)], generations_used=[1],
+                  problem="B1", matched_minimizers=set(),
+                  trace=np.array([[1, 0, *np.linspace(0.1, 0.3, d), 1.5, 0.25]]))
+        for i, d in enumerate(dims)
+    ]
+    return ExperimentReport(
+        config=small_config(problems=["B1"], algorithms=["mde-itmf"], runs=len(dims)),
+        cells=[CellResult(problem="B1", algorithm="mde-itmf", records=records)],
+        failures=[],
+    )
+
+
+def test_trace_header_names_one_column_per_dimension(tmp_path):
+    emit_outputs(traced_report(3), tmp_path)
+    rows = read_rows(tmp_path / "trace.csv")
+    assert rows[0] == ["algorithm", "problem", "seed", "generation", "subpop",
+                       "best_x1", "best_x2", "best_x3", "best_f", "spreading"]
+    assert len(rows[1]) == len(rows[0])
+    assert rows[1][3:5] == ["1", "0"]  # generation and subpop stay integers
+    assert rows[1][rows[0].index("best_f")] == "1.5"
+
+    emit_outputs(traced_report(2), tmp_path / "flat")
+    assert read_rows(tmp_path / "flat" / "trace.csv")[0] == TRACE_CSV_HEADER
+
+
+def test_trace_rows_of_mixed_dimensions_are_refused(tmp_path):
+    with pytest.raises(ConfigurationError, match="dimensions"):
+        emit_outputs(traced_report(2, 3), tmp_path)
+    assert not any(tmp_path.iterdir())  # refused before any file is written
 
 
 def test_best_points_field_has_17_significant_digits(tmp_path):
