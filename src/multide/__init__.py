@@ -7,27 +7,8 @@ benchmark registry, and an experiment harness with CSV/JSON reporting.
 """
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems, system_problem
-from .core import (
-    Bounds,
-    DEParams,
-    Point,
-    RunRecord,
-    crossover,
-    init_population,
-    mutate,
-    run_de,
-    select_greedy,
-    spreading_measure,
-)
-from .deflation import (
-    AnchorSet,
-    NonlinearSystem,
-    PenaltyParams,
-    indicator,
-    penalized_objective,
-    penalty_term,
-    residual_objective,
-)
+from .core import Bounds, DEParams, Point, RunRecord, init_population
+from .deflation import AnchorSet, NonlinearSystem, PenaltyParams, residual_objective
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
     ExperimentConfig,
@@ -42,6 +23,7 @@ from .multipop import (
     PopulationTensor,
     SubpopState,
     best_of_subpop,
+    run_de,
     run_dewi,
     run_mde_itmf,
     selection_step,
@@ -73,27 +55,20 @@ __all__ = [
     "aggregate",
     "best_of_subpop",
     "count_ngp",
-    "crossover",
     "emit_outputs",
     "get_problem",
     "group_de_runs",
-    "indicator",
     "init_population",
     "list_problems",
     "match_minimizers",
-    "mutate",
-    "penalized_objective",
-    "penalty_term",
     "residual_objective",
     "run_de",
     "run_dewi",
     "run_experiment",
     "run_mde_itmf",
     "run_sweep",
-    "select_greedy",
     "selection_step",
     "snapshot_anchors",
-    "spreading_measure",
     "subpop_spreading",
     "system_problem",
 ]

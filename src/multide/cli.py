@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .benchmarks import list_problems
 from .errors import ConfigurationError
@@ -12,6 +13,8 @@ from .harness import (
     ALGORITHMS,
     ExperimentConfig,
     SweepConfig,
+    config_from_dict,
+    config_to_dict,
     emit_outputs,
     run_experiment,
     run_sweep,
@@ -39,23 +42,19 @@ def _parse_values(text) -> list[float]:
 
 
 def _build_config(args, default_runs: int) -> ExperimentConfig:
-    data = {}
+    """The ``--config`` file's settings, if one is given, with explicit flags on top."""
+    config = ExperimentConfig(problems=[p.pid for p in list_problems()], runs=default_runs)
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            data = json.load(fh)
-        if isinstance(data.get("config"), dict):
-            data = data["config"]
-    overrides = dict(data.get("overrides", {}))
-    overrides.update(_parse_params(getattr(args, "param", None)))
-    return ExperimentConfig(
-        problems=args.problem or data.get("problems") or [p.pid for p in list_problems()],
-        algorithms=args.algo or data.get("algorithms") or list(ALGORITHMS),
-        runs=args.runs if args.runs is not None else data.get("runs", default_runs),
-        seed=args.seed if args.seed is not None else data.get("seed", 0),
-        overrides=overrides,
-        out_dir=args.out if args.out is not None else data.get("out_dir"),
-        parallel=bool(getattr(args, "parallel", False) or data.get("parallel", False)),
-        trace=bool(getattr(args, "trace", False) or data.get("trace", False)),
+            config = config_from_dict({**config_to_dict(config), **json.load(fh)})
+    flags = {"problems": args.problem, "algorithms": args.algo, "runs": args.runs,
+             "seed": args.seed, "out_dir": args.out}
+    return replace(
+        config,
+        overrides={**config.overrides, **_parse_params(getattr(args, "param", None))},
+        parallel=config.parallel or bool(getattr(args, "parallel", False)),
+        trace=config.trace or bool(getattr(args, "trace", False)),
+        **{k: v for k, v in flags.items() if v is not None},
     )
 
 

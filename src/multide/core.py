@@ -1,17 +1,17 @@
-"""Canonical Differential Evolution (DE/rand/1/bin) on box-bounded domains.
+"""Building blocks of DE/rand/1/bin on box-bounded domains.
 
-Provides the shared building blocks — points, bounds, parameters, the four
-genetic operators, and the population spreading measure — plus ``run_de``,
-the single-population engine. The multipopulation engines in
-:mod:`multide.multipop` are built from the same operators, so a run with one
-subpopulation reproduces ``run_de`` draw for draw.
+Points, bounds, parameters and run records, plus the operators every
+engine runs on whole (sub)populations at once: uniform initialization,
+checked batch evaluation, trial generation (mutation and binomial
+crossover) and the population spreading measure. The engines themselves,
+canonical ``run_de`` included, live in :mod:`multide.multipop`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,8 @@ DEGENERATE_NORM = 1e-12
 class Point:
     """A position in the search space with an optionally cached objective value.
 
-    ``fitness`` is ``None`` until the point has been evaluated; engines keep
-    it fresh with respect to the base (unpenalized) objective.
+    Engines report each subpopulation's final best as a point whose
+    ``fitness`` is its base (unpenalized) objective value.
     """
 
     coords: np.ndarray
@@ -176,70 +176,16 @@ def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
     return values
 
 
-def init_population(bounds: Bounds, count: int, rng: RngStream) -> list[Point]:
-    """Draw ``count`` uniform random points inside ``bounds``.
+def init_population(bounds: Bounds, count: int, rng: RngStream) -> np.ndarray:
+    """Draw ``count`` uniform random points inside ``bounds`` as a (count, d) array.
 
     Each coordinate is L_k + h (U_k - L_k) with a fresh uniform h per
-    coordinate; fitness is left unset.
+    coordinate.
     """
     if count < 1:
         raise ConfigurationError("population count must be >= 1")
     h = rng.uniform(size=(count, bounds.dim))
-    coords = bounds.lower + h * bounds.span
-    return [Point(c) for c in coords]
-
-
-def donor_indices(pop_size: int, target: int, rng: RngStream) -> np.ndarray:
-    """Draw r1, r2, r3: mutually distinct and distinct from ``target``."""
-    if pop_size < 4:
-        raise ConfigurationError("mutation needs a population of at least 4")
-    candidates = np.array([k for k in range(pop_size) if k != target])
-    return rng.choice(candidates, size=3, replace=False)
-
-
-def mutate(pop: Sequence[Point], target_index: int, F: float, rng: RngStream) -> np.ndarray:
-    """DE/rand/1 donor vector: v = x_r1 + F (x_r2 - x_r3).
-
-    No bounds clipping happens here; feasibility is checked at selection.
-    """
-    r1, r2, r3 = donor_indices(len(pop), target_index, rng)
-    return pop[r1].coords + F * (pop[r2].coords - pop[r3].coords)
-
-
-def crossover(target: Point, donor: np.ndarray, CR: float, rng: RngStream) -> np.ndarray:
-    """Binomial crossover of a target point with a donor vector.
-
-    Coordinate k comes from the donor when rand(k) <= CR or k equals the
-    per-trial forced index, so at least one coordinate is always inherited
-    from the donor.
-    """
-    donor = np.asarray(donor, dtype=float)
-    if donor.shape != target.coords.shape:
-        raise ConfigurationError("donor dimension does not match target")
-    d = donor.size
-    rnbr = int(rng.integers(0, d))
-    take = rng.uniform(size=d) <= CR
-    take[rnbr] = True
-    return np.where(take, donor, target.coords)
-
-
-def select_greedy(target: Point, trial: np.ndarray, objective, bounds: Bounds) -> Point:
-    """Greedy one-to-one selection with bounds rejection.
-
-    A trial that leaves the domain loses immediately and is never
-    evaluated. Otherwise the trial replaces the target when its objective
-    value is less than or equal to the target's. The returned point always
-    carries a fresh fitness.
-    """
-    trial = np.asarray(trial, dtype=float)
-    if not bounds.contains(trial):
-        return target
-    if target.fitness is None:
-        target = Point(target.coords, float(evaluate_batch(objective, target.coords[None, :])[0]))
-    f_trial = float(evaluate_batch(objective, trial[None, :])[0])
-    if f_trial <= target.fitness:
-        return Point(trial, f_trial)
-    return target
+    return bounds.lower + h * bounds.span
 
 
 def _spreading(coords: np.ndarray, best: np.ndarray, bounds: Bounds) -> float:
@@ -265,12 +211,6 @@ def _spreading(coords: np.ndarray, best: np.ndarray, bounds: Bounds) -> float:
     rel = diff / span[:, None]
     numer = np.sqrt(np.add.reduce(rel * rel, axis=0))
     return float(np.add.reduce(numer / denom) / len(numer))
-
-
-def spreading_measure(pop: Sequence[Point], best: Point, bounds: Bounds) -> float:
-    """Spreading of a population around its best member (zero iff collapsed)."""
-    coords = np.stack([p.coords for p in pop])
-    return _spreading(coords, best.coords, bounds)
 
 
 def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> np.ndarray:
@@ -304,35 +244,3 @@ def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> 
     take = rng.uniform(size=(n, d)) <= CR
     take[own, rnbr] = True
     return np.where(take, donors, coords)
-
-
-def run_de(
-    objective: Callable,
-    bounds: Bounds,
-    params: DEParams,
-    rng,
-    *,
-    collect_trace: bool = False,
-    observer=None,
-) -> RunRecord:
-    """Run canonical DE/rand/1/bin until convergence or the generation cap.
-
-    The run halts when the whole-population spreading measure drops below
-    ``params.spread_tol`` or after ``params.max_generations`` generations.
-    ``rng`` may be an :class:`RngStream` or an int seed; the record is fully
-    determined by (seed, params, objective).
-    """
-    from .multipop import _run_engine  # deferred: multipop builds on this module
-
-    return _run_engine(
-        objective,
-        bounds,
-        params,
-        nsp=1,
-        penalty=None,
-        switch_tol=None,
-        rng=rng,
-        algorithm="de",
-        collect_trace=collect_trace,
-        observer=observer,
-    )

@@ -9,7 +9,6 @@ search stays free while the others' neighborhoods become unattractive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,10 +51,6 @@ class AnchorSet:
         if self.matrix.ndim != 2:
             raise ConfigurationError("anchor matrix must be 2-D (dim x subpopulations)")
 
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[np.ndarray]) -> AnchorSet:
-        return cls(np.stack([np.asarray(v, dtype=float) for v in vectors], axis=1))
-
     @property
     def count(self) -> int:
         return self.matrix.shape[1]
@@ -86,37 +81,16 @@ class NonlinearSystem:
             raise ConfigurationError("a nonlinear system needs at least one residual")
 
 
-def indicator(delta: float, radius: float) -> int:
-    """1 when the distance is inside or on the penalty radius, else 0."""
-    return 1 if delta <= radius else 0
-
-
-def penalty_term(x, own_index: int, anchors: AnchorSet, params: PenaltyParams) -> float:
-    """Repulsion contribution at ``x`` from every foreign anchor.
-
-    The caller's own anchor (column ``own_index``) is excluded by index, so
-    two subpopulations that happen to share a best point still repel each
-    other.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ConfigurationError("point must be a 1-D coordinate vector")
-    return float(penalty_batch(x[None, :], own_index, anchors, params)[0])
-
-
-def penalized_objective(base: Callable, x, own_index: int, anchors: AnchorSet,
-                        params: PenaltyParams) -> float:
-    """Base objective plus the repulsion term; exactly one base evaluation."""
-    x = np.asarray(x, dtype=float)
-    return float(base(x)) + penalty_term(x, own_index, anchors, params)
-
-
 def penalty_batch(pts: np.ndarray, own_index: int, anchors: AnchorSet,
                   params: PenaltyParams) -> np.ndarray:
-    """Vectorized :func:`penalty_term` over the rows of ``pts``.
+    """Repulsion penalty at each row of ``pts`` from every foreign anchor.
 
-    Rows are independent: stacking two point sets and splitting the result
-    gives each set's penalties bit for bit.
+    A row's penalty sums ``magnitude * exp(-delta)`` over the anchors at
+    distance ``delta <= radius``. The caller's own anchor (column
+    ``own_index``) is excluded by index, so two subpopulations that happen
+    to share a best point still repel each other. Rows are independent:
+    stacking two point sets and splitting the result gives each set's
+    penalties bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
     matrix = anchors.matrix
@@ -165,7 +139,7 @@ class ResidualObjective:
 def residual_objective(system: NonlinearSystem) -> ResidualObjective:
     """Build the scalar objective whose global minima are the system's roots.
 
-    Composing the result with :func:`penalized_objective` gives the
-    penalized system objective with no extra code path.
+    The engines penalize it like any other objective, so the penalized
+    system objective needs no extra code path.
     """
     return ResidualObjective(system)

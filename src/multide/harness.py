@@ -12,17 +12,16 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .benchmarks import BenchmarkProblem, get_problem, list_problems
-from .core import run_de
+from .benchmarks import get_problem, list_problems
 from .errors import ConfigurationError
 from .metrics import AggregateStats, aggregate, group_de_runs, match_minimizers
-from .multipop import MultiParams, run_dewi, run_mde_itmf, without_switch_tol
+from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, without_switch_tol
 
 ALGORITHMS = ("de", "mde-itmf", "dewi")
 
@@ -164,8 +163,13 @@ def _run_job(args):
     try:
         return ("ok", _single_run(problem_id, algorithm, seed, overrides, trace))
     except Exception as err:  # run errors are recorded, the experiment continues
-        return ("error", {"problem": problem_id, "algorithm": algorithm,
-                          "seed": seed, "error": f"{type(err).__name__}: {err}"})
+        failure = {"problem": problem_id, "algorithm": algorithm,
+                   "seed": seed, "error": f"{type(err).__name__}: {err}"}
+        partial = getattr(err, "partial_record", None)
+        if partial is not None:
+            failure["nfe"] = int(partial.nfe)
+            failure["generations_used"] = [int(g) for g in partial.generations_used]
+        return ("error", failure)
 
 
 @dataclass
@@ -280,51 +284,19 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "problems": list(config.problems),
-        "algorithms": list(config.algorithms),
-        "runs": config.runs,
-        "seed": config.seed,
-        "overrides": dict(config.overrides),
-        "out_dir": config.out_dir,
-        "parallel": config.parallel,
-        "trace": config.trace,
-    }
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Rebuild a config from its JSON form (accepts a whole report too)."""
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
-    known = {"problems", "algorithms", "runs", "seed", "overrides", "out_dir",
-             "parallel", "trace"}
-    kwargs = {k: v for k, v in data.items() if k in known}
-    return ExperimentConfig(**kwargs)
+    known = {f.name for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{k: v for k, v in data.items() if k in known})
 
 
 def _sig17(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def _best_points_field(record) -> str:
-    triples = []
-    for p in record.final_bests:
-        parts = [_sig17(c) for c in p.coords] + [_sig17(p.fitness)]
-        triples.append(",".join(parts))
-    return ";".join(triples)
-
-
-def _record_row(record) -> list:
-    return [
-        record.algorithm,
-        record.problem,
-        record.seed,
-        repr(float(record.elapsed_seconds)),
-        record.nfe,
-        len(record.matched_minimizers),
-        ";".join(str(g) for g in record.generations_used),
-        _best_points_field(record),
-    ]
 
 
 def _aggregate_rows(cell) -> list[list]:
@@ -354,6 +326,21 @@ def _record_dict(record) -> dict:
         ],
         "matched_minimizers": sorted(record.matched_minimizers),
     }
+
+
+def _record_row(record) -> list:
+    """``runs.csv`` row: :func:`_record_dict` with 17-digit best points."""
+    data = _record_dict(record)
+    return [
+        data["algorithm"],
+        data["problem"],
+        data["seed"],
+        repr(data["elapsed_seconds"]),
+        data["nfe"],
+        data["ngp"],
+        ";".join(str(g) for g in data["generations_used"]),
+        ";".join(",".join(_sig17(v) for v in best) for best in data["final_bests"]),
+    ]
 
 
 def _stats_dict(stats: Optional[AggregateStats]) -> Optional[dict]:

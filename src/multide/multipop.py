@@ -1,13 +1,14 @@
-"""Multipopulation engines: penalized co-evolution and its toggled hybrid.
+"""DE engines: canonical DE, penalized co-evolution and its toggled hybrid.
 
-``run_mde_itmf`` evolves several DE subpopulations at once, each selecting
-against the objective penalized around every other subpopulation's current
-best, so the subpopulations repel each other into distinct global minima.
+``run_de`` is canonical single-population DE/rand/1/bin. ``run_mde_itmf``
+evolves several DE subpopulations at once, each selecting against the
+objective penalized around every other subpopulation's current best, so
+the subpopulations repel each other into distinct global minima.
 ``run_dewi`` uses the same machinery as an initializer: once a
 subpopulation has contracted below a switch tolerance it falls back to
-plain DE selection to refine its minimum undisturbed. Both engines share
-one generation loop, and with one subpopulation they reproduce canonical
-``run_de`` exactly.
+plain DE selection to refine its minimum undisturbed. All three engines
+share one generation loop, so with one subpopulation the multipopulation
+engines reproduce ``run_de`` exactly.
 """
 
 from __future__ import annotations
@@ -249,9 +250,8 @@ def _run_engine(
         pop = np.empty((nsp, de.pop_size, bounds.dim))
         fit = np.empty((nsp, de.pop_size))
         for j in range(nsp):
-            coords = np.stack([p.coords for p in init_population(bounds, de.pop_size, streams[j])])
-            pop[j] = coords
-            fit[j] = evaluate_batch(counter, coords)
+            pop[j] = init_population(bounds, de.pop_size, streams[j])
+            fit[j] = evaluate_batch(counter, pop[j])
         tensor = PopulationTensor(pop.transpose(2, 1, 0), fit.T, generation=0)
         # best[j] is the argmin of fit[j], refreshed whenever fit[j] changes;
         # anchor column j is pop[j, best[j]], rewritten at the same time.
@@ -313,6 +313,28 @@ def _run_engine(
     except EvaluationError as err:
         err.partial_record = _partial_record(algorithm, stream.seed, t0, counter, gens, tensor)
         raise
+
+
+def run_de(
+    objective: Callable,
+    bounds: Bounds,
+    params: DEParams,
+    rng,
+    *,
+    collect_trace: bool = False,
+    observer=None,
+) -> RunRecord:
+    """Run canonical DE/rand/1/bin until convergence or the generation cap.
+
+    The run halts when the whole-population spreading measure drops below
+    ``params.spread_tol`` or after ``params.max_generations`` generations.
+    ``rng`` may be an :class:`RngStream` or an int seed; the record is fully
+    determined by (seed, params, objective).
+    """
+    return _run_engine(
+        objective, bounds, params, 1, None, None, rng, "de",
+        collect_trace=collect_trace, observer=observer,
+    )
 
 
 def run_mde_itmf(

@@ -30,9 +30,6 @@ class RngStream:
         """Integer draws in [low, high), numpy semantics."""
         return self._gen.integers(low, high, size=size)
 
-    def choice(self, options, size=None, replace=True):
-        return self._gen.choice(options, size=size, replace=replace)
-
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.
 

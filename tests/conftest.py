@@ -6,10 +6,9 @@ import numpy as np
 class FakeRng:
     """Scripted stand-in for RngStream that replays queued draws."""
 
-    def __init__(self, uniforms=None, integers=None, choices=None):
+    def __init__(self, uniforms=None, integers=None):
         self._uniforms = list(uniforms or [])
         self._integers = list(integers or [])
-        self._choices = list(choices or [])
 
     def uniform(self, size=None):
         value = np.asarray(self._uniforms.pop(0), dtype=float)
@@ -18,9 +17,6 @@ class FakeRng:
     def integers(self, low, high=None, size=None):
         value = self._integers.pop(0)
         return value if size is None else np.asarray(value).reshape(size)
-
-    def choice(self, options, size=None, replace=True):
-        return np.asarray(self._choices.pop(0))
 
 
 class CountingObjective:

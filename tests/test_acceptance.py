@@ -12,21 +12,17 @@ import pytest
 from conftest import compass_minimal, grid_polish_minimizers
 
 from multide import (
-    Point,
     RngStream,
     count_ngp,
-    crossover,
     get_problem,
     group_de_runs,
-    indicator,
     match_minimizers,
-    penalty_term,
     run_de,
     run_dewi,
     run_mde_itmf,
-    spreading_measure,
 )
 from multide.cli import main as cli_main
+from multide.core import _spreading, generate_trials
 from multide.deflation import AnchorSet, PenaltyParams, penalty_batch
 from multide.harness import ExperimentConfig, SweepConfig, run_sweep
 from multide.multipop import without_switch_tol
@@ -158,12 +154,14 @@ def test_criterion_4_benchmark_correctness():
 
 def test_criterion_5_operator_properties(b1):
     """Bulk operator invariants with no reference numbers involved."""
+    # F = 0 makes each donor another row, which differs from the target in
+    # every coordinate: a trial equal to its target inherited nothing.
     rng = RngStream(99)
-    target = Point(np.array([0.0, 0.0]))
-    donor = np.array([1.0, 1.0])
+    distinct_rows = np.repeat(np.arange(10.0)[:, None], 2, axis=1)
     guarantee = all(
-        np.any(crossover(target, donor, float(rng.uniform()), rng) == 1.0)
-        for _ in range(100_000)
+        (generate_trials(distinct_rows, 0.0, float(rng.uniform()), rng) != distinct_rows)
+        .any(axis=1).all()
+        for _ in range(10_000)
     )
 
     contained = True
@@ -187,13 +185,15 @@ def test_criterion_5_operator_properties(b1):
 
     original = mp.selection_step
     penalized_monotone = True
+    penalized_calls = 0
 
     def checking(coords, fitness, trials, own, anchors, penalty, bounds, use_pen, obj):
-        nonlocal penalized_monotone
+        nonlocal penalized_monotone, penalized_calls
         new_coords, new_fitness = original(
             coords, fitness, trials, own, anchors, penalty, bounds, use_pen, obj
         )
         if use_pen:
+            penalized_calls += 1
             old = fitness + penalty_batch(coords, own, anchors, penalty)
             new = new_fitness + penalty_batch(new_coords, own, anchors, penalty)
             penalized_monotone &= bool(np.all(new <= old + 1e-12))
@@ -205,16 +205,21 @@ def test_criterion_5_operator_properties(b1):
     finally:
         mp.selection_step = original
 
-    boundary = indicator(1.0, 1.0) == 1 and indicator(np.nextafter(1.0, 2.0), 1.0) == 0
-
+    # a foreign anchor at the origin: distance exactly 1.0 is inside the
+    # unit radius, the next float up is outside
     params = PenaltyParams(magnitude=10.0, radius=1.0)
-    x = np.array([0.2, 0.2])
-    a1 = AnchorSet.from_vectors([np.array([0.2, 0.2]), np.array([1.0, 1.0])])
-    a2 = AnchorSet.from_vectors([np.array([-5.0, 3.0]), np.array([1.0, 1.0])])
-    self_excluded = penalty_term(x, 0, a1, params) == penalty_term(x, 0, a2, params)
+    on_origin = AnchorSet(np.zeros((2, 2)))
+    edge = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0]])
+    inside, outside = penalty_batch(edge, 0, on_origin, params)
+    boundary = inside > 0.0 and outside == 0.0
 
-    collapsed = [Point(np.array([0.4, 0.4])) for _ in range(8)]
-    zero_spread = spreading_measure(collapsed, collapsed[0], b1.bounds) == 0.0
+    x = np.array([[0.2, 0.2]])
+    a1 = AnchorSet(np.array([[0.2, 1.0], [0.2, 1.0]]))
+    a2 = AnchorSet(np.array([[-5.0, 1.0], [3.0, 1.0]]))
+    self_excluded = penalty_batch(x, 0, a1, params)[0] == penalty_batch(x, 0, a2, params)[0]
+
+    collapsed = np.full((8, 2), 0.4)
+    zero_spread = _spreading(collapsed, collapsed[0], b1.bounds) == 0.0
 
     single = replace(without_switch_tol(b1.default_params), subpops=1)
     equal = True
@@ -229,16 +234,18 @@ def test_criterion_5_operator_properties(b1):
         "bounds containment": contained,
         "greedy best monotone": monotone,
         "penalized score monotone": penalized_monotone,
+        "penalized selections checked live": penalized_calls > 0,
         "indicator boundary": boundary,
         "penalty self-exclusion": self_excluded,
         "collapsed spreading zero": zero_spread,
         "single-subpop equivalence": equal,
     }
     ok = all(checks.values())
+    failed = "; ".join(k for k, v in checks.items() if not v)
     assert verdict(
         "criterion 5", ok,
-        "all operator properties hold" if ok
-        else "; ".join(k for k, v in checks.items() if not v),
+        f"{failed or 'all operator properties hold'} "
+        f"({penalized_calls} penalized selections checked live)",
     )
 
 

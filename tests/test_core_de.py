@@ -11,17 +11,13 @@ from multide import (
     ConfigurationError,
     DEParams,
     EvaluationError,
-    Point,
     RngStream,
-    crossover,
     get_problem,
     init_population,
-    mutate,
     run_de,
-    select_greedy,
-    spreading_measure,
+    selection_step,
 )
-from multide.core import donor_indices, evaluate_batch
+from multide.core import _spreading, evaluate_batch, generate_trials
 
 UNIT = Bounds(np.zeros(2), np.ones(2))
 
@@ -69,26 +65,23 @@ def test_de_params_validation():
 
 # ----------------------------------------------------------- initialization
 
-def test_init_population_containment_and_unset_fitness():
+def test_init_population_containment_and_shape():
     pop = init_population(UNIT, 50, RngStream(1))
-    assert len(pop) == 50
-    for p in pop:
-        assert UNIT.contains(p.coords)
-        assert p.fitness is None
+    assert pop.shape == (50, 2)
+    assert UNIT.contains_all(pop).all()
 
 
 def test_init_population_zero_draw_hits_lower_corner():
     rng = FakeRng(uniforms=[np.zeros((3, 2))])
     pop = init_population(Bounds(np.array([-2.0, 5.0]), np.array([3.0, 9.0])), 3, rng)
     for p in pop:
-        assert np.array_equal(p.coords, [-2.0, 5.0])
+        assert np.array_equal(p, [-2.0, 5.0])
 
 
 def test_init_population_seed_reproducibility():
     a = init_population(UNIT, 20, RngStream(42))
     b = init_population(UNIT, 20, RngStream(42))
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.coords, pb.coords)
+    assert np.array_equal(a, b)
 
 
 def test_init_population_rejects_bad_count():
@@ -96,169 +89,213 @@ def test_init_population_rejects_bad_count():
         init_population(UNIT, 0, RngStream(0))
 
 
-# ----------------------------------------------------------------- mutation
+# ------------------------------------------------- mutation and crossover
 
-def _pop(*coords):
-    return [Point(np.array(c, dtype=float)) for c in coords]
+# generate_trials draws, in order: one (n, 3) block of donor indices (plus
+# redraws of colliding rows, none when the script is valid), the (n,)
+# forced crossover indices, then one (n, d) block of uniforms.
+
+def scripted(donors, forced=None, uniforms=None, dim=2):
+    donors = np.array(donors)
+    n = len(donors)
+    forced = np.zeros(n, dtype=int) if forced is None else np.array(forced)
+    uniforms = np.zeros((n, dim)) if uniforms is None else np.array(uniforms)
+    return FakeRng(integers=[donors, forced], uniforms=[uniforms])
+
+
+def valid_donors(n, gen):
+    """One (n, 3) block of distinct donor rows that each exclude their own row."""
+    return np.array([gen.permutation([k for k in range(n) if k != i])[:3] for i in range(n)])
+
+
+def donor_triple(row, i):
+    """Decode (r1, r2, r3) from row ``i`` of trials of ``np.eye(n)`` at F=0.5, CR=1.
+
+    The trial is then its donor e_r1 + 0.5 (e_r2 - e_r3): exactly one 1.0,
+    one 0.5 and one -0.5, all off position i, and zeros elsewhere, if and
+    only if r1, r2, r3 are distinct and differ from i. Returns None for
+    any other row.
+    """
+    nonzero = np.flatnonzero(row)
+    if len(nonzero) != 3 or i in nonzero:
+        return None
+    found = {float(row[k]): int(k) for k in nonzero}
+    if sorted(found) != [-0.5, 0.5, 1.0]:
+        return None
+    return found[1.0], found[0.5], found[-0.5]
 
 
 def test_mutate_direct_arithmetic():
-    pop = _pop((1, 1), (3, 3), (1, 1), (9, 9))
-    rng = FakeRng(choices=[[0, 1, 2]])
-    v = mutate(pop, 3, 0.5, rng)
-    assert np.array_equal(v, [2.0, 2.0])
+    pop = np.array([(1, 1), (3, 3), (1, 1), (9, 9)], dtype=float)
+    rng = scripted([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    trials = generate_trials(pop, 0.5, 1.0, rng)
+    assert np.array_equal(trials[3], [2.0, 2.0])
+    assert np.array_equal(trials, [[-1.0, -1.0], [-3.0, -3.0], [-2.0, -2.0], [2.0, 2.0]])
 
 
 def test_mutate_f_zero_returns_first_donor():
-    pop = _pop((1, 2), (5, 5), (7, 7), (9, 9))
-    rng = FakeRng(choices=[[1, 2, 3]])
-    assert np.array_equal(mutate(pop, 0, 0.0, rng), [5.0, 5.0])
+    pop = np.array([(1, 2), (5, 5), (7, 7), (9, 9)], dtype=float)
+    rng = scripted([[1, 2, 3], [2, 0, 3], [3, 0, 1], [0, 1, 2]])
+    trials = generate_trials(pop, 0.0, 1.0, rng)
+    assert np.array_equal(trials, pop[[1, 2, 3, 0]])
 
 
 def test_mutate_zero_difference_collapses_to_base():
-    pop = _pop((4, 4), (4, 4), (4, 4), (4, 4), (4, 4))
-    v = mutate(pop, 0, 0.9, RngStream(3))
-    assert np.array_equal(v, [4.0, 4.0])
+    pop = np.full((5, 2), 4.0)
+    trials = generate_trials(pop, 0.9, 0.5, RngStream(3))
+    assert np.array_equal(trials, pop)
 
 
 def test_mutate_requires_four_members():
     with pytest.raises(ConfigurationError):
-        mutate(_pop((0, 0), (1, 1), (2, 2)), 0, 0.5, RngStream(0))
+        generate_trials(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, 0.5, RngStream(0))
 
 
 def test_donor_indices_distinct_and_exclude_target():
     rng = RngStream(11)
+    pop = np.eye(8)
     for _ in range(2000):
-        r = donor_indices(8, 5, rng)
-        assert len(set(r.tolist())) == 3
-        assert 5 not in r
+        trials = generate_trials(pop, 0.5, 1.0, rng)
+        for i, row in enumerate(trials):
+            assert donor_triple(row, i) is not None
 
-
-# ---------------------------------------------------------------- crossover
 
 def test_crossover_cr_one_copies_donor():
-    rng = RngStream(2)
-    target = Point(np.array([0.0, 0.0, 0.0]))
-    donor = np.array([1.0, 2.0, 3.0])
+    gen = np.random.default_rng(2)
+    pop = np.arange(12.0).reshape(4, 3) ** 2
     for _ in range(50):
-        assert np.array_equal(crossover(target, donor, 1.0, rng), donor)
+        donors = valid_donors(4, gen)
+        script = scripted(donors, gen.integers(0, 3, size=4), gen.random((4, 3)), dim=3)
+        expected = pop[donors[:, 0]] + 0.7 * (pop[donors[:, 1]] - pop[donors[:, 2]])
+        assert np.array_equal(generate_trials(pop, 0.7, 1.0, script), expected)
+    # the same on live draws: every trial is a whole, valid donor
+    rng = RngStream(2)
+    pop = np.eye(6)
+    for _ in range(50):
+        trials = generate_trials(pop, 0.5, 1.0, rng)
+        assert all(donor_triple(row, i) is not None for i, row in enumerate(trials))
 
 
 def test_crossover_cr_zero_changes_exactly_one_coordinate():
     rng = RngStream(3)
-    target = Point(np.array([0.0, 0.0, 0.0, 0.0]))
-    donor = np.array([1.0, 1.0, 1.0, 1.0])
+    # F = 0 makes every donor another row, which differs from the target
+    # in every coordinate
+    pop = np.repeat(np.arange(5.0)[:, None], 4, axis=1)
     for _ in range(200):
-        u = crossover(target, donor, 0.0, rng)
-        assert int(np.sum(u == 1.0)) == 1
+        trials = generate_trials(pop, 0.0, 0.0, rng)
+        assert np.array_equal(np.count_nonzero(trials != pop, axis=1), np.ones(5))
 
 
 def test_crossover_scripted_example():
-    # forced index 0 takes the donor; the second coordinate draws 0.9 > CR
-    rng = FakeRng(integers=[0], uniforms=[np.array([0.3, 0.9])])
-    u = crossover(Point(np.array([10.0, 20.0])), np.array([1.0, 2.0]), 0.1, rng)
-    assert np.array_equal(u, [1.0, 20.0])
+    # row 0: forced index 0 takes the donor; the second coordinate draws 0.9 > CR
+    pop = np.array([(10, 20), (1, 2), (3, 4), (5, 6)], dtype=float)
+    rng = scripted(
+        [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+        forced=[0, 1, 0, 1],
+        uniforms=[[0.3, 0.9], [0.9, 0.9], [0.05, 0.1], [0.9, 0.9]],
+    )
+    trials = generate_trials(pop, 0.0, 0.1, rng)
+    assert np.array_equal(trials[0], [1.0, 20.0])
+    assert np.array_equal(trials, [[1.0, 20.0], [1.0, 20.0], [10.0, 20.0], [5.0, 20.0]])
 
 
 def test_crossover_always_inherits_from_donor():
     rng = RngStream(4)
-    target = Point(np.array([0.0, 0.0]))
-    donor = np.array([1.0, 1.0])
+    pop = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     for _ in range(5000):
         cr = float(rng.uniform())
-        u = crossover(target, donor, cr, rng)
-        assert np.any(u == 1.0)
-
-
-def test_crossover_dimension_mismatch():
-    with pytest.raises(ConfigurationError):
-        crossover(Point(np.zeros(2)), np.zeros(3), 0.5, RngStream(0))
+        trials = generate_trials(pop, 0.0, cr, rng)
+        assert (trials != pop).any(axis=1).all()
 
 
 # ---------------------------------------------------------------- selection
 
+def select_one(parent, fitness, trial, objective, bounds=UNIT):
+    """Plain selection of one trial against one parent with a cached fitness."""
+    coords, fit = selection_step(
+        np.array([parent], dtype=float), np.array([fitness], dtype=float),
+        np.array([trial], dtype=float), 0, None, None, bounds, False, objective,
+    )
+    return coords[0], fit[0]
+
+
 def test_select_greedy_rejects_out_of_bounds_without_evaluating():
     counting = CountingObjective(sphere)
-    target = Point(np.array([0.5, 0.5]), fitness=0.5)
-    out = select_greedy(target, np.array([1.5, 0.5]), counting, UNIT)
-    assert out is target
+    coords, fit = select_one([0.5, 0.5], 0.5, [1.5, 0.5], counting)
+    assert np.array_equal(coords, [0.5, 0.5]) and fit == 0.5
     assert counting.count == 0
+    # beside an in-bounds trial, only that one is evaluated
+    new_coords, new_fit = selection_step(
+        np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]),
+        np.array([[1.5, 0.5], [0.1, 0.1]]), 0, None, None, UNIT, False, counting,
+    )
+    assert counting.count == 1
+    assert np.array_equal(new_coords, [[0.5, 0.5], [0.1, 0.1]])
+    assert new_fit[0] == 0.5 and new_fit[1] == pytest.approx(0.02)
 
 
 def test_select_greedy_tie_goes_to_trial():
-    target = Point(np.array([0.5, 0.5]), fitness=0.5)
     flat = lambda p: 0.5
-    out = select_greedy(target, np.array([0.25, 0.25]), flat, UNIT)
-    assert np.array_equal(out.coords, [0.25, 0.25])
-    assert out.fitness == 0.5
+    coords, fit = select_one([0.5, 0.5], 0.5, [0.25, 0.25], flat)
+    assert np.array_equal(coords, [0.25, 0.25])
+    assert fit == 0.5
 
 
 def test_select_greedy_himmelblau_example():
     problem = get_problem("B1")
-    target = Point(np.array([0.0, 0.0]), fitness=problem.objective(np.zeros(2)))
-    assert target.fitness == 170.0
-    out = select_greedy(target, np.array([3.0, 2.0]), problem.objective, problem.bounds)
-    assert np.array_equal(out.coords, [3.0, 2.0])
-    assert out.fitness == 0.0
-
-
-def test_select_greedy_evaluates_stale_target():
-    counting = CountingObjective(sphere)
-    target = Point(np.array([0.5, 0.5]))
-    out = select_greedy(target, np.array([0.1, 0.1]), counting, UNIT)
-    assert counting.count == 2
-    assert out.fitness == pytest.approx(0.02)
+    f0 = problem.objective(np.zeros(2))
+    assert f0 == 170.0
+    coords, fit = select_one([0.0, 0.0], f0, [3.0, 2.0], problem.objective, problem.bounds)
+    assert np.array_equal(coords, [3.0, 2.0])
+    assert fit == 0.0
 
 
 def test_select_greedy_propagates_non_finite():
     bad = lambda p: float("nan")
-    target = Point(np.array([0.5, 0.5]), fitness=1.0)
     with pytest.raises(EvaluationError) as info:
-        select_greedy(target, np.array([0.2, 0.2]), bad, UNIT)
+        select_one([0.5, 0.5], 1.0, [0.2, 0.2], bad)
     assert np.array_equal(info.value.point, [0.2, 0.2])
 
 
 # ---------------------------------------------------------------- spreading
 
 def test_spreading_zero_on_collapsed_population():
-    best = Point(np.array([0.3, 0.7]))
-    pop = [Point(np.array([0.3, 0.7])) for _ in range(6)]
-    assert spreading_measure(pop, best, UNIT) == 0.0
+    best = np.array([0.3, 0.7])
+    pop = np.tile(best, (6, 1))
+    assert _spreading(pop, best, UNIT) == 0.0
 
 
 def test_spreading_hand_computed_example():
-    best = Point(np.array([0.5, 0.5]))
-    pop = [best, Point(np.array([0.5, 1.0]))]
+    best = np.array([0.5, 0.5])
+    pop = np.array([best, [0.5, 1.0]])
     expected = 0.5 * (0.5 / math.sqrt(0.5))
-    assert spreading_measure(pop, best, UNIT) == pytest.approx(expected, rel=1e-12)
+    assert _spreading(pop, best, UNIT) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.35355339, abs=1e-8)
 
 
 def test_spreading_permutation_invariant():
     rng = RngStream(5)
-    coords = rng.uniform(size=(8, 2))
-    pop = [Point(c) for c in coords]
+    pop = rng.uniform(size=(8, 2))
     best = pop[3]
-    base = spreading_measure(pop, best, UNIT)
-    perm = [pop[i] for i in [5, 1, 7, 3, 0, 6, 2, 4]]
-    assert spreading_measure(perm, best, UNIT) == pytest.approx(base, rel=1e-15)
+    base = _spreading(pop, best, UNIT)
+    perm = pop[[5, 1, 7, 3, 0, 6, 2, 4]]
+    assert _spreading(perm, best, UNIT) == pytest.approx(base, rel=1e-15)
 
 
 def test_spreading_degenerate_denominator_uses_domain_diagonal():
     sym = Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    best = Point(np.zeros(2))
-    pop = [best, Point(np.array([1.0, 0.0]))]
+    best = np.zeros(2)
+    pop = np.array([best, [1.0, 0.0]])
     expected = 0.5 / math.sqrt(8.0)
-    assert spreading_measure(pop, best, sym) == pytest.approx(expected, rel=1e-12)
+    assert _spreading(pop, best, sym) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spreading_nonnegative_random_populations():
     rng = RngStream(9)
     for _ in range(100):
-        coords = rng.uniform(size=(10, 2))
-        pop = [Point(c) for c in coords]
-        best = min(pop, key=lambda p: sphere(p.coords))
-        assert spreading_measure(pop, best, UNIT) >= 0.0
+        pop = rng.uniform(size=(10, 2))
+        best = pop[np.argmin([sphere(c) for c in pop])]
+        assert _spreading(pop, best, UNIT) >= 0.0
 
 
 # ------------------------------------------------------------------ run_de

@@ -8,27 +8,34 @@ from conftest import CountingObjective, sphere
 
 from multide import (
     AnchorSet,
+    Bounds,
     ConfigurationError,
     NonlinearSystem,
     PenaltyParams,
     get_problem,
-    indicator,
-    penalized_objective,
-    penalty_term,
     residual_objective,
+    selection_step,
 )
 from multide.deflation import penalty_batch
 from multide.rng import RngStream
 
 
 def anchors_of(*vectors):
-    return AnchorSet.from_vectors([np.array(v, dtype=float) for v in vectors])
+    return AnchorSet(np.stack([np.array(v, dtype=float) for v in vectors], axis=1))
+
+
+def penalty_at(x, own_index, anchors, params):
+    """Penalty at one point, through the batch function the engines call."""
+    return float(penalty_batch(np.array([x], dtype=float), own_index, anchors, params)[0])
 
 
 def test_indicator_boundary_is_inside():
-    assert indicator(0.5, 1.0) == 1
-    assert indicator(1.0, 1.0) == 1
-    assert indicator(1.5, 1.0) == 0
+    params = PenaltyParams(magnitude=1.0, radius=1.0)
+    anchors = anchors_of([0.0, 0.0], [0.0, 0.0])
+    for inside in (0.5, 1.0):
+        expected = math.exp(-inside)
+        assert penalty_at([inside, 0.0], 0, anchors, params) == pytest.approx(expected, rel=1e-15)
+    assert penalty_at([1.5, 0.0], 0, anchors, params) == 0.0
 
 
 def test_penalty_params_validation():
@@ -42,23 +49,21 @@ def test_penalized_at_foreign_anchor_adds_full_magnitude():
     params = PenaltyParams(magnitude=2000.0, radius=1.5)
     anchors = anchors_of([5.0, 5.0], [0.25, 0.25])
     x = np.array([0.25, 0.25])  # exactly on the foreign anchor (own_index 0)
-    assert penalized_objective(sphere, x, 0, anchors, params) == pytest.approx(
-        sphere(x) + 2000.0
-    )
+    assert sphere(x) + penalty_at(x, 0, anchors, params) == pytest.approx(sphere(x) + 2000.0)
 
 
 def test_penalized_far_from_all_anchors_equals_base():
     params = PenaltyParams(magnitude=2000.0, radius=0.5)
     anchors = anchors_of([10.0, 10.0], [-10.0, -10.0])
     x = np.array([0.0, 0.0])
-    assert penalized_objective(sphere, x, 0, anchors, params) == sphere(x)
+    assert penalty_at(x, 0, anchors, params) == 0.0
 
 
 def test_penalized_single_subpop_has_empty_sum():
     params = PenaltyParams(magnitude=2000.0, radius=2.0)
     anchors = anchors_of([0.0, 0.0])
     x = np.array([0.0, 0.0])
-    assert penalized_objective(sphere, x, 0, anchors, params) == sphere(x)
+    assert penalty_at(x, 0, anchors, params) == 0.0
 
 
 def test_penalty_self_exclusion_by_index():
@@ -66,15 +71,18 @@ def test_penalty_self_exclusion_by_index():
     x = np.array([0.1, 0.1])
     a1 = anchors_of([0.1, 0.1], [1.0, 1.0])
     a2 = anchors_of([-9.0, 4.0], [1.0, 1.0])  # own column moved, foreign fixed
-    assert penalty_term(x, 0, a1, params) == penalty_term(x, 0, a2, params)
+    assert penalty_at(x, 0, a1, params) == penalty_at(x, 0, a2, params)
+    assert penalty_at(x, 0, a1, params) == pytest.approx(
+        100.0 * math.exp(-np.linalg.norm([0.9, 0.9])), rel=1e-15
+    )
 
 
 def test_penalty_discontinuity_at_radius():
     params = PenaltyParams(magnitude=2000.0, radius=1.0)
     anchors = anchors_of([0.0, 0.0], [0.0, 0.0])
-    inside = penalty_term(np.array([params.radius - 1e-9, 0.0]), 0, anchors, params)
-    on_edge = penalty_term(np.array([params.radius, 0.0]), 0, anchors, params)
-    outside = penalty_term(np.array([params.radius + 1e-9, 0.0]), 0, anchors, params)
+    inside = penalty_at([params.radius - 1e-9, 0.0], 0, anchors, params)
+    on_edge = penalty_at([params.radius, 0.0], 0, anchors, params)
+    outside = penalty_at([params.radius + 1e-9, 0.0], 0, anchors, params)
     floor = params.magnitude * math.exp(-params.radius)
     assert on_edge == pytest.approx(floor, rel=1e-12)
     assert inside == pytest.approx(floor, rel=1e-6)
@@ -87,26 +95,32 @@ def test_penalized_dominates_base_with_equality_iff_far():
     for _ in range(200):
         anchors = anchors_of(rng.uniform(size=2) * 4 - 2, rng.uniform(size=2) * 4 - 2)
         x = rng.uniform(size=2) * 4 - 2
-        pen = penalized_objective(sphere, x, 0, anchors, params)
         base = sphere(x)
+        pen = base + penalty_at(x, 0, anchors, params)
         assert pen >= base
         far = np.linalg.norm(x - anchors.anchor(1)) > params.radius
         assert (pen == base) == far
 
 
 def test_penalized_performs_exactly_one_base_evaluation():
+    # penalized selection evaluates each in-bounds trial once on the base
+    # objective and reuses the parents' cached values
     counting = CountingObjective(sphere)
     params = PenaltyParams(magnitude=10.0, radius=1.0)
     anchors = anchors_of([0.0, 0.0], [1.0, 1.0], [2.0, 2.0])
-    penalized_objective(counting, np.array([0.5, 0.5]), 1, anchors, params)
-    assert counting.count == 1
+    coords = np.array([[0.5, 0.5], [0.2, 0.4], [0.9, 0.1]])
+    fitness = np.array([sphere(c) for c in coords])
+    trials = np.array([[0.4, 0.5], [5.0, 0.0], [0.8, 0.2]])  # the middle one leaves the box
+    bounds = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    selection_step(coords, fitness, trials, 1, anchors, params, bounds, True, counting)
+    assert counting.count == 2
 
 
 def test_penalty_dimension_mismatch():
     params = PenaltyParams(magnitude=10.0, radius=1.0)
     anchors = anchors_of([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
     with pytest.raises(ConfigurationError):
-        penalty_term(np.array([0.0, 0.0]), 0, anchors, params)
+        penalty_at([0.0, 0.0], 0, anchors, params)
 
 
 def test_penalty_own_index_must_name_an_anchor_column():
@@ -114,7 +128,7 @@ def test_penalty_own_index_must_name_an_anchor_column():
     anchors = anchors_of([0.0, 0.0], [1.0, 1.0])
     for own in (-1, 2):
         with pytest.raises(ConfigurationError):
-            penalty_term(np.array([0.0, 0.0]), own, anchors, params)
+            penalty_at([0.0, 0.0], own, anchors, params)
 
 
 def test_penalty_batch_matches_scalar():
@@ -123,8 +137,9 @@ def test_penalty_batch_matches_scalar():
     anchors = anchors_of([0.5, 0.5], [-0.5, 0.25], [0.0, -1.0])
     pts = rng.uniform(size=(40, 2)) * 4 - 2
     batch = penalty_batch(pts, 1, anchors, params)
-    scalar = np.array([penalty_term(p, 1, anchors, params) for p in pts])
-    assert np.allclose(batch, scalar, rtol=0, atol=0)
+    scalar = np.array([penalty_at(p, 1, anchors, params) for p in pts])
+    assert np.array_equal(batch, scalar)
+    assert np.count_nonzero(scalar) and not np.all(scalar)
 
 
 # ------------------------------------------------------------ residual sums

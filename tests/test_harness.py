@@ -2,17 +2,20 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from multide import (
     ConfigurationError,
+    EvaluationError,
     ExperimentConfig,
     Point,
     RunRecord,
     SweepConfig,
     emit_outputs,
+    run_mde_itmf,
 )
 from multide.cli import main as cli_main
 from multide.harness import (
@@ -27,6 +30,7 @@ from multide.harness import (
     run_experiment,
     run_sweep,
 )
+from multide.multipop import without_switch_tol
 
 
 def small_config(**kw):
@@ -157,6 +161,35 @@ def test_failed_runs_are_recorded_and_experiment_continues():
     assert len(report.failures) == 1
     assert report.failures[0]["seed"] == 12
     assert len(report.cells[0].records) == 1
+
+
+def test_failed_run_reports_its_partial_record(monkeypatch):
+    import multide.harness as hz
+
+    real_get_problem = hz.get_problem
+
+    def flaky_problem(pid):
+        problem = real_get_problem(pid)
+        calls = {"n": 0}
+
+        def flaky(p):
+            calls["n"] += 1
+            return float("nan") if calls["n"] > 40 else problem.objective(p)
+
+        return replace(problem, objective=flaky)
+
+    monkeypatch.setattr(hz, "get_problem", flaky_problem)
+    report = run_experiment(small_config(algorithms=["mde-itmf"], runs=2))
+    assert len(report.failures) == 2
+    for failure in report.failures:
+        problem = flaky_problem("B3")
+        with pytest.raises(EvaluationError) as info:
+            run_mde_itmf(problem.objective, problem.bounds,
+                         without_switch_tol(problem.default_params), failure["seed"])
+        partial = info.value.partial_record
+        assert failure["nfe"] == partial.nfe > 40
+        assert failure["generations_used"] == partial.generations_used
+        assert failure["error"].startswith("EvaluationError")
 
 
 def test_records_identical_across_reruns_modulo_elapsed():
@@ -357,6 +390,20 @@ def test_cli_accepts_config_file_with_flag_override(tmp_path):
         blob = json.load(fh)
     assert blob["config"]["runs"] == 1  # flag beat the file value
     assert blob["config"]["seed"] == 5
+
+
+def test_cli_merges_file_and_flag_overrides(tmp_path):
+    cfg = {"problems": ["B3"], "algorithms": ["mde-itmf"], "runs": 2, "seed": 5,
+           "overrides": {"np": 8, "f": 0.5}, "unknown_key": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = cli_main(["run", "--config", str(cfg_path), "--param", "f=0.6",
+                     "--out", str(tmp_path / "out")])
+    assert code == 0
+    with open(tmp_path / "out" / "report.json") as fh:
+        config = json.load(fh)["config"]
+    assert config["overrides"] == {"np": 8.0, "f": 0.6}
+    assert config["problems"] == ["B3"] and config["runs"] == 2 and config["seed"] == 5
 
 
 def test_cli_trace_subcommand(tmp_path, capsys):

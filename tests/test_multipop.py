@@ -22,12 +22,11 @@ from multide import (
     run_de,
     run_dewi,
     run_mde_itmf,
-    select_greedy,
     selection_step,
     snapshot_anchors,
-    spreading_measure,
     subpop_spreading,
 )
+from multide.core import _spreading
 from multide.multipop import without_switch_tol
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
@@ -77,10 +76,9 @@ def test_best_of_subpop_invariant_to_non_best_permutation():
 def test_subpop_spreading_matches_whole_population_measure():
     coords = RngStream(4).uniform(size=(12, 2))
     tensor = make_tensor([coords], sphere)
-    pop = [Point(c, sphere(c)) for c in coords]
-    best = min(pop, key=lambda p: p.fitness)
+    best = coords[np.argmin([sphere(c) for c in coords])]
     assert subpop_spreading(tensor, 0, BOX) == pytest.approx(
-        spreading_measure(pop, best, BOX), rel=1e-15
+        _spreading(coords, best, BOX), rel=1e-15
     )
 
 
@@ -128,8 +126,16 @@ def random_scenario(seed, pop_size=8):
     coords = rng.uniform(size=(pop_size, 2)) * 3 - 1.5
     fitness = np.array([sphere(c) for c in coords])
     trials = rng.uniform(size=(pop_size, 2)) * 5 - 2.5  # some rows out of bounds
-    anchors = AnchorSet.from_vectors([rng.uniform(size=2), rng.uniform(size=2)])
+    anchors = AnchorSet(np.stack([rng.uniform(size=2), rng.uniform(size=2)], axis=1))
     return coords, fitness, trials, anchors
+
+
+def select_greedy(target, trial, objective, bounds):
+    """Reference one-to-one selection: out of bounds loses, ties go to the trial."""
+    if not bounds.contains(trial):
+        return target
+    f_trial = float(objective(trial))
+    return Point(trial, f_trial) if f_trial <= target.fitness else target
 
 
 def test_selection_step_plain_matches_select_greedy():
@@ -145,7 +151,7 @@ def test_selection_step_plain_matches_select_greedy():
 
 def test_selection_step_penalized_equals_plain_when_anchors_far():
     coords, fitness, trials, _ = random_scenario(8)
-    far = AnchorSet.from_vectors([np.array([50.0, 50.0]), np.array([-60.0, 10.0])])
+    far = AnchorSet(np.array([[50.0, -60.0], [50.0, 10.0]]))
     penalty = PenaltyParams(magnitude=2000.0, radius=1.0)
     plain = selection_step(coords, fitness, trials, 0, None, None, BOX, False, sphere)
     pen = selection_step(coords, fitness, trials, 0, far, penalty, BOX, True, sphere)
@@ -161,7 +167,7 @@ def test_selection_step_parent_survives_inside_foreign_radius():
     parent = np.array([[-2.0, 0.0]])
     fitness = np.array([problem.objective(parent[0])])
     trial = np.array([[0.0, 0.0]])  # the foreign anchor itself, base value 0
-    anchors = AnchorSet.from_vectors([parent[0], np.array([0.0, 0.0])])
+    anchors = AnchorSet(np.stack([parent[0], np.zeros(2)], axis=1))
     new_coords, new_fitness = selection_step(
         parent, fitness, trial, 0, anchors, penalty, problem.bounds, True, problem.objective
     )

@@ -1,0 +1,19 @@
+"""The public surface of the package: what ``multide`` exports."""
+
+import multide
+
+# The one-point operators that duplicated the engines' batch operators.
+REMOVED = ("crossover", "donor_indices", "indicator", "mutate", "penalized_objective",
+           "penalty_term", "select_greedy", "spreading_measure")
+
+
+def test_every_exported_name_resolves_once():
+    assert len(multide.__all__) == len(set(multide.__all__))
+    missing = [name for name in multide.__all__ if not hasattr(multide, name)]
+    assert missing == []
+
+
+def test_scalar_operators_are_gone():
+    assert [name for name in REMOVED if hasattr(multide, name)] == []
+    assert not hasattr(multide.RngStream, "choice")
+    assert not hasattr(multide.AnchorSet, "from_vectors")
