@@ -20,9 +20,6 @@ from .harness import (
 from .metrics import AggregateStats, aggregate, count_ngp, group_de_runs, match_minimizers
 from .multipop import (
     MultiParams,
-    PopulationTensor,
-    SubpopState,
-    best_of_subpop,
     run_de,
     run_dewi,
     run_mde_itmf,
@@ -47,13 +44,10 @@ __all__ = [
     "NonlinearSystem",
     "PenaltyParams",
     "Point",
-    "PopulationTensor",
     "RngStream",
     "RunRecord",
-    "SubpopState",
     "SweepConfig",
     "aggregate",
-    "best_of_subpop",
     "count_ngp",
     "emit_outputs",
     "get_problem",

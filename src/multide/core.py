@@ -41,10 +41,6 @@ class Point:
         if self.fitness is not None:
             self.fitness = float(self.fitness)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
 
 @dataclass(frozen=True)
 class Bounds:

@@ -55,10 +55,6 @@ class AnchorSet:
     def count(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def anchor(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
 

@@ -230,10 +230,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         params = apply_overrides(problem.default_params, config.overrides)
         for algo in config.algorithms:
             n = config.runs * params.subpops if algo == "de" else config.runs
-            cell_specs.append((problem, algo, n))
+            cell_specs.append((problem, params, algo, n))
 
     jobs = []
-    for problem, algo, n in cell_specs:
+    for problem, _, algo, n in cell_specs:
         for i in range(n):
             jobs.append((problem.pid, algo, config.seed + i, config.overrides, config.trace))
 
@@ -246,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cells = []
     failures = []
     cursor = 0
-    for problem, algo, n in cell_specs:
+    for problem, params, algo, n in cell_specs:
         records = []
         cell_failed = False
         for status, payload in outcomes[cursor:cursor + n]:
@@ -257,12 +257,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 cell_failed = True
         cursor += n
         groups = None
-        if algo == "de":
-            params = apply_overrides(problem.default_params, config.overrides)
-            if not cell_failed and params.subpops > 0:
-                groups = group_de_runs(records, params.subpops)
-                for g in groups:
-                    g.matched_minimizers = match_minimizers(g.final_bests, problem)
+        if algo == "de" and not cell_failed:
+            groups = group_de_runs(records, params.subpops)
+            for g in groups:
+                g.matched_minimizers = match_minimizers(g.final_bests, problem)
         units = groups if groups is not None else records
         aggregates = None if cell_failed else _cell_aggregates(units)
         cells.append(CellResult(problem=problem.pid, algorithm=algo,
@@ -349,15 +347,19 @@ def _stats_dict(stats: Optional[AggregateStats]) -> Optional[dict]:
     return {"mean": stats.mean, "stddev": stats.stddev, "cv_percent": stats.cv_percent}
 
 
+def _aggregates_dict(cell: CellResult) -> Optional[dict]:
+    if cell.aggregates is None:
+        return None
+    return {metric: _stats_dict(cell.aggregates[metric]) for metric in METRICS}
+
+
 def _cell_dict(cell: CellResult) -> dict:
     return {
         "problem": cell.problem,
         "algorithm": cell.algorithm,
         "runs": [_record_dict(r) for r in cell.records],
         "groups": None if cell.groups is None else [_record_dict(g) for g in cell.groups],
-        "aggregates": None if cell.aggregates is None else {
-            metric: _stats_dict(cell.aggregates[metric]) for metric in METRICS
-        },
+        "aggregates": _aggregates_dict(cell),
     }
 
 
@@ -385,13 +387,7 @@ def sweep_report_dict(report: SweepReport) -> dict:
         rows.append({
             "value": value,
             "cells": [
-                {
-                    "problem": c.problem,
-                    "algorithm": c.algorithm,
-                    "aggregates": None if c.aggregates is None else {
-                        metric: _stats_dict(c.aggregates[metric]) for metric in METRICS
-                    },
-                }
+                {"problem": c.problem, "algorithm": c.algorithm, "aggregates": _aggregates_dict(c)}
                 for c in exp.cells
             ],
             "failures": exp.failures,

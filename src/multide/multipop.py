@@ -34,62 +34,6 @@ from .errors import ConfigurationError, EvaluationError
 from .rng import as_stream
 
 
-@dataclass
-class PopulationTensor:
-    """All subpopulations in one array, laid out (dim, pop_size, n_subpops).
-
-    ``fitness`` caches the base objective value of every individual
-    (penalties are never cached here, because the anchors they depend on
-    move every generation). The engines keep their population
-    subpopulation-major and hand observers a tensor of transposed views,
-    so it always shows the live state.
-    """
-
-    data: np.ndarray
-    fitness: np.ndarray
-    generation: int = 0
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        self.fitness = np.asarray(self.fitness, dtype=float)
-        if self.data.ndim != 3:
-            raise ConfigurationError("population tensor must be 3-D (dim, pop, subpops)")
-        if self.fitness.shape != self.data.shape[1:]:
-            raise ConfigurationError("fitness array must be shaped (pop, subpops)")
-
-    @property
-    def n_subpops(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def pop_size(self) -> int:
-        return self.data.shape[1]
-
-    def subpop(self, j: int) -> np.ndarray:
-        """Coordinates of subpopulation ``j`` as an (pop_size, dim) array."""
-        return self.data[:, :, j].T
-
-    def best_index(self, j: int) -> int:
-        """Index of the base-fitness argmin in subpopulation j; lowest index wins ties."""
-        return int(np.argmin(self.fitness[:, j]))
-
-
-@dataclass
-class SubpopState:
-    """Per-subpopulation engine state.
-
-    Once ``frozen`` (spreading fell below the tolerance) the subpopulation
-    is never mutated again for the rest of the run. ``deflation_active``
-    is always true under the penalized engine; under the hybrid it simply
-    mirrors whether the last spreading was still at or above the switch
-    tolerance.
-    """
-
-    frozen: bool = False
-    deflation_active: bool = True
-    last_spreading: Optional[float] = None
-
-
 @dataclass(frozen=True)
 class MultiParams:
     """Parameter bundle for the multipopulation engines.
@@ -111,22 +55,19 @@ class MultiParams:
             raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
 
 
-def best_of_subpop(tensor: PopulationTensor, j: int) -> Point:
-    """Best member of subpopulation ``j`` by the cached base fitness."""
-    i = tensor.best_index(j)
-    return Point(tensor.data[:, i, j].copy(), float(tensor.fitness[i, j]))
+def _final_bests(pop: np.ndarray, fit: np.ndarray) -> list[Point]:
+    """Each subpopulation's best member by base fitness; lowest index wins ties."""
+    return [Point(pop[j, i], fit[j, i]) for j, i in enumerate(fit.argmin(axis=1).tolist())]
 
 
-def subpop_spreading(tensor: PopulationTensor, j: int, bounds: Bounds) -> float:
+def subpop_spreading(pop: np.ndarray, fit: np.ndarray, j: int, bounds: Bounds) -> float:
     """Spreading of subpopulation ``j`` around its own best member."""
-    best = tensor.data[:, tensor.best_index(j), j]
-    return _spreading(tensor.subpop(j), best, bounds)
+    return _spreading(pop[j], pop[j, fit[j].argmin()], bounds)
 
 
-def snapshot_anchors(tensor: PopulationTensor) -> AnchorSet:
+def snapshot_anchors(pop: np.ndarray, fit: np.ndarray) -> AnchorSet:
     """Anchor matrix with every subpopulation's current best as a column."""
-    idx = [tensor.best_index(j) for j in range(tensor.n_subpops)]
-    return AnchorSet(tensor.data[:, idx, range(tensor.n_subpops)].copy())
+    return AnchorSet(pop[np.arange(len(pop)), fit.argmin(axis=1)].T.copy())
 
 
 def selection_step(
@@ -198,98 +139,69 @@ class _CountingObjective:
         return [self._fn(p) for p in pts]
 
 
-def _partial_record(algorithm, seed, t0, counter, gens, tensor):
-    bests = []
-    if tensor is not None:
-        bests = [best_of_subpop(tensor, j) for j in range(tensor.n_subpops)]
-    return RunRecord(
-        algorithm=algorithm,
-        seed=seed,
-        elapsed_seconds=time.perf_counter() - t0,
-        nfe=counter.count,
-        final_bests=bests,
-        generations_used=list(gens),
-    )
-
-
 def _run_engine(
     objective: Callable,
     bounds: Bounds,
-    de: DEParams,
-    nsp: int,
-    penalty: Optional[PenaltyParams],
-    switch_tol: Optional[float],
+    params: MultiParams,
     rng,
     algorithm: str,
-    anchor_mode: str = "sequential",
     collect_trace: bool = False,
     observer=None,
 ) -> RunRecord:
     """Shared generation loop for the three engines.
 
-    Subpopulations are updated in ascending order. In the default
-    ``sequential`` anchor mode each subpopulation's anchor column is
-    rewritten right after its update, so improvements made earlier in the
-    same generation already repel later subpopulations; ``synchronous``
-    mode copies the anchors once per generation, which is the
-    deterministic semantics a per-subpopulation parallel update would
-    need. ``observer(gen, tensor, states)`` is called after every
-    generation for instrumentation; treat its arguments as read-only.
+    Subpopulations are updated in ascending order, and each one's anchor
+    column is rewritten right after its update, so improvements made
+    earlier in the same generation already repel later subpopulations.
+    Selection is penalized when ``params.penalty`` is set and, if
+    ``params.switch_tol`` is set too, only while the subpopulation's
+    spreading is at or above it; ``algorithm`` only labels the record.
+    ``observer(gen, pop, fit, frozen)`` is called after every generation
+    with the engine's own state: ``pop`` shaped (nsp, pop_size, d), ``fit``
+    the (nsp, pop_size) base values and one frozen flag per
+    subpopulation. Treat them as read-only.
     """
-    if anchor_mode not in ("sequential", "synchronous"):
-        raise ConfigurationError("anchor_mode must be 'sequential' or 'synchronous'")
+    de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
     stream = as_stream(rng)
     counter = _CountingObjective(objective)
     t0 = time.perf_counter()
     gens = [0] * nsp
-    tensor = None  # set once every subpopulation is initialized
+    # pop[j] is subpopulation j as one C-contiguous (pop_size, d) block.
+    pop = np.empty((nsp, de.pop_size, bounds.dim))
+    fit = np.empty((nsp, de.pop_size))
+    initialized = False
     try:
         streams = stream.split(nsp)
-        # pop[j] is subpopulation j as one C-contiguous (pop_size, dim)
-        # block; the tensor observers see is a transposed view of pop/fit.
-        pop = np.empty((nsp, de.pop_size, bounds.dim))
-        fit = np.empty((nsp, de.pop_size))
         for j in range(nsp):
             pop[j] = init_population(bounds, de.pop_size, streams[j])
             fit[j] = evaluate_batch(counter, pop[j])
-        tensor = PopulationTensor(pop.transpose(2, 1, 0), fit.T, generation=0)
+        initialized = True
         # best[j] is the argmin of fit[j], refreshed whenever fit[j] changes;
         # anchor column j is pop[j, best[j]], rewritten at the same time.
-        best = [int(fit[j].argmin()) for j in range(nsp)]
-        anchors = snapshot_anchors(tensor)
-        states = [SubpopState(deflation_active=(algorithm == "mde-itmf")) for _ in range(nsp)]
+        best = fit.argmin(axis=1).tolist()
+        anchors = snapshot_anchors(pop, fit)
+        frozen = [False] * nsp
         trace = [] if collect_trace else None
 
         for gen in range(1, de.max_generations + 1):
-            if all(st.frozen for st in states):
+            if all(frozen):
                 break
-            tensor.generation = gen
-            step_anchors = AnchorSet(anchors.matrix) if anchor_mode == "synchronous" else anchors
             for j in range(nsp):
-                st = states[j]
-                if st.frozen:
+                if frozen[j]:
                     continue
                 coords = pop[j]
                 spread = _spreading(coords, coords[best[j]], bounds)
-                st.last_spreading = spread
                 if spread < de.spread_tol:
-                    st.frozen = True
-                    st.deflation_active = False
+                    frozen[j] = True
                     if collect_trace:
                         b = best[j]
                         trace.append((gen, j, *coords[b].tolist(), float(fit[j, b]), spread))
                     continue
-                if algorithm == "de":
-                    use_penalty = False
-                elif algorithm == "mde-itmf":
-                    use_penalty = True
-                else:
-                    use_penalty = spread >= switch_tol
-                st.deflation_active = use_penalty
+                use_penalty = penalty is not None and (switch_tol is None or spread >= switch_tol)
                 trials = generate_trials(coords, de.F, de.CR, streams[j])
                 new_coords, new_fitness = selection_step(
                     coords, fit[j], trials, j,
-                    step_anchors if use_penalty else None, penalty, bounds, use_penalty, counter,
+                    anchors if use_penalty else None, penalty, bounds, use_penalty, counter,
                 )
                 pop[j] = new_coords
                 fit[j] = new_fitness
@@ -299,19 +211,26 @@ def _run_engine(
                 if collect_trace:
                     trace.append((gen, j, *new_coords[b].tolist(), float(new_fitness[b]), spread))
             if observer is not None:
-                observer(gen, tensor, states)
+                observer(gen, pop, fit, frozen)
 
         return RunRecord(
             algorithm=algorithm,
             seed=stream.seed,
             elapsed_seconds=time.perf_counter() - t0,
             nfe=counter.count,
-            final_bests=[best_of_subpop(tensor, j) for j in range(nsp)],
+            final_bests=_final_bests(pop, fit),
             generations_used=gens,
             trace=None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4),
         )
     except EvaluationError as err:
-        err.partial_record = _partial_record(algorithm, stream.seed, t0, counter, gens, tensor)
+        err.partial_record = RunRecord(
+            algorithm=algorithm,
+            seed=stream.seed,
+            elapsed_seconds=time.perf_counter() - t0,
+            nfe=counter.count,
+            final_bests=_final_bests(pop, fit) if initialized else [],
+            generations_used=list(gens),
+        )
         raise
 
 
@@ -331,10 +250,8 @@ def run_de(
     ``rng`` may be an :class:`RngStream` or an int seed; the record is fully
     determined by (seed, params, objective).
     """
-    return _run_engine(
-        objective, bounds, params, 1, None, None, rng, "de",
-        collect_trace=collect_trace, observer=observer,
-    )
+    return _run_engine(objective, bounds, MultiParams(de=params), rng, "de",
+                       collect_trace=collect_trace, observer=observer)
 
 
 def run_mde_itmf(
@@ -343,7 +260,6 @@ def run_mde_itmf(
     params: MultiParams,
     rng,
     *,
-    anchor_mode: str = "sequential",
     collect_trace: bool = False,
     observer=None,
 ) -> RunRecord:
@@ -360,11 +276,8 @@ def run_mde_itmf(
         raise ConfigurationError("run_mde_itmf needs penalty parameters")
     if params.switch_tol is not None:
         raise ConfigurationError("params carry a switch tolerance; use run_dewi for the hybrid")
-    return _run_engine(
-        objective, bounds, params.de, params.subpops, params.penalty, None,
-        rng, "mde-itmf", anchor_mode=anchor_mode,
-        collect_trace=collect_trace, observer=observer,
-    )
+    return _run_engine(objective, bounds, params, rng, "mde-itmf",
+                       collect_trace=collect_trace, observer=observer)
 
 
 def run_dewi(
@@ -373,7 +286,6 @@ def run_dewi(
     params: MultiParams,
     rng,
     *,
-    anchor_mode: str = "sequential",
     collect_trace: bool = False,
     observer=None,
 ) -> RunRecord:
@@ -390,11 +302,8 @@ def run_dewi(
         raise ConfigurationError("run_dewi needs penalty parameters")
     if params.switch_tol is None:
         raise ConfigurationError("run_dewi needs a switch tolerance (see MultiParams.switch_tol)")
-    return _run_engine(
-        objective, bounds, params.de, params.subpops, params.penalty, params.switch_tol,
-        rng, "dewi", anchor_mode=anchor_mode,
-        collect_trace=collect_trace, observer=observer,
-    )
+    return _run_engine(objective, bounds, params, rng, "dewi",
+                       collect_trace=collect_trace, observer=observer)
 
 
 def without_switch_tol(params: MultiParams) -> MultiParams:

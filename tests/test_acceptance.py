@@ -166,17 +166,17 @@ def test_criterion_5_operator_properties(b1):
 
     contained = True
 
-    def watch(gen, tensor, states):
+    def watch(gen, pop, fit, frozen):
         nonlocal contained
-        for j in range(tensor.n_subpops):
-            contained &= bool(b1.bounds.contains_all(tensor.subpop(j)).all())
+        for coords in pop:
+            contained &= bool(b1.bounds.contains_all(coords).all())
 
     run_mde_itmf(b1.objective, b1.bounds, without_switch_tol(b1.default_params),
                  1, observer=watch)
 
     best_history = []
     run_de(b1.objective, b1.bounds, b1.default_params.de, 1,
-           observer=lambda g, t, s: best_history.append(float(t.fitness.min())))
+           observer=lambda g, pop, fit, frozen: best_history.append(float(fit.min())))
     monotone = all(b <= a for a, b in zip(best_history, best_history[1:]))
 
     # penalized selection never worsens the penalized score, checked live

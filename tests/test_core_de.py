@@ -323,8 +323,8 @@ def test_run_de_constant_objective_terminates_at_cap():
 def test_run_de_best_fitness_non_increasing():
     history = []
 
-    def watch(gen, tensor, states):
-        history.append(float(tensor.fitness[:, 0].min()))
+    def watch(gen, pop, fit, frozen):
+        history.append(float(fit[0].min()))
 
     run_de(sphere, BOX, FAST, 3, observer=watch)
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
@@ -333,9 +333,9 @@ def test_run_de_best_fitness_non_increasing():
 def test_run_de_population_stays_in_bounds():
     problem = get_problem("B1")
 
-    def watch(gen, tensor, states):
-        pts = tensor.subpop(0)
-        assert problem.bounds.contains_all(pts).all()
+    def watch(gen, pop, fit, frozen):
+        assert pop.shape == (1, problem.default_params.de.pop_size, 2)
+        assert problem.bounds.contains_all(pop[0]).all()
 
     run_de(problem.objective, problem.bounds, problem.default_params.de, 2, observer=watch)
 

@@ -95,8 +95,6 @@ CASES = {
     "B7 de": lambda: _problem_case("B7", "de"),
     "B7 mde-itmf": lambda: _problem_case("B7", "mde-itmf"),
     "B7 dewi": lambda: _problem_case("B7", "dewi"),
-    "B1 mde-itmf synchronous": lambda: _problem_case("B1", "mde-itmf", anchor_mode="synchronous"),
-    "B7 dewi synchronous": lambda: _problem_case("B7", "dewi", anchor_mode="synchronous"),
     "B1 dewi traced": lambda: _problem_case("B1", "dewi", collect_trace=True),
     "B4 de traced": lambda: _problem_case("B4", "de", collect_trace=True),
     "B1 mde-itmf plain callable": lambda: _problem_case("B1", "mde-itmf", plain=True),
@@ -120,12 +118,10 @@ GOLDEN = {
     "B1 dewi traced": "6c61f8bb70102553eab3f119f1e811476e169f653605992a351f01a8632d217d",
     "B1 mde-itmf": "8326436aea5eae5d6a198e90b561c7517a9da6eecff15af62997c90346fc638b",
     "B1 mde-itmf plain callable": "8326436aea5eae5d6a198e90b561c7517a9da6eecff15af62997c90346fc638b",
-    "B1 mde-itmf synchronous": "844aa4a604ae139a454bfb701ed791ab64c338d7f74c79f35198c88a6e62e84b",
     "B4 de traced": "9ea1170d0234b1e0936c756e77ad1bd83e1d0d56fcd7357345299e885985bc86",
     "B7 de": "854db32fff2ad57d1e2e144526e1b50794acad9176c27e318dbbea2b062ea7b2",
     "B7 de plain callable": "854db32fff2ad57d1e2e144526e1b50794acad9176c27e318dbbea2b062ea7b2",
     "B7 dewi": "f15e4fff0b5c9c4fe0752b0ec0038101961a11d3806f49327821158ac086bcf9",
-    "B7 dewi synchronous": "db227c06c2828de568472e5d1ea52ab864dcc449469a925473c360d6fe8c9b0a",
     "B7 mde-itmf": "5b84b87c1a62e2ec45beb77928d23c0d6b2f39afaaa68c049408bd4cdb58e7dc",
 }
 

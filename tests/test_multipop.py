@@ -15,9 +15,7 @@ from multide import (
     MultiParams,
     PenaltyParams,
     Point,
-    PopulationTensor,
     RngStream,
-    best_of_subpop,
     get_problem,
     run_de,
     run_dewi,
@@ -27,93 +25,102 @@ from multide import (
     subpop_spreading,
 )
 from multide.core import _spreading
-from multide.multipop import without_switch_tol
+from multide.multipop import _final_bests, without_switch_tol
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
 
-def make_tensor(subpops, objective):
-    """Build a tensor from per-subpopulation coordinate lists."""
-    arrays = [np.array(s, dtype=float) for s in subpops]
-    pop_size, dim = arrays[0].shape
-    data = np.empty((dim, pop_size, len(arrays)))
-    fitness = np.empty((pop_size, len(arrays)))
-    for j, coords in enumerate(arrays):
-        data[:, :, j] = coords.T
-        fitness[:, j] = [objective(p) for p in coords]
-    return PopulationTensor(data, fitness)
-
-
-def test_tensor_validation():
-    with pytest.raises(ConfigurationError):
-        PopulationTensor(np.zeros((2, 3)), np.zeros((3, 1)))
-    with pytest.raises(ConfigurationError):
-        PopulationTensor(np.zeros((2, 3, 1)), np.zeros((3, 2)))
+def make_state(subpops, objective):
+    """Build the engine's (pop, fit) arrays from per-subpopulation coordinate lists."""
+    pop = np.array(subpops, dtype=float)
+    fit = np.array([[objective(p) for p in coords] for coords in pop])
+    return pop, fit
 
 
 def test_best_of_subpop_tie_goes_to_lowest_index():
-    tensor = make_tensor([[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]], sphere)
-    assert tensor.best_index(0) == 0
-    best = best_of_subpop(tensor, 0)
+    pop, fit = make_state([[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]], sphere)
+    (best,) = _final_bests(pop, fit)
     assert np.array_equal(best.coords, [1.0, 1.0])
+    # rows 1 and 3 tie for the lowest fitness at different points
+    pop, fit = make_state([[(1.0, 1.0), (0.5, -0.5), (1.0, 1.0), (-0.5, 0.5)]], sphere)
+    assert fit[0, 1] == fit[0, 3]
+    (best,) = _final_bests(pop, fit)
+    assert np.array_equal(best.coords, [0.5, -0.5])
+    assert best.fitness == fit[0, 1]
 
 
 def test_best_of_subpop_himmelblau_pair():
     problem = get_problem("B1")
-    tensor = make_tensor([[(0.0, 0.0), (3.0, 2.0)]], problem.objective)
-    best = best_of_subpop(tensor, 0)
+    pop, fit = make_state([[(0.0, 0.0), (3.0, 2.0)]], problem.objective)
+    (best,) = _final_bests(pop, fit)
     assert np.array_equal(best.coords, [3.0, 2.0])
     assert best.fitness == 0.0
 
 
 def test_best_of_subpop_invariant_to_non_best_permutation():
     pts = [(0.5, 0.5), (1.0, 0.0), (0.1, 0.1), (0.9, 0.9)]
-    t1 = make_tensor([pts], sphere)
-    t2 = make_tensor([[pts[3], pts[1], pts[2], pts[0]]], sphere)
-    assert np.array_equal(best_of_subpop(t1, 0).coords, best_of_subpop(t2, 0).coords)
+    a = _final_bests(*make_state([pts], sphere))
+    b = _final_bests(*make_state([[pts[3], pts[1], pts[2], pts[0]]], sphere))
+    assert np.array_equal(a[0].coords, b[0].coords)
+    assert a[0].fitness == b[0].fitness
 
 
-def test_subpop_spreading_matches_whole_population_measure():
-    coords = RngStream(4).uniform(size=(12, 2))
-    tensor = make_tensor([coords], sphere)
-    best = coords[np.argmin([sphere(c) for c in coords])]
-    assert subpop_spreading(tensor, 0, BOX) == pytest.approx(
-        _spreading(coords, best, BOX), rel=1e-15
-    )
-
-
-def test_subpop_spreading_zero_when_collapsed():
-    tensor = make_tensor([[(0.5, 0.5)] * 5], sphere)
-    assert subpop_spreading(tensor, 0, BOX) == 0.0
-
-
-def test_snapshot_anchors_columns_are_subpop_bests():
-    tensor = make_tensor(
+def test_final_bests_one_point_per_subpop_as_copies():
+    pop, fit = make_state(
         [
             [(1.0, 1.0), (0.2, 0.2), (1.5, 1.5)],
             [(0.9, 0.9), (1.1, 1.1), (-0.1, 0.1)],
         ],
         sphere,
     )
-    anchors = snapshot_anchors(tensor)
+    bests = _final_bests(pop, fit)
+    assert [p.coords.tolist() for p in bests] == [[0.2, 0.2], [-0.1, 0.1]]
+    assert [p.fitness for p in bests] == [fit[0, 1], fit[1, 2]]
+    pop[:] = 0.0
+    assert bests[1].coords.tolist() == [-0.1, 0.1]
+
+
+def test_subpop_spreading_matches_whole_population_measure():
+    coords = RngStream(4).uniform(size=(12, 2))
+    pop, fit = make_state([coords], sphere)
+    best = coords[np.argmin([sphere(c) for c in coords])]
+    assert subpop_spreading(pop, fit, 0, BOX) == pytest.approx(
+        _spreading(coords, best, BOX), rel=1e-15
+    )
+
+
+def test_subpop_spreading_zero_when_collapsed():
+    pop, fit = make_state([[(0.5, 0.5)] * 5], sphere)
+    assert subpop_spreading(pop, fit, 0, BOX) == 0.0
+
+
+def test_snapshot_anchors_columns_are_subpop_bests():
+    pop, fit = make_state(
+        [
+            [(1.0, 1.0), (0.2, 0.2), (1.5, 1.5)],
+            [(0.9, 0.9), (1.1, 1.1), (-0.1, 0.1)],
+        ],
+        sphere,
+    )
+    anchors = snapshot_anchors(pop, fit)
     assert anchors.count == 2
     assert np.array_equal(anchors.anchor(0), [0.2, 0.2])
     assert np.array_equal(anchors.anchor(1), [-0.1, 0.1])
 
 
 def test_snapshot_anchors_track_improvements_per_subpop():
-    tensor = make_tensor(
+    pop, fit = make_state(
         [
             [(1.0, 1.0), (0.5, 0.5), (1.5, 1.5)],
             [(0.9, 0.9), (1.1, 1.1), (0.8, 0.8)],
         ],
         sphere,
     )
-    before = snapshot_anchors(tensor)
+    before = snapshot_anchors(pop, fit)
     # subpopulation 1 improves one member; subpopulation 0 untouched
-    tensor.data[:, 0, 1] = [0.05, 0.05]
-    tensor.fitness[0, 1] = sphere([0.05, 0.05])
-    after = snapshot_anchors(tensor)
+    pop[1, 0] = [0.05, 0.05]
+    fit[1, 0] = sphere([0.05, 0.05])
+    after = snapshot_anchors(pop, fit)
     assert np.array_equal(before.anchor(0), after.anchor(0))
     assert np.array_equal(after.anchor(1), [0.05, 0.05])
     assert not np.array_equal(before.anchor(1), after.anchor(1))
@@ -276,12 +283,13 @@ def test_frozen_subpopulations_stay_bitwise_unchanged():
     problem = get_problem("B1")
     frozen_snapshots = {}
 
-    def watch(gen, tensor, states):
-        for j, st in enumerate(states):
-            if st.frozen and j not in frozen_snapshots:
-                frozen_snapshots[j] = tensor.data[:, :, j].copy()
-            elif st.frozen:
-                assert np.array_equal(tensor.data[:, :, j], frozen_snapshots[j])
+    def watch(gen, pop, fit, frozen):
+        for j, is_frozen in enumerate(frozen):
+            if is_frozen and j not in frozen_snapshots:
+                frozen_snapshots[j] = (pop[j].copy(), fit[j].copy())
+            elif is_frozen:
+                assert np.array_equal(pop[j], frozen_snapshots[j][0])
+                assert np.array_equal(fit[j], frozen_snapshots[j][1])
 
     record = run_mde_itmf(
         problem.objective, problem.bounds, without_switch_tol(problem.default_params),
@@ -313,16 +321,26 @@ def test_engine_finds_all_himmelblau_minima_single_run():
     assert record.seed == 0
 
 
-def test_synchronous_anchor_mode_is_deterministic():
+def test_observer_sees_live_base_fitness_and_sticky_freezing():
     problem = get_problem("B1")
     params = without_switch_tol(problem.default_params)
-    a = run_mde_itmf(problem.objective, problem.bounds, params, 3, anchor_mode="synchronous")
-    b = run_mde_itmf(problem.objective, problem.bounds, params, 3, anchor_mode="synchronous")
-    assert a.nfe == b.nfe
-    for pa, pb in zip(a.final_bests, b.final_bests):
-        assert np.array_equal(pa.coords, pb.coords)
-    with pytest.raises(ConfigurationError):
-        run_mde_itmf(problem.objective, problem.bounds, params, 3, anchor_mode="bogus")
+    seen = {"gens": [], "frozen": [False] * params.subpops}
+
+    def watch(gen, pop, fit, frozen):
+        assert pop.shape == (params.subpops, params.de.pop_size, 2)
+        assert fit.shape == (params.subpops, params.de.pop_size)
+        assert len(frozen) == params.subpops
+        for j in range(params.subpops):
+            # base values only: a cached penalty would make these differ
+            assert np.array_equal(fit[j], problem.objective.batch(pop[j]))
+            assert frozen[j] or not seen["frozen"][j]  # a freeze never clears
+        seen["frozen"] = list(frozen)
+        seen["gens"].append(gen)
+
+    record = run_mde_itmf(problem.objective, problem.bounds, params, 0, observer=watch)
+    assert seen["gens"] == list(range(1, len(seen["gens"]) + 1))
+    assert len(seen["gens"]) == max(record.generations_used) + 1
+    assert all(seen["frozen"])
 
 
 def test_engine_abort_carries_partial_record():
@@ -339,3 +357,40 @@ def test_engine_abort_carries_partial_record():
     assert partial is not None
     assert partial.nfe >= 300
     assert partial.algorithm == "mde-itmf"
+
+
+def test_partial_record_final_bests_are_evaluated_in_bounds_points():
+    problem = get_problem("B1")
+    params = without_switch_tol(problem.default_params)
+    init_nfe = params.subpops * params.de.pop_size
+    calls = {"n": 0}
+
+    def turns_nan(p):
+        calls["n"] += 1
+        return float("nan") if calls["n"] > init_nfe + 150 else problem.objective(p)
+
+    with pytest.raises(EvaluationError) as info:
+        run_mde_itmf(turns_nan, problem.bounds, params, 0)
+    partial = info.value.partial_record
+    assert len(partial.final_bests) == params.subpops
+    for p in partial.final_bests:
+        assert problem.bounds.contains(p.coords)
+        assert p.fitness == problem.objective(p.coords)
+    assert sum(partial.generations_used) > 0
+
+
+def test_partial_record_is_empty_when_initialization_fails():
+    problem = get_problem("B1")
+    params = without_switch_tol(problem.default_params)
+    calls = {"n": 0}
+
+    def fails_in_second_subpop(p):
+        calls["n"] += 1
+        return float("nan") if calls["n"] > params.de.pop_size + 3 else problem.objective(p)
+
+    with pytest.raises(EvaluationError) as info:
+        run_mde_itmf(fails_in_second_subpop, problem.bounds, params, 0)
+    partial = info.value.partial_record
+    assert partial.final_bests == []
+    assert partial.generations_used == [0] * params.subpops
+    assert partial.nfe == 2 * params.de.pop_size

@@ -1,10 +1,14 @@
 """The public surface of the package: what ``multide`` exports."""
 
+import inspect
+
 import multide
 
-# The one-point operators that duplicated the engines' batch operators.
-REMOVED = ("crossover", "donor_indices", "indicator", "mutate", "penalized_objective",
-           "penalty_term", "select_greedy", "spreading_measure")
+# The one-point operators that duplicated the engines' batch operators, and
+# the observer-only views of the engine state.
+REMOVED = ("PopulationTensor", "SubpopState", "best_of_subpop", "crossover", "donor_indices",
+           "indicator", "mutate", "penalized_objective", "penalty_term", "select_greedy",
+           "spreading_measure")
 
 
 def test_every_exported_name_resolves_once():
@@ -15,5 +19,11 @@ def test_every_exported_name_resolves_once():
 
 def test_scalar_operators_are_gone():
     assert [name for name in REMOVED if hasattr(multide, name)] == []
+    assert [name for name in REMOVED if hasattr(multide.multipop, name)] == []
     assert not hasattr(multide.RngStream, "choice")
     assert not hasattr(multide.AnchorSet, "from_vectors")
+
+
+def test_engines_take_no_anchor_mode():
+    for engine in (multide.run_de, multide.run_mde_itmf, multide.run_dewi):
+        assert "anchor_mode" not in inspect.signature(engine).parameters
