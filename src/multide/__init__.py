@@ -8,7 +8,7 @@ benchmark registry, and an experiment harness with CSV/JSON reporting.
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems, system_problem
 from .core import Bounds, DEParams, Point, RunRecord, init_population
-from .deflation import AnchorSet, NonlinearSystem, PenaltyParams, residual_objective
+from .deflation import NonlinearSystem, PenaltyParams, residual_objective
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
     ExperimentConfig,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateStats",
-    "AnchorSet",
     "BenchmarkProblem",
     "Bounds",
     "ConfigurationError",

@@ -25,12 +25,11 @@ class Objective2D:
 
     ``__call__`` takes a coordinate vector; ``batch`` takes an (n, 2) array
     and evaluates all rows in one vectorized pass, which is what the
-    engines use; ``grid`` evaluates meshgrid-style coordinate arrays.
+    engines use.
     """
 
-    def __init__(self, fxy, formula: str):
+    def __init__(self, fxy):
         self._fxy = fxy
-        self.formula = formula
 
     def __call__(self, p) -> float:
         return float(self._fxy(p[0], p[1]))
@@ -38,9 +37,6 @@ class Objective2D:
     def batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         return np.asarray(self._fxy(pts[:, 0], pts[:, 1]), dtype=float)
-
-    def grid(self, X, Y):
-        return self._fxy(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
 
 
 def _himmelblau(x, y):
@@ -147,7 +143,7 @@ def _problem(pid, name, fxy, formula, lo, hi, minimizers, global_value, params):
     return BenchmarkProblem(
         pid=pid,
         name=name,
-        objective=Objective2D(fxy, formula),
+        objective=Objective2D(fxy),
         bounds=Bounds(np.array(lo, dtype=float), np.array(hi, dtype=float)),
         known_minimizers=np.array(minimizers, dtype=float),
         global_value=global_value,

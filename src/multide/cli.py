@@ -11,6 +11,8 @@ from .benchmarks import list_problems
 from .errors import ConfigurationError
 from .harness import (
     ALGORITHMS,
+    OVERRIDABLE_KEYS,
+    SWEEPABLE_KEYS,
     ExperimentConfig,
     SweepConfig,
     config_from_dict,
@@ -27,10 +29,7 @@ def _parse_params(items) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigurationError(f"--param expects key=value, got {item!r}")
-        try:
-            overrides[key.strip().lower()] = float(value)
-        except ValueError:
-            raise ConfigurationError(f"--param {key}: {value!r} is not a number") from None
+        overrides[key.strip().lower()] = value  # checked by ExperimentConfig
     return overrides
 
 
@@ -154,7 +153,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=None, help="runs per cell")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
-                       help="parameter override, keys: np f cr gmax eps nsp beta rho tol")
+                       help=f"parameter override, keys: {' '.join(OVERRIDABLE_KEYS)}")
         p.add_argument("--out", default=None, metavar="DIR", help="output directory")
         p.add_argument("--config", default=None, metavar="FILE",
                        help="JSON config file (a report.json works too); flags win")
@@ -171,7 +170,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="one-parameter sensitivity sweep")
     common(p_sweep, with_trace=False)
     p_sweep.add_argument("--sweep-param", required=True, metavar="KEY",
-                         help="parameter to sweep: np f cr rho beta eps tol nsp")
+                         help=f"parameter to sweep: {' '.join(SWEEPABLE_KEYS)}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 8,10,12,15")
     p_sweep.set_defaults(func=_cmd_sweep, trace=False)

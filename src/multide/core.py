@@ -105,7 +105,7 @@ class DEParams:
             raise ConfigurationError("CR must lie in [0, 1]")
         if self.max_generations < 1:
             raise ConfigurationError("max_generations must be >= 1")
-        if self.spread_tol <= 0.0:
+        if not self.spread_tol > 0.0:
             raise ConfigurationError("spread_tol must be positive")
 
 

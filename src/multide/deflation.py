@@ -30,33 +30,10 @@ class PenaltyParams:
     radius: float
 
     def __post_init__(self):
-        if self.magnitude <= 0.0:
+        if not self.magnitude > 0.0:
             raise ConfigurationError("penalty magnitude must be positive")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ConfigurationError("penalty radius must be positive")
-
-
-@dataclass
-class AnchorSet:
-    """Current best approximation of each subpopulation, one per column.
-
-    ``matrix`` has shape (d, n_subpops); column j is the repulsion center
-    contributed by subpopulation j.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.array(self.matrix, dtype=float)
-        if self.matrix.ndim != 2:
-            raise ConfigurationError("anchor matrix must be 2-D (dim x subpopulations)")
-
-    @property
-    def count(self) -> int:
-        return self.matrix.shape[1]
-
-    def anchor(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
 
 @dataclass
@@ -77,25 +54,25 @@ class NonlinearSystem:
             raise ConfigurationError("a nonlinear system needs at least one residual")
 
 
-def penalty_batch(pts: np.ndarray, own_index: int, anchors: AnchorSet,
+def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
                   params: PenaltyParams) -> np.ndarray:
     """Repulsion penalty at each row of ``pts`` from every foreign anchor.
 
-    A row's penalty sums ``magnitude * exp(-delta)`` over the anchors at
-    distance ``delta <= radius``. The caller's own anchor (column
+    ``anchors`` is an (nsp, d) array whose row j is subpopulation j's
+    current best. A row's penalty sums ``magnitude * exp(-delta)`` over the
+    anchors at distance ``delta <= radius``. The caller's own anchor (row
     ``own_index``) is excluded by index, so two subpopulations that happen
     to share a best point still repel each other. Rows are independent:
     stacking two point sets and splitting the result gives each set's
     penalties bit for bit.
     """
     pts = np.asarray(pts, dtype=float)
-    matrix = anchors.matrix
-    if pts.shape[1] != matrix.shape[0]:
-        raise ConfigurationError("point dimension does not match anchor matrix")
-    if not 0 <= own_index < matrix.shape[1]:
-        raise ConfigurationError("own_index must name a column of the anchor matrix")
-    anchor_rows = matrix.T                                  # (count, d)
-    foreign = np.concatenate((anchor_rows[:own_index], anchor_rows[own_index + 1:]))
+    anchors = np.asarray(anchors, dtype=float)
+    if anchors.ndim != 2 or anchors.shape[1] != pts.shape[1]:
+        raise ConfigurationError("anchors must be an (nsp, d) array matching the points' dimension")
+    if not 0 <= own_index < len(anchors):
+        raise ConfigurationError("own_index must name a row of the anchor array")
+    foreign = np.concatenate((anchors[:own_index], anchors[own_index + 1:]))
     if len(foreign) == 0:
         return np.zeros(len(pts))
     # (n, K, d) in C order: every distance sums its d squared terms along one

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -23,12 +24,28 @@ from .errors import ConfigurationError
 from .metrics import AggregateStats, aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, without_switch_tol
 
-ALGORITHMS = ("de", "mde-itmf", "dewi")
+# Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
+ENGINES = {
+    "de": (run_de, lambda params: params.de),
+    "mde-itmf": (run_mde_itmf, without_switch_tol),
+    "dewi": (run_dewi, lambda params: params),
+}
+ALGORITHMS = tuple(ENGINES)
 
-# CLI/config override keys -> where they land in the parameter bundle.
-OVERRIDABLE_KEYS = ("np", "f", "cr", "gmax", "eps", "nsp", "beta", "rho", "tol")
+# CLI/config override key -> (MultiParams field, field inside it or None, type).
+_OVERRIDES = {
+    "np": ("de", "pop_size", int),
+    "f": ("de", "F", float),
+    "cr": ("de", "CR", float),
+    "gmax": ("de", "max_generations", int),
+    "eps": ("de", "spread_tol", float),
+    "nsp": ("subpops", None, int),
+    "beta": ("penalty", "magnitude", float),
+    "rho": ("penalty", "radius", float),
+    "tol": ("switch_tol", None, float),
+}
+OVERRIDABLE_KEYS = tuple(_OVERRIDES)
 SWEEPABLE_KEYS = ("np", "f", "cr", "rho", "beta", "eps", "tol", "nsp")
-_INT_KEYS = {"np", "gmax", "nsp"}
 
 METRICS = ("elapsed_seconds", "nfe", "ngp")
 
@@ -77,12 +94,9 @@ class ExperimentConfig:
                 )
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
-        bad = sorted(set(self.overrides) - set(OVERRIDABLE_KEYS))
-        if bad:
-            raise ConfigurationError(
-                f"unknown parameter override(s) {bad}; expected keys from {OVERRIDABLE_KEYS}"
-            )
-        self.overrides = {k: float(v) for k, v in self.overrides.items()}
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        self.overrides = {k: _override_value(k, v) for k, v in self.overrides.items()}
 
 
 @dataclass
@@ -101,58 +115,51 @@ class SweepConfig:
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
+        for value in self.values:
+            _override_value(self.parameter, value)
         if self.runs_per_value < 1:
             raise ConfigurationError("runs_per_value must be >= 1")
 
 
+def _override_value(key: str, value) -> float:
+    """``value`` as a float; refuses unknown keys, non-numbers, NaN and non-integral ints."""
+    if key not in _OVERRIDES:
+        raise ConfigurationError(
+            f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
+        )
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"parameter {key}: {value!r} is not a number") from None
+    if math.isnan(number):
+        raise ConfigurationError(f"parameter {key} must not be NaN")
+    if _OVERRIDES[key][2] is int and not number.is_integer():
+        raise ConfigurationError(f"parameter {key} must be an integer, got {value!r}")
+    return number
+
+
 def apply_overrides(params: MultiParams, overrides: dict) -> MultiParams:
-    """Apply normalized override keys to a parameter bundle, re-validating."""
-    de_kw = {}
-    if "np" in overrides:
-        de_kw["pop_size"] = int(overrides["np"])
-    if "f" in overrides:
-        de_kw["F"] = overrides["f"]
-    if "cr" in overrides:
-        de_kw["CR"] = overrides["cr"]
-    if "gmax" in overrides:
-        de_kw["max_generations"] = int(overrides["gmax"])
-    if "eps" in overrides:
-        de_kw["spread_tol"] = overrides["eps"]
-    de = replace(params.de, **de_kw) if de_kw else params.de
-    penalty = params.penalty
-    pen_kw = {}
-    if "beta" in overrides:
-        pen_kw["magnitude"] = overrides["beta"]
-    if "rho" in overrides:
-        pen_kw["radius"] = overrides["rho"]
-    if pen_kw:
-        if penalty is None:
-            raise ConfigurationError("cannot override penalty parameters: none configured")
-        penalty = replace(penalty, **pen_kw)
-    return replace(
-        params,
-        de=de,
-        penalty=penalty,
-        subpops=int(overrides.get("nsp", params.subpops)),
-        switch_tol=overrides.get("tol", params.switch_tol),
-    )
+    """Apply override keys (see :data:`OVERRIDABLE_KEYS`) to a bundle, re-validating."""
+    changes = {}
+    for key, value in overrides.items():
+        value = _override_value(key, value)
+        name, sub, kind = _OVERRIDES[key]
+        if sub is None:
+            changes[name] = kind(value)
+            continue
+        inner = changes.get(name, getattr(params, name))
+        if inner is None:
+            raise ConfigurationError(f"cannot override {name} parameters: none configured")
+        changes[name] = replace(inner, **{sub: kind(value)})
+    return replace(params, **changes)
 
 
 def _single_run(problem_id: str, algorithm: str, seed: int, overrides: dict, trace: bool):
     """Execute one seeded run and score it against the problem's minimizers."""
     problem = get_problem(problem_id)
-    params = apply_overrides(problem.default_params, overrides)
-    if algorithm == "de":
-        record = run_de(problem.objective, problem.bounds, params.de, seed,
-                        collect_trace=trace)
-    elif algorithm == "mde-itmf":
-        record = run_mde_itmf(problem.objective, problem.bounds,
-                              without_switch_tol(params), seed, collect_trace=trace)
-    elif algorithm == "dewi":
-        record = run_dewi(problem.objective, problem.bounds, params, seed,
-                          collect_trace=trace)
-    else:
-        raise ConfigurationError(f"unknown algorithm {algorithm!r}")
+    engine, engine_params = ENGINES[algorithm]
+    params = engine_params(apply_overrides(problem.default_params, overrides))
+    record = engine(problem.objective, problem.bounds, params, seed, collect_trace=trace)
     record.problem = problem.pid
     record.matched_minimizers = match_minimizers(record.final_bests, problem)
     return record

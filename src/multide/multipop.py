@@ -29,7 +29,7 @@ from .core import (
     generate_trials,
     init_population,
 )
-from .deflation import AnchorSet, PenaltyParams, penalty_batch
+from .deflation import PenaltyParams, penalty_batch
 from .errors import ConfigurationError, EvaluationError
 from .rng import as_stream
 
@@ -51,7 +51,7 @@ class MultiParams:
     def __post_init__(self):
         if self.subpops < 1:
             raise ConfigurationError("subpops must be >= 1")
-        if self.switch_tol is not None and self.switch_tol <= self.de.spread_tol:
+        if self.switch_tol is not None and not self.switch_tol > self.de.spread_tol:
             raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
 
 
@@ -65,9 +65,9 @@ def subpop_spreading(pop: np.ndarray, fit: np.ndarray, j: int, bounds: Bounds) -
     return _spreading(pop[j], pop[j, fit[j].argmin()], bounds)
 
 
-def snapshot_anchors(pop: np.ndarray, fit: np.ndarray) -> AnchorSet:
-    """Anchor matrix with every subpopulation's current best as a column."""
-    return AnchorSet(pop[np.arange(len(pop)), fit.argmin(axis=1)].T.copy())
+def snapshot_anchors(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
+    """(nsp, d) anchor array: row j is subpopulation j's current best, copied."""
+    return pop[np.arange(len(pop)), fit.argmin(axis=1)]
 
 
 def selection_step(
@@ -75,23 +75,23 @@ def selection_step(
     fitness: np.ndarray,
     trials: np.ndarray,
     own_index: int,
-    anchors: Optional[AnchorSet],
+    anchors: Optional[np.ndarray],
     penalty: Optional[PenaltyParams],
     bounds: Bounds,
-    use_penalty: bool,
     objective,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-to-one selection over a whole subpopulation.
 
     Out-of-bounds trials lose without being evaluated. In-bounds trials
     are evaluated once on the base objective; the comparison is made on
-    base + repulsion penalty when ``use_penalty`` is set (parents reuse
-    their cached base fitness) and on the base values otherwise. Ties go
-    to the trial. Returns new coordinates and base-fitness arrays; the
-    inputs are left untouched.
+    base + repulsion penalty when ``anchors`` (an (nsp, d) array, see
+    :func:`penalty_batch`) is given, with parents reusing their cached base
+    fitness, and on the base values otherwise. Ties go to the trial.
+    Returns new coordinates and base-fitness arrays; the inputs are left
+    untouched.
     """
-    if use_penalty and (anchors is None or penalty is None):
-        raise ConfigurationError("penalized selection needs anchors and penalty parameters")
+    if anchors is not None and penalty is None:
+        raise ConfigurationError("penalized selection needs penalty parameters")
     feasible = bounds.contains_all(trials)
     n_feasible = np.count_nonzero(feasible)
     if n_feasible == len(feasible):
@@ -104,7 +104,7 @@ def selection_step(
         return coords.copy(), fitness.copy()
     cand_fit = evaluate_batch(objective, cand)
     cand_score, parent_score = cand_fit, parent_fit
-    if use_penalty:
+    if anchors is not None:
         # Penalty rows are independent, so one call scores trials and parents.
         pen = penalty_batch(np.concatenate((cand, parents)), own_index, anchors, penalty)
         m = len(cand)
@@ -151,7 +151,7 @@ def _run_engine(
     """Shared generation loop for the three engines.
 
     Subpopulations are updated in ascending order, and each one's anchor
-    column is rewritten right after its update, so improvements made
+    row is rewritten right after its update, so improvements made
     earlier in the same generation already repel later subpopulations.
     Selection is penalized when ``params.penalty`` is set and, if
     ``params.switch_tol`` is set too, only while the subpopulation's
@@ -177,7 +177,7 @@ def _run_engine(
             fit[j] = evaluate_batch(counter, pop[j])
         initialized = True
         # best[j] is the argmin of fit[j], refreshed whenever fit[j] changes;
-        # anchor column j is pop[j, best[j]], rewritten at the same time.
+        # anchors[j] is pop[j, best[j]], rewritten at the same time.
         best = fit.argmin(axis=1).tolist()
         anchors = snapshot_anchors(pop, fit)
         frozen = [False] * nsp
@@ -197,16 +197,16 @@ def _run_engine(
                         b = best[j]
                         trace.append((gen, j, *coords[b].tolist(), float(fit[j, b]), spread))
                     continue
-                use_penalty = penalty is not None and (switch_tol is None or spread >= switch_tol)
+                penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
                 trials = generate_trials(coords, de.F, de.CR, streams[j])
                 new_coords, new_fitness = selection_step(
                     coords, fit[j], trials, j,
-                    anchors if use_penalty else None, penalty, bounds, use_penalty, counter,
+                    anchors if penalized else None, penalty, bounds, counter,
                 )
                 pop[j] = new_coords
                 fit[j] = new_fitness
                 b = best[j] = int(new_fitness.argmin())
-                anchors.matrix[:, j] = new_coords[b]
+                anchors[j] = new_coords[b]
                 gens[j] += 1
                 if collect_trace:
                     trace.append((gen, j, *new_coords[b].tolist(), float(new_fitness[b]), spread))

@@ -23,7 +23,7 @@ from multide import (
 )
 from multide.cli import main as cli_main
 from multide.core import _spreading, generate_trials
-from multide.deflation import AnchorSet, PenaltyParams, penalty_batch
+from multide.deflation import PenaltyParams, penalty_batch
 from multide.harness import ExperimentConfig, SweepConfig, run_sweep
 from multide.multipop import without_switch_tol
 
@@ -187,12 +187,12 @@ def test_criterion_5_operator_properties(b1):
     penalized_monotone = True
     penalized_calls = 0
 
-    def checking(coords, fitness, trials, own, anchors, penalty, bounds, use_pen, obj):
+    def checking(coords, fitness, trials, own, anchors, penalty, bounds, obj):
         nonlocal penalized_monotone, penalized_calls
         new_coords, new_fitness = original(
-            coords, fitness, trials, own, anchors, penalty, bounds, use_pen, obj
+            coords, fitness, trials, own, anchors, penalty, bounds, obj
         )
-        if use_pen:
+        if anchors is not None:
             penalized_calls += 1
             old = fitness + penalty_batch(coords, own, anchors, penalty)
             new = new_fitness + penalty_batch(new_coords, own, anchors, penalty)
@@ -208,14 +208,14 @@ def test_criterion_5_operator_properties(b1):
     # a foreign anchor at the origin: distance exactly 1.0 is inside the
     # unit radius, the next float up is outside
     params = PenaltyParams(magnitude=10.0, radius=1.0)
-    on_origin = AnchorSet(np.zeros((2, 2)))
+    on_origin = np.zeros((2, 2))
     edge = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0]])
     inside, outside = penalty_batch(edge, 0, on_origin, params)
     boundary = inside > 0.0 and outside == 0.0
 
     x = np.array([[0.2, 0.2]])
-    a1 = AnchorSet(np.array([[0.2, 1.0], [0.2, 1.0]]))
-    a2 = AnchorSet(np.array([[-5.0, 1.0], [3.0, 1.0]]))
+    a1 = np.array([[0.2, 0.2], [1.0, 1.0]])
+    a2 = np.array([[-5.0, 3.0], [1.0, 1.0]])
     self_excluded = penalty_batch(x, 0, a1, params)[0] == penalty_batch(x, 0, a2, params)[0]
 
     collapsed = np.full((8, 2), 0.4)

@@ -214,7 +214,7 @@ def select_one(parent, fitness, trial, objective, bounds=UNIT):
     """Plain selection of one trial against one parent with a cached fitness."""
     coords, fit = selection_step(
         np.array([parent], dtype=float), np.array([fitness], dtype=float),
-        np.array([trial], dtype=float), 0, None, None, bounds, False, objective,
+        np.array([trial], dtype=float), 0, None, None, bounds, objective,
     )
     return coords[0], fit[0]
 
@@ -227,7 +227,7 @@ def test_select_greedy_rejects_out_of_bounds_without_evaluating():
     # beside an in-bounds trial, only that one is evaluated
     new_coords, new_fit = selection_step(
         np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]),
-        np.array([[1.5, 0.5], [0.1, 0.1]]), 0, None, None, UNIT, False, counting,
+        np.array([[1.5, 0.5], [0.1, 0.1]]), 0, None, None, UNIT, counting,
     )
     assert counting.count == 1
     assert np.array_equal(new_coords, [[0.5, 0.5], [0.1, 0.1]])

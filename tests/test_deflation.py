@@ -7,7 +7,6 @@ import pytest
 from conftest import CountingObjective, sphere
 
 from multide import (
-    AnchorSet,
     Bounds,
     ConfigurationError,
     NonlinearSystem,
@@ -21,7 +20,8 @@ from multide.rng import RngStream
 
 
 def anchors_of(*vectors):
-    return AnchorSet(np.stack([np.array(v, dtype=float) for v in vectors], axis=1))
+    """(nsp, d) anchor array with one row per given vector."""
+    return np.array(vectors, dtype=float)
 
 
 def penalty_at(x, own_index, anchors, params):
@@ -70,7 +70,7 @@ def test_penalty_self_exclusion_by_index():
     params = PenaltyParams(magnitude=100.0, radius=2.0)
     x = np.array([0.1, 0.1])
     a1 = anchors_of([0.1, 0.1], [1.0, 1.0])
-    a2 = anchors_of([-9.0, 4.0], [1.0, 1.0])  # own column moved, foreign fixed
+    a2 = anchors_of([-9.0, 4.0], [1.0, 1.0])  # own row moved, foreign fixed
     assert penalty_at(x, 0, a1, params) == penalty_at(x, 0, a2, params)
     assert penalty_at(x, 0, a1, params) == pytest.approx(
         100.0 * math.exp(-np.linalg.norm([0.9, 0.9])), rel=1e-15
@@ -98,7 +98,7 @@ def test_penalized_dominates_base_with_equality_iff_far():
         base = sphere(x)
         pen = base + penalty_at(x, 0, anchors, params)
         assert pen >= base
-        far = np.linalg.norm(x - anchors.anchor(1)) > params.radius
+        far = np.linalg.norm(x - anchors[1]) > params.radius
         assert (pen == base) == far
 
 
@@ -112,7 +112,7 @@ def test_penalized_performs_exactly_one_base_evaluation():
     fitness = np.array([sphere(c) for c in coords])
     trials = np.array([[0.4, 0.5], [5.0, 0.0], [0.8, 0.2]])  # the middle one leaves the box
     bounds = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    selection_step(coords, fitness, trials, 1, anchors, params, bounds, True, counting)
+    selection_step(coords, fitness, trials, 1, anchors, params, bounds, counting)
     assert counting.count == 2
 
 
@@ -129,6 +129,21 @@ def test_penalty_own_index_must_name_an_anchor_column():
     for own in (-1, 2):
         with pytest.raises(ConfigurationError):
             penalty_at([0.0, 0.0], own, anchors, params)
+
+
+def test_penalty_batch_refuses_malformed_anchor_arrays():
+    params = PenaltyParams(magnitude=10.0, radius=1.0)
+    pts = np.zeros((3, 2))
+    anchors = anchors_of([0.0, 0.0], [1.0, 1.0])
+    for bad in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ConfigurationError):
+            penalty_batch(pts, 0, bad, params)
+    for own in (-1, len(anchors)):
+        with pytest.raises(ConfigurationError):
+            penalty_batch(pts, own, anchors, params)
+    # the first and last rows are valid own indices
+    assert penalty_batch(pts, 0, anchors, params).shape == (3,)
+    assert penalty_batch(pts, len(anchors) - 1, anchors, params).shape == (3,)
 
 
 def test_penalty_batch_matches_scalar():

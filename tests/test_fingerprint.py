@@ -20,11 +20,8 @@ from multide import (
     MultiParams,
     PenaltyParams,
     get_problem,
-    run_de,
-    run_dewi,
-    run_mde_itmf,
 )
-from multide.multipop import without_switch_tol
+from multide.harness import ENGINES
 
 SEEDS = (0, 1, 2)
 
@@ -48,11 +45,10 @@ WELL_PARAMS = MultiParams(
 
 
 def _run(algorithm, objective, bounds, params, seed, **kw):
-    if algorithm == "de":
-        return run_de(objective, bounds, params.de, seed, **kw)
-    if algorithm == "mde-itmf":
-        return run_mde_itmf(objective, bounds, without_switch_tol(params), seed, **kw)
-    return run_dewi(objective, bounds, params, seed, **kw)
+    # The harness's engine table, so the hashes also pin which parameters
+    # each algorithm receives.
+    engine, engine_params = ENGINES[algorithm]
+    return engine(objective, bounds, engine_params(params), seed, **kw)
 
 
 def _digest(records):

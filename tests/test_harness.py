@@ -11,20 +11,27 @@ from multide import (
     ConfigurationError,
     EvaluationError,
     ExperimentConfig,
+    MultiParams,
     Point,
     RunRecord,
     SweepConfig,
     emit_outputs,
+    get_problem,
     run_mde_itmf,
 )
+from multide.cli import _parser
 from multide.cli import main as cli_main
 from multide.harness import (
     AGGREGATES_CSV_HEADER,
+    ALGORITHMS,
+    ENGINES,
+    OVERRIDABLE_KEYS,
     CellResult,
     ExperimentReport,
     RUNS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     TRACE_CSV_HEADER,
+    apply_overrides,
     config_from_dict,
     config_to_dict,
     run_experiment,
@@ -90,6 +97,75 @@ def test_sweep_config_validation():
         SweepConfig(base=base, parameter="gmax", values=[10])
     with pytest.raises(ConfigurationError):
         SweepConfig(base=base, parameter="np", values=[])
+
+
+def test_config_refuses_malformed_override_values_and_seeds():
+    for overrides in ({"np": 15.5}, {"nsp": 2.7}, {"gmax": float("inf")}, {"np": float("nan")},
+                      {"rho": float("nan")}, {"f": "abc"}, {"cr": None}):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(problems=["B1"], overrides=overrides)
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(problems=["B1"], seed=-1)
+    # integral floats and numeric strings are numbers
+    config = ExperimentConfig(problems=["B1"], overrides={"np": 15.0, "f": "0.5"})
+    assert config.overrides == {"np": 15.0, "f": 0.5}
+
+
+def test_sweep_config_checks_every_value_up_front():
+    base = small_config()
+    for values in ([15, 15.5], [10, float("nan")]):
+        with pytest.raises(ConfigurationError):
+            SweepConfig(base=base, parameter="np", values=values)
+    with pytest.raises(ConfigurationError):
+        SweepConfig(base=base, parameter="tol", values=[1e-3, float("nan")])
+
+
+# Override key -> (value, where it lands in MultiParams, its type there).
+OVERRIDE_CASES = {
+    "np": (12, lambda p: p.de.pop_size, int),
+    "f": (0.3, lambda p: p.de.F, float),
+    "cr": (0.6, lambda p: p.de.CR, float),
+    "gmax": (77, lambda p: p.de.max_generations, int),
+    "eps": (1e-4, lambda p: p.de.spread_tol, float),
+    "nsp": (3, lambda p: p.subpops, int),
+    "beta": (123.0, lambda p: p.penalty.magnitude, float),
+    "rho": (0.05, lambda p: p.penalty.radius, float),
+    "tol": (2e-3, lambda p: p.switch_tol, float),
+}
+
+
+@pytest.mark.parametrize("key", OVERRIDABLE_KEYS)
+def test_apply_overrides_sets_one_field_with_its_type(key):
+    value, read, kind = OVERRIDE_CASES[key]
+    base = get_problem("B1").default_params
+    assert read(base) != value
+    # ExperimentConfig hands every value over as a float
+    params = apply_overrides(base, {key: float(value)})
+    assert isinstance(params, MultiParams)
+    assert type(read(params)) is kind and read(params) == value
+    # no other field moved: restoring this one gives the defaults back
+    assert apply_overrides(params, {key: read(base)}) == base
+
+
+def test_apply_overrides_refuses_what_the_config_refuses():
+    base = get_problem("B1").default_params
+    for overrides in ({"np": 15.5}, {"rho": float("nan")}, {"population": 30}):
+        with pytest.raises(ConfigurationError):
+            apply_overrides(base, overrides)
+    with pytest.raises(ConfigurationError):
+        apply_overrides(replace(base, penalty=None, switch_tol=None), {"beta": 10.0})
+
+
+def test_algorithms_are_the_engine_table():
+    assert ALGORITHMS == tuple(ENGINES)
+    subcommands = _parser()._subparsers._group_actions[0].choices
+    for name in ("run", "sweep", "trace"):
+        algo = subcommands[name]._option_string_actions["--algo"]
+        assert tuple(algo.choices) == ALGORITHMS
+    params = get_problem("B1").default_params
+    assert ENGINES["de"][1](params) == params.de
+    assert ENGINES["mde-itmf"][1](params) == without_switch_tol(params)
+    assert ENGINES["dewi"][1](params) == params
 
 
 def test_config_round_trips_through_dict():
@@ -426,6 +502,36 @@ def test_cli_sweep_subcommand(tmp_path):
     assert code == 0
     rows = read_rows(tmp_path / "sweep.csv")
     assert len(rows) - 1 == 2 * 3
+
+
+# Each was once accepted or ended in a raw traceback instead of a config error.
+MALFORMED_CLI = [
+    ["run", "--param", "np=15.5"],
+    ["run", "--param", "nsp=2.7"],
+    ["sweep", "--sweep-param", "np", "--values", "15.5,20"],
+    ["run", "--param", "np=nan"],
+    ["run", "--param", "gmax=inf"],
+    ["run", "--config", "{config}"],
+    ["run", "--param", "rho=nan"],
+    ["run", "--param", "beta=nan"],
+    ["run", "--param", "eps=nan"],
+    ["run", "--param", "tol=nan"],
+    ["run", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_CLI, ids=lambda argv: " ".join(argv[1:]))
+def test_cli_refuses_malformed_overrides_before_any_run(argv, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"overrides": {"np": "abc"}}))
+    out = tmp_path / "out"
+    argv = [a.replace("{config}", str(config)) for a in argv]
+    code = cli_main(argv + ["--problem", "B3", "--runs", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # nothing ran, so no table was printed
+    assert not out.exists()
 
 
 def test_cli_rejects_bad_input(capsys):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from multide import AnchorSet, Bounds, PenaltyParams, RngStream
+from multide import Bounds, PenaltyParams, RngStream
 from multide.core import _spreading, generate_trials
 from multide.deflation import penalty_batch
 
@@ -36,10 +36,10 @@ def reference_generate_trials(coords, F, CR, rng):
 
 
 def reference_penalty_batch(pts, own_index, anchors, params):
-    cols = [k for k in range(anchors.count) if k != own_index]
+    cols = [k for k in range(len(anchors)) if k != own_index]
     if not cols:
         return np.zeros(len(pts))
-    foreign = anchors.matrix[:, cols]
+    foreign = anchors[cols].T
     diff = pts[:, :, None] - foreign[None, :, :]
     delta = np.sqrt(np.sum(diff * diff, axis=1))
     active = delta <= params.radius
@@ -81,7 +81,7 @@ def test_generate_trials_matches_reference_draw_for_draw(n, d):
 def test_penalty_batch_matches_reference_bit_for_bit(nsp, d):
     rng = RngStream(nsp * 10 + d)
     for trial in range(20):
-        anchors = AnchorSet(rng.uniform(size=(d, nsp)) * 2.0 - 1.0)
+        anchors = (rng.uniform(size=(d, nsp)) * 2.0 - 1.0).T
         pts = rng.uniform(size=(1 + trial % 7, d)) * 2.0 - 1.0
         for radius in (1e-9, 0.3, 0.8, 5.0):  # none, some and all anchors active
             params = PenaltyParams(magnitude=2.0e3, radius=radius)
@@ -95,7 +95,7 @@ def test_penalty_batch_rows_do_not_depend_on_batch_size():
     rng = RngStream(5)
     params = PenaltyParams(magnitude=2.0e3, radius=0.8)
     for d in (2, 3, 9):
-        anchors = AnchorSet(rng.uniform(size=(d, 4)) * d)
+        anchors = (rng.uniform(size=(d, 4)) * d).T
         a = rng.uniform(size=(6, d))
         b = rng.uniform(size=(6, d))
         for own in range(4):

@@ -7,7 +7,6 @@ import pytest
 from conftest import CountingObjective, sphere
 
 from multide import (
-    AnchorSet,
     Bounds,
     ConfigurationError,
     DEParams,
@@ -103,9 +102,9 @@ def test_snapshot_anchors_columns_are_subpop_bests():
         sphere,
     )
     anchors = snapshot_anchors(pop, fit)
-    assert anchors.count == 2
-    assert np.array_equal(anchors.anchor(0), [0.2, 0.2])
-    assert np.array_equal(anchors.anchor(1), [-0.1, 0.1])
+    assert anchors.shape == (2, 2) and len(anchors) == 2
+    assert np.array_equal(anchors[0], [0.2, 0.2])
+    assert np.array_equal(anchors[1], [-0.1, 0.1])
 
 
 def test_snapshot_anchors_track_improvements_per_subpop():
@@ -121,9 +120,9 @@ def test_snapshot_anchors_track_improvements_per_subpop():
     pop[1, 0] = [0.05, 0.05]
     fit[1, 0] = sphere([0.05, 0.05])
     after = snapshot_anchors(pop, fit)
-    assert np.array_equal(before.anchor(0), after.anchor(0))
-    assert np.array_equal(after.anchor(1), [0.05, 0.05])
-    assert not np.array_equal(before.anchor(1), after.anchor(1))
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(after[1], [0.05, 0.05])
+    assert not np.array_equal(before[1], after[1])
 
 
 # ------------------------------------------------------------ selection step
@@ -133,7 +132,7 @@ def random_scenario(seed, pop_size=8):
     coords = rng.uniform(size=(pop_size, 2)) * 3 - 1.5
     fitness = np.array([sphere(c) for c in coords])
     trials = rng.uniform(size=(pop_size, 2)) * 5 - 2.5  # some rows out of bounds
-    anchors = AnchorSet(np.stack([rng.uniform(size=2), rng.uniform(size=2)], axis=1))
+    anchors = np.stack([rng.uniform(size=2), rng.uniform(size=2)])
     return coords, fitness, trials, anchors
 
 
@@ -148,7 +147,7 @@ def select_greedy(target, trial, objective, bounds):
 def test_selection_step_plain_matches_select_greedy():
     coords, fitness, trials, _ = random_scenario(7)
     new_coords, new_fitness = selection_step(
-        coords, fitness, trials, 0, None, None, BOX, False, sphere
+        coords, fitness, trials, 0, None, None, BOX, sphere
     )
     for i in range(len(coords)):
         expect = select_greedy(Point(coords[i], fitness[i]), trials[i], sphere, BOX)
@@ -158,10 +157,10 @@ def test_selection_step_plain_matches_select_greedy():
 
 def test_selection_step_penalized_equals_plain_when_anchors_far():
     coords, fitness, trials, _ = random_scenario(8)
-    far = AnchorSet(np.array([[50.0, -60.0], [50.0, 10.0]]))
+    far = np.array([[50.0, 50.0], [-60.0, 10.0]])
     penalty = PenaltyParams(magnitude=2000.0, radius=1.0)
-    plain = selection_step(coords, fitness, trials, 0, None, None, BOX, False, sphere)
-    pen = selection_step(coords, fitness, trials, 0, far, penalty, BOX, True, sphere)
+    plain = selection_step(coords, fitness, trials, 0, None, None, BOX, sphere)
+    pen = selection_step(coords, fitness, trials, 0, far, penalty, BOX, sphere)
     assert np.array_equal(plain[0], pen[0])
     assert np.array_equal(plain[1], pen[1])
 
@@ -174,9 +173,9 @@ def test_selection_step_parent_survives_inside_foreign_radius():
     parent = np.array([[-2.0, 0.0]])
     fitness = np.array([problem.objective(parent[0])])
     trial = np.array([[0.0, 0.0]])  # the foreign anchor itself, base value 0
-    anchors = AnchorSet(np.stack([parent[0], np.zeros(2)], axis=1))
+    anchors = np.stack([parent[0], np.zeros(2)])
     new_coords, new_fitness = selection_step(
-        parent, fitness, trial, 0, anchors, penalty, problem.bounds, True, problem.objective
+        parent, fitness, trial, 0, anchors, penalty, problem.bounds, problem.objective
     )
     assert np.array_equal(new_coords[0], [-2.0, 0.0])
 
@@ -187,7 +186,7 @@ def test_selection_step_out_of_bounds_trials_never_evaluated():
     fitness = np.array([0.0, 0.5])
     trials = np.array([[5.0, 5.0], [-3.0, 0.0]])
     new_coords, new_fitness = selection_step(
-        coords, fitness, trials, 0, None, None, BOX, False, counting
+        coords, fitness, trials, 0, None, None, BOX, counting
     )
     assert counting.count == 0
     assert np.array_equal(new_coords, coords)
@@ -201,17 +200,17 @@ def test_selection_step_penalized_score_never_worsens():
     for seed in range(50):
         coords, fitness, trials, anchors = random_scenario(seed)
         new_coords, new_fitness = selection_step(
-            coords, fitness, trials, 0, anchors, penalty, BOX, True, sphere
+            coords, fitness, trials, 0, anchors, penalty, BOX, sphere
         )
         old_score = fitness + penalty_batch(coords, 0, anchors, penalty)
         new_score = new_fitness + penalty_batch(new_coords, 0, anchors, penalty)
         assert np.all(new_score <= old_score + 1e-12)
 
 
-def test_selection_step_needs_anchors_for_penalized_mode():
-    coords, fitness, trials, _ = random_scenario(1)
+def test_selection_step_needs_penalty_params_for_penalized_mode():
+    coords, fitness, trials, anchors = random_scenario(1)
     with pytest.raises(ConfigurationError):
-        selection_step(coords, fitness, trials, 0, None, None, BOX, True, sphere)
+        selection_step(coords, fitness, trials, 0, anchors, None, BOX, sphere)
 
 
 # ------------------------------------------------------------------ engines
@@ -222,6 +221,19 @@ def test_multiparams_validation():
         MultiParams(de=de, subpops=0)
     with pytest.raises(ConfigurationError):
         MultiParams(de=de, switch_tol=de.spread_tol)
+
+
+def test_parameter_bundles_refuse_nan():
+    nan = float("nan")
+    de = DEParams(pop_size=10, F=0.5, CR=0.5)
+    with pytest.raises(ConfigurationError):
+        DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=nan)
+    with pytest.raises(ConfigurationError):
+        PenaltyParams(magnitude=nan, radius=1.0)
+    with pytest.raises(ConfigurationError):
+        PenaltyParams(magnitude=1.0, radius=nan)
+    with pytest.raises(ConfigurationError):
+        MultiParams(de=de, switch_tol=nan)
 
 
 def test_engine_parameter_bundle_contracts():

@@ -5,10 +5,10 @@ import inspect
 import multide
 
 # The one-point operators that duplicated the engines' batch operators, and
-# the observer-only views of the engine state.
-REMOVED = ("PopulationTensor", "SubpopState", "best_of_subpop", "crossover", "donor_indices",
-           "indicator", "mutate", "penalized_objective", "penalty_term", "select_greedy",
-           "spreading_measure")
+# the observer-only views of the engine state and the anchor wrapper.
+REMOVED = ("AnchorSet", "PopulationTensor", "SubpopState", "best_of_subpop", "crossover",
+           "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
+           "select_greedy", "spreading_measure")
 
 
 def test_every_exported_name_resolves_once():
@@ -21,9 +21,16 @@ def test_scalar_operators_are_gone():
     assert [name for name in REMOVED if hasattr(multide, name)] == []
     assert [name for name in REMOVED if hasattr(multide.multipop, name)] == []
     assert not hasattr(multide.RngStream, "choice")
-    assert not hasattr(multide.AnchorSet, "from_vectors")
+    assert not hasattr(multide.deflation, "AnchorSet")
 
 
 def test_engines_take_no_anchor_mode():
     for engine in (multide.run_de, multide.run_mde_itmf, multide.run_dewi):
         assert "anchor_mode" not in inspect.signature(engine).parameters
+
+
+def test_selection_step_takes_no_use_penalty_flag():
+    names = list(inspect.signature(multide.selection_step).parameters)
+    assert "use_penalty" not in names
+    assert names[:7] == ["coords", "fitness", "trials", "own_index", "anchors", "penalty",
+                         "bounds"]
