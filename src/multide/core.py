@@ -220,15 +220,12 @@ def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> 
     n, d = coords.shape
     if n < 4:
         raise ConfigurationError("mutation needs a population of at least 4")
-    own = np.arange(n)
     r = rng.integers(0, n, size=(n, 3))
-    bad = (
-        (r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
-        | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2])
-    )
-    # Rows that passed keep their triple, so only the few redrawn rows are
-    # checked again, in plain Python.
-    rows = own[bad].tolist()
+    # Colliding rows are found in plain Python, which beats six numpy
+    # comparisons at these sizes. Rows that passed keep their triple, so
+    # only the few redrawn rows are checked again.
+    rows = [i for i, (a, b, c) in enumerate(r.tolist())
+            if a == i or b == i or c == i or a == b or a == c or b == c]
     while rows:
         sub = rng.integers(0, n, size=(len(rows), 3))
         r[rows] = sub
@@ -238,5 +235,5 @@ def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> 
     donors = x[0] + F * (x[1] - x[2])
     rnbr = rng.integers(0, d, size=n)
     take = rng.uniform(size=(n, d)) <= CR
-    take[own, rnbr] = True
+    take[np.arange(n), rnbr] = True
     return np.where(take, donors, coords)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -92,6 +93,8 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"unknown algorithm {algo!r}; expected one of {', '.join(ALGORITHMS)}"
                 )
+        self.runs = _whole("runs", self.runs)
+        self.seed = _whole("seed", self.seed)
         if self.runs < 1:
             raise ConfigurationError("runs must be >= 1")
         if self.seed < 0:
@@ -117,8 +120,18 @@ class SweepConfig:
             raise ConfigurationError("sweep needs at least one value")
         for value in self.values:
             _override_value(self.parameter, value)
+        self.runs_per_value = _whole("runs_per_value", self.runs_per_value)
         if self.runs_per_value < 1:
             raise ConfigurationError("runs_per_value must be >= 1")
+
+
+def _whole(key: str, value) -> int:
+    """``value`` as an int; refuses bools, strings and non-integral numbers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
 
 def _override_value(key: str, value) -> float:

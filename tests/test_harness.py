@@ -120,6 +120,21 @@ def test_sweep_config_checks_every_value_up_front():
         SweepConfig(base=base, parameter="tol", values=[1e-3, float("nan")])
 
 
+def test_runs_and_seed_must_be_whole_numbers():
+    for bad in ({"runs": 2.5}, {"runs": True}, {"runs": "2"}, {"seed": "5"},
+                {"seed": 1.5}, {"seed": False}, {"seed": float("nan")}):
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(problems=["B1"], **bad)
+    base = small_config()
+    for runs_per_value in (2.5, True, "3"):
+        with pytest.raises(ConfigurationError):
+            SweepConfig(base=base, parameter="np", values=[8], runs_per_value=runs_per_value)
+    # integral floats and numpy integers are whole numbers
+    config = ExperimentConfig(problems=["B1"], runs=2.0, seed=np.int64(3))
+    assert (config.runs, config.seed) == (2, 3)
+    assert type(config.runs) is int and type(config.seed) is int
+
+
 # Override key -> (value, where it lands in MultiParams, its type there).
 OVERRIDE_CASES = {
     "np": (12, lambda p: p.de.pop_size, int),
@@ -527,6 +542,33 @@ def test_cli_refuses_malformed_overrides_before_any_run(argv, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [a.replace("{config}", str(config)) for a in argv]
     code = cli_main(argv + ["--problem", "B3", "--runs", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""  # nothing ran, so no table was printed
+    assert not out.exists()
+
+
+# Each once ended in a raw TypeError, or ran with a fractional seed or a
+# boolean run count. The sweep's runs_per_value comes from the config's runs.
+MALFORMED_CONFIGS = [
+    ("run", {"seed": "5"}),
+    ("run", {"runs": 2.5}),
+    ("run", {"seed": 1.5, "runs": 2}),
+    ("run", {"runs": True}),
+    ("sweep", {"runs": 2.5}),
+]
+
+
+@pytest.mark.parametrize("command, settings", MALFORMED_CONFIGS,
+                         ids=lambda case: case if isinstance(case, str) else json.dumps(case))
+def test_cli_refuses_malformed_runs_and_seed_in_config(command, settings, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    extra = ["--sweep-param", "np", "--values", "8"] if command == "sweep" else []
+    code = cli_main([command, "--config", str(config), "--problem", "B3", "--algo", "de",
+                     "--out", str(out), *extra])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
