@@ -11,11 +11,13 @@ from .errors import ConfigurationError
 # PCG64 words pulled per refill: a refill is rare next to the draws it
 # serves, and a stream's buffers stay at a few tens of KB.
 BLOCK = 1024
+# Integer ranges per block that get a table of decoded values; the engines
+# draw from two (population size and dimension).
+TABLES = 4
 
 _WORD = np.dtype("<u8")
 _HALF = np.dtype("<u4")  # a word's low half comes first, as numpy draws them
 _UNIT = 2.0 ** -53
-_LOW32 = 0xFFFFFFFF
 
 
 def _shape(size):
@@ -29,6 +31,19 @@ def _shape(size):
     if size and min(size) < 0:
         raise ValueError("negative dimensions are not allowed")
     return size, math.prod(size)
+
+
+def _decode(halves: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """Lemire's ``(x * n) >> 32`` for every uint32 ``x`` in ``halves``, as int64.
+
+    A rejected ``x`` decodes to -1. Also returns whether any ``x`` was
+    rejected.
+    """
+    scaled = halves.astype(np.uint64) * np.uint64(n)
+    values = (scaled >> 32).astype(np.int64)
+    rejected = scaled.astype(_HALF) < ((1 << 32) - n) % n
+    values[rejected] = -1
+    return values, bool(rejected.any())
 
 
 class RngStream:
@@ -53,7 +68,14 @@ class RngStream:
     values (``n == 1`` draws nothing); a wider range raises
     :class:`ConfigurationError` and an empty one ``ValueError``. Returned
     arrays belong to the caller. Words pulled past the last draw are never
-    seen, since engine streams are private children from ``split``.
+    seen, since engine streams are private children from ``split``. No
+    option selects numpy's own generator instead.
+
+    Each block decodes its uniforms once, and its integers once for each of
+    the first :data:`TABLES` ranges drawn from it, so a call is one slice
+    copy. Further ranges in the same block decode only the halves they
+    draw, which keeps work and memory per call in line with its size when
+    a caller changes the range on every call.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -64,15 +86,14 @@ class RngStream:
         )
         # Each block word is decoded up front: ``_unit`` holds its uniform
         # and ``_halves`` its two uint32 halves, low first. ``_tables`` maps a
-        # range ``n`` to the block's Lemire values (see ``_table``), built on
-        # first use; ``_rejecting`` holds the ranges whose table has a
-        # rejected half. Word 0 is a carry slot. ``_pos`` is the next fresh
-        # word; when ``_half`` is 1 the high half of word ``_pos - 1`` is a
-        # uint32 still owed to the next ``integers`` call.
+        # range ``n`` to its ``_decode`` of the whole block, built on first
+        # use for at most :data:`TABLES` ranges. Word 0 is a carry slot.
+        # ``_pos`` is the next fresh word; when ``_half`` is 1 the high half
+        # of word ``_pos - 1`` is a uint32 still owed to the next ``integers``
+        # call.
         self._unit = np.zeros(1)
-        self._halves = np.zeros(2, dtype=np.uint64)
+        self._halves = np.zeros(2, dtype=_HALF)
         self._tables = {}
-        self._rejecting = set()
         self._pos = 1
         self._half = 0
 
@@ -82,11 +103,8 @@ class RngStream:
         if pos + count > len(self._unit):
             raw = self._bitgen.random_raw(max(BLOCK, count)).astype(_WORD, copy=False)
             self._unit = np.concatenate((self._unit[pos - 1:], (raw >> 11) * _UNIT))
-            self._halves = np.concatenate(
-                (self._halves[2 * pos - 2:], raw.view(_HALF)), dtype=np.uint64
-            )
+            self._halves = np.concatenate((self._halves[2 * pos - 2:], raw.view(_HALF)))
             self._tables = {}
-            self._rejecting = set()
             self._pos = 1
 
     def uniform(self, size=None):
@@ -96,10 +114,10 @@ class RngStream:
         pos = self._pos
         end = self._pos = pos + count
         if self._half:  # the owed half moves to the last word taken
-            for column in (self._halves, *self._tables.values()):
+            for column in (self._halves, *(v for v, _ in self._tables.values())):
                 column[2 * end - 1] = column[2 * pos - 1]
         out = self._unit[pos:end]
-        return float(out[0]) if shape is None else out.reshape(shape, copy=True)
+        return float(out[0]) if shape is None else out.reshape(shape).copy()
 
     def integers(self, low, high=None, size=None):
         """Integer draws in [low, high), as numpy's ``integers(low, high, size)``."""
@@ -125,34 +143,21 @@ class RngStream:
         start = 2 * self._pos - self._half
         end = start + count
         self._pos, self._half = (end + 1) // 2, end % 2
-        values = self._tables.get(n)
-        if values is None:
-            values = self._table(n)
-        if n not in self._rejecting:
-            return values[start:end].copy()
-        drawn = values[start:end]
+        if n in self._tables:
+            values, rejecting = self._tables[n]
+        elif len(self._tables) < TABLES:
+            values, rejecting = self._tables[n] = _decode(self._halves, n)
+        else:  # no table left for this block: decode only the halves drawn
+            values, rejecting = _decode(self._halves[start:end], n)
+            start, end = 0, count
+        drawn = values[start:end].copy()
+        if not rejecting:
+            return drawn
         kept = drawn[drawn >= 0]
         if len(kept) == count:
             return kept
         # each rejected half is replaced by the next uint32
         return np.concatenate((kept, self._lemire(n, count - len(kept))))
-
-    def _table(self, n: int) -> np.ndarray:
-        """Lemire's ``(x * n) >> 32`` for every half ``x`` in the block, -1 where
-        ``x`` is rejected.
-
-        Moving the owed half copies its entry, so the table stays valid
-        until the next refill.
-        """
-        scaled = self._halves * n
-        values = self._tables[n] = (scaled >> 32).astype(np.int64)
-        threshold = ((1 << 32) - n) % n
-        if threshold:
-            rejected = (scaled & _LOW32) < threshold
-            if rejected.any():
-                values[rejected] = -1
-                self._rejecting.add(n)
-        return values
 
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multide import ConfigurationError, RngStream
-from multide.rng import BLOCK
+from multide.rng import BLOCK, TABLES
 
 # 2**31 + 1 rejects about half of all uint32 draws. At 3 * 2**30 a quarter
 # of the draws land exactly on the rejection threshold, which pins the
@@ -87,6 +87,17 @@ def test_refill_while_a_half_word_is_owed():
                          ("integers", 0, 30, 5), ("uniform", 0, 0, 4)])
     replay(stream, ref, [("integers", 0, 2**31 + 1, 2 * BLOCK + 1), ("uniform", 0, 0, 7),
                          ("integers", 0, 30, 1), ("integers", 0, 3, BLOCK)])
+
+
+def test_more_ranges_than_tables_in_one_block_match_numpy():
+    stream, ref = RngStream(13, (4,)), twin(13, (4,))
+    # Shuffle-like draws change the range on every call; past TABLES
+    # ranges a block decodes each call's halves alone, rejections included.
+    ranges = list(range(2, 3 * TABLES)) + [2**31 + 1, 3 * 2**30, 2**32] * 20
+    replay(stream, ref, [("integers", 0, n, 3) for n in ranges])
+    assert len(stream._tables) <= TABLES
+    replay(stream, ref, [("uniform", 0, 0, 5), ("integers", 1, 2**31 + 1, 7),
+                         ("integers", 0, 2, 1), ("integers", 0, 30, (4, 3))])
 
 
 def test_mutating_returned_arrays_leaves_later_draws_alone():
