@@ -9,7 +9,7 @@ problem's ``formula`` string for the exact definition used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -118,7 +118,6 @@ class BenchmarkProblem:
     default_params: MultiParams
     match_tolerance: float = 0.05
     formula: str = ""
-    system: Optional[NonlinearSystem] = None
 
     def __post_init__(self):
         self.known_minimizers = np.array(self.known_minimizers, dtype=float)
@@ -148,6 +147,40 @@ def _problem(pid, name, fxy, formula, lo, hi, minimizers, global_value, params):
         known_minimizers=np.array(minimizers, dtype=float),
         global_value=global_value,
         default_params=params,
+        formula=formula,
+    )
+
+
+def system_problem(
+    system: NonlinearSystem,
+    bounds: Bounds,
+    known_roots,
+    *,
+    pid: str = "SYS",
+    name: str = "user system",
+    default_params: Optional[MultiParams] = None,
+    match_tolerance: float = 0.05,
+    formula: str = "sum of squared residuals",
+) -> BenchmarkProblem:
+    """Build a problem from a user-supplied nonlinear system.
+
+    This is the override path for the system-of-equations slot: the
+    default system there is a stand-in with the documented root structure,
+    and callers with a concrete system of their own wrap it here (roots
+    must be known for minimizer counting). Parameters default to the
+    registered system problem's row.
+    """
+    if default_params is None:
+        default_params = _REGISTRY["B7"].default_params
+    return BenchmarkProblem(
+        pid=pid,
+        name=name,
+        objective=residual_objective(system),
+        bounds=bounds,
+        known_minimizers=np.array(known_roots, dtype=float),
+        global_value=0.0,
+        default_params=default_params,
+        match_tolerance=match_tolerance,
         formula=formula,
     )
 
@@ -219,18 +252,14 @@ def _build_registry() -> dict[str, BenchmarkProblem]:
             0.39788735772973834,
             _row(25, 0.6, 0.6, 3, 2.0),
         ),
-        BenchmarkProblem(
+        system_problem(
+            DEFAULT_SYSTEM,
+            Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
+            [(_B7_A, _B7_B), (_B7_B, _B7_A), (-_B7_A, -_B7_B), (-_B7_B, -_B7_A)],
             pid="B7",
             name="System of equations",
-            objective=residual_objective(DEFAULT_SYSTEM),
-            bounds=Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
-            known_minimizers=np.array(
-                [(_B7_A, _B7_B), (_B7_B, _B7_A), (-_B7_A, -_B7_B), (-_B7_B, -_B7_A)]
-            ),
-            global_value=0.0,
             default_params=_row(30, 0.6, 0.8, 4, 0.7),
             formula="(x^2 + y^2 - 0.5)^2 + (xy - 0.1)^2",
-            system=DEFAULT_SYSTEM,
         ),
         _problem(
             "B8", "Wayburn Seader 1", _wayburn_seader_1,
@@ -281,38 +310,3 @@ def get_problem(key: str) -> BenchmarkProblem:
 def list_problems() -> list[BenchmarkProblem]:
     """All registered problems, in id order."""
     return [_REGISTRY[f"B{i}"] for i in range(1, 11)]
-
-
-def system_problem(
-    system: NonlinearSystem,
-    bounds: Bounds,
-    known_roots,
-    *,
-    pid: str = "SYS",
-    name: str = "user system",
-    default_params: Optional[MultiParams] = None,
-    match_tolerance: float = 0.05,
-    formula: str = "sum of squared residuals",
-) -> BenchmarkProblem:
-    """Build a problem from a user-supplied nonlinear system.
-
-    This is the override path for the system-of-equations slot: the
-    default system there is a stand-in with the documented root structure,
-    and callers with a concrete system of their own wrap it here (roots
-    must be known for minimizer counting). Parameters default to the
-    registered system problem's row.
-    """
-    if default_params is None:
-        default_params = replace(_REGISTRY["B7"].default_params)
-    return BenchmarkProblem(
-        pid=pid,
-        name=name,
-        objective=residual_objective(system),
-        bounds=bounds,
-        known_minimizers=np.array(known_roots, dtype=float),
-        global_value=0.0,
-        default_params=default_params,
-        match_tolerance=match_tolerance,
-        formula=formula,
-        system=system,
-    )

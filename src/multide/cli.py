@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from typing import Optional
 
 from .benchmarks import list_problems
 from .errors import ConfigurationError
@@ -16,7 +17,6 @@ from .harness import (
     ExperimentConfig,
     SweepConfig,
     config_from_dict,
-    config_to_dict,
     emit_outputs,
     run_experiment,
     run_sweep,
@@ -40,21 +40,22 @@ def _parse_values(text) -> list[float]:
         raise ConfigurationError(f"--values expects comma-separated numbers, got {text!r}") from None
 
 
-def _build_config(args, default_runs: int) -> ExperimentConfig:
-    """The ``--config`` file's settings, if one is given, with explicit flags on top."""
-    config = ExperimentConfig(problems=[p.pid for p in list_problems()], runs=default_runs)
-    if getattr(args, "config", None):
+def _build_config(args, defaults: dict, fixed: Optional[dict] = None) -> ExperimentConfig:
+    """Settings by rising precedence: ``defaults``, the ``--config`` file, flags, ``fixed``."""
+    config = ExperimentConfig(**{"problems": [p.pid for p in list_problems()], **defaults})
+    if args.config:
         with open(args.config) as fh:
-            config = config_from_dict({**config_to_dict(config), **json.load(fh)})
-    flags = {"problems": args.problem, "algorithms": args.algo, "runs": args.runs,
-             "seed": args.seed, "out_dir": args.out}
-    return replace(
-        config,
-        overrides={**config.overrides, **_parse_params(getattr(args, "param", None))},
-        parallel=config.parallel or bool(getattr(args, "parallel", False)),
-        trace=config.trace or bool(getattr(args, "trace", False)),
+            config = config_from_dict({**asdict(config), **json.load(fh)})
+    flags = {"problems": args.problem, "algorithms": args.algo,
+             "runs": getattr(args, "runs", None), "seed": args.seed, "out_dir": args.out}
+    changes = {
+        "overrides": {**config.overrides, **_parse_params(args.param)},
+        "parallel": config.parallel or getattr(args, "parallel", False),
+        "trace": config.trace or getattr(args, "trace", False),
         **{k: v for k, v in flags.items() if v is not None},
-    )
+        **(fixed or {}),
+    }
+    return replace(config, **changes)
 
 
 def _fmt_stats(stats, digits=2):
@@ -82,14 +83,15 @@ def _finish(report, out_dir) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(args, default_runs=100)
+    config = _build_config(args, {"runs": 100})
     report = run_experiment(config)
     _print_experiment(report)
     return _finish(report, config.out_dir)
 
 
 def _cmd_sweep(args) -> int:
-    base = _build_config(args, default_runs=30)
+    # No sweep output holds traces, so none are collected.
+    base = _build_config(args, {"runs": 30}, {"trace": False})
     sweep = SweepConfig(
         base=base,
         parameter=args.sweep_param,
@@ -117,14 +119,8 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    args.runs = 1
-    args.parallel = False
-    args.trace = True
-    if not args.problem and not args.config:
-        args.problem = ["B1"]
-    if not args.algo and not args.config:
-        args.algo = ["mde-itmf"]
-    config = _build_config(args, default_runs=1)
+    config = _build_config(args, {"problems": ["B1"], "algorithms": ["mde-itmf"]},
+                           {"runs": 1, "trace": True, "parallel": False})
     report = run_experiment(config)
     for cell in report.cells:
         for record in cell.records:
@@ -145,41 +141,41 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_trace=True):
+    def common(p, batch=True):
         p.add_argument("--problem", action="append",
                        help="problem id or name (repeatable; default: all)")
         p.add_argument("--algo", action="append", choices=list(ALGORITHMS),
                        help="algorithm (repeatable; default: all)")
-        p.add_argument("--runs", type=int, default=None, help="runs per cell")
+        if batch:
+            p.add_argument("--runs", type=int, default=None, help="runs per cell")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help=f"parameter override, keys: {' '.join(OVERRIDABLE_KEYS)}")
         p.add_argument("--out", default=None, metavar="DIR", help="output directory")
         p.add_argument("--config", default=None, metavar="FILE",
                        help="JSON config file (a report.json works too); flags win")
-        p.add_argument("--parallel", action="store_true",
-                       help="run seeded executions across worker processes")
-        if with_trace:
-            p.add_argument("--trace", action="store_true",
-                           help="collect per-generation traces")
+        if batch:
+            p.add_argument("--parallel", action="store_true",
+                           help="run seeded executions across worker processes")
 
     p_run = sub.add_parser("run", help="run a seeded experiment")
     common(p_run)
+    p_run.add_argument("--trace", action="store_true", help="collect per-generation traces")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="one-parameter sensitivity sweep")
-    common(p_sweep, with_trace=False)
+    common(p_sweep)
     p_sweep.add_argument("--sweep-param", required=True, metavar="KEY",
                          help=f"parameter to sweep: {' '.join(SWEEPABLE_KEYS)}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated values, e.g. 8,10,12,15")
-    p_sweep.set_defaults(func=_cmd_sweep, trace=False)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_list = sub.add_parser("list", help="list problems and default parameters")
     p_list.set_defaults(func=_cmd_list)
 
     p_trace = sub.add_parser("trace", help="single seeded run with per-generation trace")
-    common(p_trace, with_trace=False)
+    common(p_trace, batch=False)
     p_trace.set_defaults(func=_cmd_trace)
     return parser
 

@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .benchmarks import get_problem, list_problems
+from .benchmarks import get_problem
 from .errors import ConfigurationError
-from .metrics import AggregateStats, aggregate, group_de_runs, match_minimizers
+from .metrics import aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, without_switch_tol
 
 # Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
@@ -84,6 +84,14 @@ class ExperimentConfig:
     trace: bool = False
 
     def __post_init__(self):
+        for key in ("problems", "algorithms"):
+            names = getattr(self, key)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+                raise ConfigurationError(f"{key} must be a list of names, got {names!r}")
+        _check_type("parallel", self.parallel, bool, "true or false")
+        _check_type("trace", self.trace, bool, "true or false")
+        _check_type("overrides", self.overrides, dict, "an object of parameter overrides")
+        _check_type("out_dir", self.out_dir, (str, type(None)), "a path or null")
         if not self.problems:
             raise ConfigurationError("config needs at least one problem")
         if not self.algorithms:
@@ -123,6 +131,11 @@ class SweepConfig:
         self.runs_per_value = _whole("runs_per_value", self.runs_per_value)
         if self.runs_per_value < 1:
             raise ConfigurationError("runs_per_value must be >= 1")
+
+
+def _check_type(key: str, value, types, expected: str):
+    if not isinstance(value, types):
+        raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
 def _whole(key: str, value) -> int:
@@ -167,21 +180,21 @@ def apply_overrides(params: MultiParams, overrides: dict) -> MultiParams:
     return replace(params, **changes)
 
 
-def _single_run(problem_id: str, algorithm: str, seed: int, overrides: dict, trace: bool):
-    """Execute one seeded run and score it against the problem's minimizers."""
+def _single_run(problem_id: str, algorithm: str, seed: int, params: MultiParams, trace: bool):
+    """Execute one seeded run of ``params`` (overrides applied) and score it."""
     problem = get_problem(problem_id)
     engine, engine_params = ENGINES[algorithm]
-    params = engine_params(apply_overrides(problem.default_params, overrides))
-    record = engine(problem.objective, problem.bounds, params, seed, collect_trace=trace)
+    record = engine(problem.objective, problem.bounds, engine_params(params), seed,
+                    collect_trace=trace)
     record.problem = problem.pid
     record.matched_minimizers = match_minimizers(record.final_bests, problem)
     return record
 
 
 def _run_job(args):
-    problem_id, algorithm, seed, overrides, trace = args
+    problem_id, algorithm, seed, params, trace = args
     try:
-        return ("ok", _single_run(problem_id, algorithm, seed, overrides, trace))
+        return ("ok", _single_run(problem_id, algorithm, seed, params, trace))
     except Exception as err:  # run errors are recorded, the experiment continues
         failure = {"problem": problem_id, "algorithm": algorithm,
                    "seed": seed, "error": f"{type(err).__name__}: {err}"}
@@ -253,9 +266,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             cell_specs.append((problem, params, algo, n))
 
     jobs = []
-    for problem, _, algo, n in cell_specs:
+    for problem, params, algo, n in cell_specs:
         for i in range(n):
-            jobs.append((problem.pid, algo, config.seed + i, config.overrides, config.trace))
+            jobs.append((problem.pid, algo, config.seed + i, params, config.trace))
 
     if config.parallel:
         with ProcessPoolExecutor() as pool:
@@ -301,16 +314,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     return SweepReport(config=config, rows=rows)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Rebuild a config from its JSON form (accepts a whole report too)."""
+    """Rebuild a config from its JSON form (accepts a whole report too).
+
+    Keys that name no :class:`ExperimentConfig` field are refused.
+    """
     if "config" in data and isinstance(data["config"], dict):
         data = data["config"]
-    known = {f.name for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in data.items() if k in known})
+    known = [f.name for f in fields(ExperimentConfig)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigurationError(f"unknown config keys {unknown}; expected keys from {known}")
+    return ExperimentConfig(**data)
 
 
 def _sig17(x: float) -> str:
@@ -361,16 +376,10 @@ def _record_row(record) -> list:
     ]
 
 
-def _stats_dict(stats: Optional[AggregateStats]) -> Optional[dict]:
-    if stats is None:
-        return None
-    return {"mean": stats.mean, "stddev": stats.stddev, "cv_percent": stats.cv_percent}
-
-
 def _aggregates_dict(cell: CellResult) -> Optional[dict]:
     if cell.aggregates is None:
         return None
-    return {metric: _stats_dict(cell.aggregates[metric]) for metric in METRICS}
+    return {metric: asdict(cell.aggregates[metric]) for metric in METRICS}
 
 
 def _cell_dict(cell: CellResult) -> dict:
@@ -383,21 +392,17 @@ def _cell_dict(cell: CellResult) -> dict:
     }
 
 
-def _problem_provenance(pids) -> dict:
-    table = {}
-    for p in list_problems():
-        if p.pid in pids:
-            table[p.pid] = {"name": p.name, "formula": p.formula}
-    return table
+def _problem_provenance(keys) -> dict:
+    """Name and formula of each configured problem, by id."""
+    return {p.pid: {"name": p.name, "formula": p.formula} for p in map(get_problem, keys)}
 
 
 def experiment_report_dict(report: ExperimentReport) -> dict:
-    pids = {get_problem(p).pid for p in report.config.problems}
     return {
-        "config": config_to_dict(report.config),
+        "config": asdict(report.config),
         "cells": [_cell_dict(c) for c in report.cells],
         "failures": report.failures,
-        "problems": _problem_provenance(pids),
+        "problems": _problem_provenance(report.config.problems),
     }
 
 
@@ -412,16 +417,10 @@ def sweep_report_dict(report: SweepReport) -> dict:
             ],
             "failures": exp.failures,
         })
-    pids = {get_problem(p).pid for p in report.config.base.problems}
     return {
-        "config": {
-            "base": config_to_dict(report.config.base),
-            "parameter": report.config.parameter,
-            "values": list(report.config.values),
-            "runs_per_value": report.config.runs_per_value,
-        },
+        "config": asdict(report.config),
         "rows": rows,
-        "problems": _problem_provenance(pids),
+        "problems": _problem_provenance(report.config.base.problems),
     }
 
 
@@ -430,6 +429,12 @@ def _write_csv(path: Path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_json(path: Path, data: dict):
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def emit_outputs(report, out_dir) -> list[Path]:
@@ -456,9 +461,7 @@ def emit_outputs(report, out_dir) -> list[Path]:
         _write_csv(path, SWEEP_CSV_HEADER, rows)
         written.append(path)
         path = out / "report.json"
-        with open(path, "w") as fh:
-            json.dump(sweep_report_dict(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, sweep_report_dict(report))
         written.append(path)
         return written
 
@@ -482,9 +485,7 @@ def emit_outputs(report, out_dir) -> list[Path]:
     written.append(path)
 
     path = out / "report.json"
-    with open(path, "w") as fh:
-        json.dump(experiment_report_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, experiment_report_dict(report))
     written.append(path)
 
     trace_rows = [

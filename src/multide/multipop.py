@@ -169,19 +169,28 @@ def _run_engine(
     # pop[j] is subpopulation j as one C-contiguous (pop_size, d) block.
     pop = np.empty((nsp, de.pop_size, bounds.dim))
     fit = np.empty((nsp, de.pop_size))
-    initialized = False
+    anchors = None
+    trace = [] if collect_trace else None
+
+    def record(trace_array=None) -> RunRecord:
+        return RunRecord(
+            algorithm=algorithm,
+            seed=stream.seed,
+            elapsed_seconds=time.perf_counter() - t0,
+            nfe=counter.count,
+            final_bests=[] if anchors is None else _final_bests(pop, fit),
+            generations_used=list(gens),
+            trace=trace_array,
+        )
+
     try:
         streams = stream.split(nsp)
         for j in range(nsp):
             pop[j] = init_population(bounds, de.pop_size, streams[j])
             fit[j] = evaluate_batch(counter, pop[j])
-        initialized = True
-        # best[j] is the argmin of fit[j], refreshed whenever fit[j] changes;
-        # anchors[j] is pop[j, best[j]], rewritten at the same time.
-        best = fit.argmin(axis=1).tolist()
+        # anchors[j] is subpopulation j's best row, rewritten whenever fit[j] changes.
         anchors = snapshot_anchors(pop, fit)
         frozen = [False] * nsp
-        trace = [] if collect_trace else None
 
         for gen in range(1, de.max_generations + 1):
             if all(frozen):
@@ -190,12 +199,11 @@ def _run_engine(
                 if frozen[j]:
                     continue
                 coords = pop[j]
-                spread = _spreading(coords, coords[best[j]], bounds)
+                spread = _spreading(coords, anchors[j], bounds)
                 if spread < de.spread_tol:
                     frozen[j] = True
                     if collect_trace:
-                        b = best[j]
-                        trace.append((gen, j, *coords[b].tolist(), float(fit[j, b]), spread))
+                        trace.append((gen, j, *anchors[j].tolist(), float(fit[j].min()), spread))
                     continue
                 penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
                 trials = generate_trials(coords, de.F, de.CR, streams[j])
@@ -205,7 +213,7 @@ def _run_engine(
                 )
                 pop[j] = new_coords
                 fit[j] = new_fitness
-                b = best[j] = int(new_fitness.argmin())
+                b = int(new_fitness.argmin())
                 anchors[j] = new_coords[b]
                 gens[j] += 1
                 if collect_trace:
@@ -213,24 +221,9 @@ def _run_engine(
             if observer is not None:
                 observer(gen, pop, fit, frozen)
 
-        return RunRecord(
-            algorithm=algorithm,
-            seed=stream.seed,
-            elapsed_seconds=time.perf_counter() - t0,
-            nfe=counter.count,
-            final_bests=_final_bests(pop, fit),
-            generations_used=gens,
-            trace=None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4),
-        )
+        return record(None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4))
     except EvaluationError as err:
-        err.partial_record = RunRecord(
-            algorithm=algorithm,
-            seed=stream.seed,
-            elapsed_seconds=time.perf_counter() - t0,
-            nfe=counter.count,
-            final_bests=_final_bests(pop, fit) if initialized else [],
-            generations_used=list(gens),
-        )
+        err.partial_record = record()
         raise
 
 

@@ -8,7 +8,10 @@ the engines. A change that alters outputs on purpose updates the hashes
 here and says so in CHANGES.md.
 """
 
+import csv
 import hashlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +24,7 @@ from multide import (
     PenaltyParams,
     get_problem,
 )
+from multide.cli import main as cli_main
 from multide.harness import ENGINES
 
 SEEDS = (0, 1, 2)
@@ -125,3 +129,68 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_fingerprint(case):
     assert _digest(CASES[case]()) == GOLDEN[case]
+
+
+# Output files of two CLI commands, hashed with every elapsed_seconds value
+# and out_dir blanked: the only fields that may differ between two runs.
+# They pin the file formats (columns, quoting, JSON keys and layout, the
+# sweep's config block, the problem provenance table), not just the numbers.
+GOLDEN_OUTPUTS = {
+    "run": (
+        ["run", "--problem", "B3", "--problem", "B7", "--runs", "2", "--seed", "5", "--trace"],
+        {
+            "runs.csv": "990fa5b7780d7c526c59eb0c4f1d2e94b24fc9992566c8b7df86e6de827f6867",
+            "aggregates.csv": "393ac50f77a0ff88073f533dac43209fbce3a131d9b69e90017d8e9bda5e16b0",
+            "report.json": "2024e60d8324d1cd13a9c7f3c6a5603fdbb559a43cb80fad459387a5b905b642",
+            "trace.csv": "6edcb2d87882dea1a67ec1c99bd47a3bb4d4584f77f6234d77ef44a115df8d1c",
+        },
+    ),
+    "sweep": (
+        ["sweep", "--problem", "B3", "--runs", "2", "--sweep-param", "np", "--values", "15,20"],
+        {
+            "sweep.csv": "7ef38a86fd14461d96f0edf792a648679432771c7d8de2c089a4396483cf7800",
+            "report.json": "01eeaac93d4eeacc857b0269c318af9708de6b199c69074cb3447eb48e9016f7",
+        },
+    ),
+}
+
+
+def _blank_json(node):
+    if isinstance(node, dict):
+        return {k: None if k in ("elapsed_seconds", "out_dir") else _blank_json(v)
+                for k, v in node.items()}
+    if isinstance(node, list):
+        return [_blank_json(v) for v in node]
+    return node
+
+
+def _blank_csv(text):
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    header = rows[0]
+    for row in rows[1:]:
+        if "elapsed_seconds" in header:
+            row[header.index("elapsed_seconds")] = ""
+        if "metric" in header and row[header.index("metric")] == "elapsed_seconds":
+            start = header.index("mean")
+            row[start:start + 3] = ["", "", ""]
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _blanked_digest(path):
+    text = path.read_text()
+    if path.suffix == ".json":
+        text = json.dumps(_blank_json(json.loads(text)), indent=2, sort_keys=True) + "\n"
+    else:
+        text = _blank_csv(text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUTS))
+def test_cli_output_files_match_golden(command, tmp_path, capsys):
+    argv, golden = GOLDEN_OUTPUTS[command]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
+    assert {name: _blanked_digest(tmp_path / name) for name in golden} == golden

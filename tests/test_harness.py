@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,9 +31,9 @@ from multide.harness import (
     RUNS_CSV_HEADER,
     SWEEP_CSV_HEADER,
     TRACE_CSV_HEADER,
+    SweepReport,
     apply_overrides,
     config_from_dict,
-    config_to_dict,
     run_experiment,
     run_sweep,
 )
@@ -185,11 +185,11 @@ def test_algorithms_are_the_engine_table():
 
 def test_config_round_trips_through_dict():
     config = small_config(overrides={"np": 8}, parallel=True)
-    again = config_from_dict(config_to_dict(config))
-    assert config_to_dict(again) == config_to_dict(config)
+    again = config_from_dict(asdict(config))
+    assert asdict(again) == asdict(config)
     # a whole report is accepted as a config carrier
-    wrapped = {"config": config_to_dict(config), "cells": []}
-    assert config_to_dict(config_from_dict(wrapped)) == config_to_dict(config)
+    wrapped = {"config": asdict(config), "cells": []}
+    assert asdict(config_from_dict(wrapped)) == asdict(config)
 
 
 # -------------------------------------------------------------- experiments
@@ -485,7 +485,7 @@ def test_cli_accepts_config_file_with_flag_override(tmp_path):
 
 def test_cli_merges_file_and_flag_overrides(tmp_path):
     cfg = {"problems": ["B3"], "algorithms": ["mde-itmf"], "runs": 2, "seed": 5,
-           "overrides": {"np": 8, "f": 0.5}, "unknown_key": 1}
+           "overrides": {"np": 8, "f": 0.5}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = cli_main(["run", "--config", str(cfg_path), "--param", "f=0.6",
@@ -557,6 +557,12 @@ MALFORMED_CONFIGS = [
     ("run", {"seed": 1.5, "runs": 2}),
     ("run", {"runs": True}),
     ("sweep", {"runs": 2.5}),
+    ("run", {"trace": "false"}),
+    ("run", {"parallel": "no"}),
+    ("run", {"overrides": [1, 2]}),
+    ("run", {"problems": "B3"}),
+    ("run", {"seeds": 5}),
+    ("run", {"out_dir": 5}),
 ]
 
 
@@ -574,6 +580,31 @@ def test_cli_refuses_malformed_runs_and_seed_in_config(command, settings, tmp_pa
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # nothing ran, so no table was printed
     assert not out.exists()
+
+
+def test_cli_sweep_collects_no_traces(tmp_path, monkeypatch):
+    import multide.cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trace": True}))
+    seen = []
+
+    def fake_sweep(sweep):
+        seen.append(sweep)
+        return SweepReport(config=sweep, rows=[])
+
+    monkeypatch.setattr(multide.cli, "run_sweep", fake_sweep)
+    assert cli_main(["sweep", "--config", str(config), "--problem", "B3",
+                     "--sweep-param", "np", "--values", "8"]) == 0
+    assert seen[0].base.trace is False
+
+
+def test_cli_trace_takes_no_runs_or_parallel(capsys):
+    for flags in (["--runs", "5"], ["--parallel"]):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["trace", *flags])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_input(capsys):

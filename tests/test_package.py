@@ -1,5 +1,6 @@
 """The public surface of the package: what ``multide`` exports."""
 
+import dataclasses
 import inspect
 
 import multide
@@ -22,6 +23,12 @@ def test_scalar_operators_are_gone():
     assert [name for name in REMOVED if hasattr(multide.multipop, name)] == []
     assert not hasattr(multide.RngStream, "choice")
     assert not hasattr(multide.deflation, "AnchorSet")
+
+
+def test_second_copies_are_gone():
+    # config_to_dict was dataclasses.asdict; BenchmarkProblem.system was never read.
+    assert not hasattr(multide.harness, "config_to_dict")
+    assert "system" not in {f.name for f in dataclasses.fields(multide.BenchmarkProblem)}
 
 
 def test_engines_take_no_anchor_mode():
