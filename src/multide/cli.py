@@ -22,6 +22,9 @@ from .harness import (
     run_sweep,
 )
 
+# What ``trace`` runs unless flags or the config file name others.
+TRACE_DEFAULTS = {"problems": ["B1"], "algorithms": ["mde-itmf"]}
+
 
 def _parse_params(items) -> dict:
     overrides = {}
@@ -45,7 +48,13 @@ def _build_config(args, defaults: dict, fixed: Optional[dict] = None) -> Experim
     config = ExperimentConfig(**{"problems": [p.pid for p in list_problems()], **defaults})
     if args.config:
         with open(args.config) as fh:
-            config = config_from_dict({**asdict(config), **json.load(fh)})
+            try:
+                data = json.load(fh)
+            except ValueError as err:  # a syntax error or undecodable text
+                raise ConfigurationError(f"config file {args.config} is not JSON: {err}") from None
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"config file {args.config} must hold one JSON object")
+        config = config_from_dict({**asdict(config), **data})
     flags = {"problems": args.problem, "algorithms": args.algo,
              "runs": getattr(args, "runs", None), "seed": args.seed, "out_dir": args.out}
     changes = {
@@ -119,8 +128,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    config = _build_config(args, {"problems": ["B1"], "algorithms": ["mde-itmf"]},
-                           {"runs": 1, "trace": True, "parallel": False})
+    config = _build_config(args, TRACE_DEFAULTS, {"runs": 1, "trace": True, "parallel": False})
     report = run_experiment(config)
     for cell in report.cells:
         for record in cell.records:
@@ -141,11 +149,12 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, batch=True):
-        p.add_argument("--problem", action="append",
-                       help="problem id or name (repeatable; default: all)")
-        p.add_argument("--algo", action="append", choices=list(ALGORITHMS),
-                       help="algorithm (repeatable; default: all)")
+    def common(p, batch=True, defaults=None):
+        shown = {key: " ".join(names) for key, names in (defaults or {}).items()}
+        p.add_argument("--problem", action="append", help="problem id or name "
+                       f"(repeatable; default: {shown.get('problems', 'all')})")
+        p.add_argument("--algo", action="append", choices=list(ALGORITHMS), help="algorithm "
+                       f"(repeatable; default: {shown.get('algorithms', 'all')})")
         if batch:
             p.add_argument("--runs", type=int, default=None, help="runs per cell")
         p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
@@ -175,7 +184,7 @@ def _parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_trace = sub.add_parser("trace", help="single seeded run with per-generation trace")
-    common(p_trace, batch=False)
+    common(p_trace, batch=False, defaults=TRACE_DEFAULTS)
     p_trace.set_defaults(func=_cmd_trace)
     return parser
 

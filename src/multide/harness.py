@@ -15,6 +15,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -101,6 +102,11 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"unknown algorithm {algo!r}; expected one of {', '.join(ALGORITHMS)}"
                 )
+        pids = [get_problem(name).pid for name in self.problems]  # an id and its name are one
+        for key, names in (("problems", pids), ("algorithms", self.algorithms)):
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            if repeated:
+                raise ConfigurationError(f"{key} listed more than once: {', '.join(repeated)}")
         self.runs = _whole("runs", self.runs)
         self.seed = _whole("seed", self.seed)
         if self.runs < 1:
@@ -240,11 +246,7 @@ class SweepReport:
 def _cell_aggregates(units) -> Optional[dict]:
     if len(units) < 2:
         return None
-    return {
-        "elapsed_seconds": aggregate([u.elapsed_seconds for u in units]),
-        "nfe": aggregate([u.nfe for u in units]),
-        "ngp": aggregate([len(u.matched_minimizers) for u in units]),
-    }
+    return {metric: aggregate([getattr(u, metric) for u in units]) for metric in METRICS}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -256,19 +258,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     results are assembled in run-index order either way, so everything but
     the elapsed-time fields is identical to a sequential execution.
     """
-    cell_specs = []
-    for pid in config.problems:
-        problem = get_problem(pid)
+    cell_specs, jobs = [], []
+    for key in config.problems:
+        problem = get_problem(key)
         # Type-check overrides against every problem row before any run starts.
         params = apply_overrides(problem.default_params, config.overrides)
         for algo in config.algorithms:
             n = config.runs * params.subpops if algo == "de" else config.runs
-            cell_specs.append((problem, params, algo, n))
-
-    jobs = []
-    for problem, params, algo, n in cell_specs:
-        for i in range(n):
-            jobs.append((problem.pid, algo, config.seed + i, params, config.trace))
+            cell_specs.append((problem.pid, params.subpops, algo, n))
+            jobs += [(problem.pid, algo, config.seed + i, params, config.trace) for i in range(n)]
 
     if config.parallel:
         with ProcessPoolExecutor() as pool:
@@ -276,27 +274,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         outcomes = [_run_job(job) for job in jobs]
 
-    cells = []
-    failures = []
-    cursor = 0
-    for problem, params, algo, n in cell_specs:
-        records = []
-        cell_failed = False
-        for status, payload in outcomes[cursor:cursor + n]:
-            if status == "ok":
-                records.append(payload)
-            else:
-                failures.append(payload)
-                cell_failed = True
-        cursor += n
-        groups = None
-        if algo == "de" and not cell_failed:
-            groups = group_de_runs(records, params.subpops)
-            for g in groups:
-                g.matched_minimizers = match_minimizers(g.final_bests, problem)
+    pending = iter(outcomes)
+    cells, failures = [], []
+    for pid, subpops, algo, n in cell_specs:
+        batch = list(islice(pending, n))
+        records = [payload for status, payload in batch if status == "ok"]
+        failures += [payload for status, payload in batch if status != "ok"]
+        complete = len(records) == n
+        groups = group_de_runs(records, subpops) if algo == "de" and complete else None
         units = groups if groups is not None else records
-        aggregates = None if cell_failed else _cell_aggregates(units)
-        cells.append(CellResult(problem=problem.pid, algorithm=algo,
+        aggregates = _cell_aggregates(units) if complete else None
+        cells.append(CellResult(problem=pid, algorithm=algo,
                                 records=records, groups=groups, aggregates=aggregates))
     return ExperimentReport(config=config, cells=cells, failures=failures)
 
@@ -332,16 +320,17 @@ def _sig17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _aggregate_rows(cell) -> list[list]:
+def _aggregate_rows(cell: dict) -> list[list]:
+    """``aggregates.csv`` rows of a cell's report dict, one per metric."""
     rows = []
     for metric in METRICS:
-        stats = None if cell.aggregates is None else cell.aggregates.get(metric)
+        stats = None if cell["aggregates"] is None else cell["aggregates"][metric]
         if stats is None:
-            rows.append([cell.algorithm, cell.problem, metric, "", "", ""])
+            rows.append([cell["algorithm"], cell["problem"], metric, "", "", ""])
         else:
-            cv = "" if stats.cv_percent is None else repr(stats.cv_percent)
-            rows.append([cell.algorithm, cell.problem, metric,
-                         repr(stats.mean), repr(stats.stddev), cv])
+            cv = "" if stats["cv_percent"] is None else repr(stats["cv_percent"])
+            rows.append([cell["algorithm"], cell["problem"], metric,
+                         repr(stats["mean"]), repr(stats["stddev"]), cv])
     return rows
 
 
@@ -352,7 +341,7 @@ def _record_dict(record) -> dict:
         "seed": record.seed,
         "elapsed_seconds": float(record.elapsed_seconds),
         "nfe": int(record.nfe),
-        "ngp": len(record.matched_minimizers),
+        "ngp": record.ngp,
         "generations_used": [int(g) for g in record.generations_used],
         "final_bests": [
             [float(c) for c in p.coords] + [float(p.fitness)] for p in record.final_bests
@@ -361,9 +350,8 @@ def _record_dict(record) -> dict:
     }
 
 
-def _record_row(record) -> list:
-    """``runs.csv`` row: :func:`_record_dict` with 17-digit best points."""
-    data = _record_dict(record)
+def _record_row(data: dict) -> list:
+    """``runs.csv`` row of a run's :func:`_record_dict`, with 17-digit best points."""
     return [
         data["algorithm"],
         data["problem"],
@@ -424,17 +412,19 @@ def sweep_report_dict(report: SweepReport) -> dict:
     }
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
-def _write_json(path: Path, data: dict):
+def _write_json(path: Path, data: dict) -> Path:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
 def emit_outputs(report, out_dir) -> list[Path]:
@@ -450,20 +440,13 @@ def emit_outputs(report, out_dir) -> list[Path]:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if isinstance(report, SweepReport):
-        rows = []
-        for value, exp in report.rows:
-            for cell in exp.cells:
-                for agg_row in _aggregate_rows(cell):
-                    rows.append([report.config.parameter, repr(float(value))] + agg_row)
-        path = out / "sweep.csv"
-        _write_csv(path, SWEEP_CSV_HEADER, rows)
-        written.append(path)
-        path = out / "report.json"
-        _write_json(path, sweep_report_dict(report))
-        written.append(path)
-        return written
+        data = sweep_report_dict(report)
+        rows = [[report.config.parameter, repr(float(row["value"]))] + agg_row
+                for row in data["rows"] for cell in row["cells"]
+                for agg_row in _aggregate_rows(cell)]
+        return [_write_csv(out / "sweep.csv", SWEEP_CSV_HEADER, rows),
+                _write_json(out / "report.json", data)]
 
     traces = [(r, np.asarray(r.trace, dtype=float)) for cell in report.cells
               for r in cell.records if r.trace is not None and len(r.trace)]
@@ -474,20 +457,14 @@ def emit_outputs(report, out_dir) -> list[Path]:
             f"runs in {sorted(dims)} dimensions cannot share one trace.csv header"
         )
 
-    run_rows = [_record_row(r) for cell in report.cells for r in cell.records]
-    path = out / "runs.csv"
-    _write_csv(path, RUNS_CSV_HEADER, run_rows)
-    written.append(path)
-
-    agg_rows = [row for cell in report.cells for row in _aggregate_rows(cell)]
-    path = out / "aggregates.csv"
-    _write_csv(path, AGGREGATES_CSV_HEADER, agg_rows)
-    written.append(path)
-
-    path = out / "report.json"
-    _write_json(path, experiment_report_dict(report))
-    written.append(path)
-
+    data = experiment_report_dict(report)
+    written = [
+        _write_csv(out / "runs.csv", RUNS_CSV_HEADER,
+                   [_record_row(run) for cell in data["cells"] for run in cell["runs"]]),
+        _write_csv(out / "aggregates.csv", AGGREGATES_CSV_HEADER,
+                   [row for cell in data["cells"] for row in _aggregate_rows(cell)]),
+        _write_json(out / "report.json", data),
+    ]
     trace_rows = [
         [record.algorithm, record.problem, record.seed, int(gen), int(subpop)]
         + [_sig17(c) for c in coords]
@@ -496,7 +473,5 @@ def emit_outputs(report, out_dir) -> list[Path]:
         for gen, subpop, *coords, best_f, spreading in trace.tolist()
     ]
     if trace_rows:
-        path = out / "trace.csv"
-        _write_csv(path, trace_csv_header(dims.pop()), trace_rows)
-        written.append(path)
+        written.append(_write_csv(out / "trace.csv", trace_csv_header(dims.pop()), trace_rows))
     return written

@@ -41,7 +41,8 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
     Every ``group_size`` consecutive records are combined — elapsed time
     and evaluation counts summed, final bests concatenated — so a group's
     NGP is computed over the same number of search attempts as one
-    multipopulation run.
+    multipopulation run. Its ``matched_minimizers`` is the union of the
+    runs' sets, ``None`` unless every run has been scored.
     """
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
@@ -52,6 +53,7 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
     groups = []
     for start in range(0, len(records), group_size):
         chunk = records[start:start + group_size]
+        matched = [r.matched_minimizers for r in chunk]
         groups.append(
             RunRecord(
                 algorithm=chunk[0].algorithm,
@@ -61,6 +63,7 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
                 final_bests=[b for r in chunk for b in r.final_bests],
                 generations_used=[g for r in chunk for g in r.generations_used],
                 problem=chunk[0].problem,
+                matched_minimizers=None if None in matched else set().union(*matched),
             )
         )
     return groups

@@ -31,7 +31,7 @@ from .core import (
 )
 from .deflation import PenaltyParams, penalty_batch
 from .errors import ConfigurationError, EvaluationError
-from .rng import as_stream
+from .rng import RngStream
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class MultiParams:
             raise ConfigurationError("subpops must be >= 1")
         if self.switch_tol is not None and not self.switch_tol > self.de.spread_tol:
             raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
-
-
-def _final_bests(pop: np.ndarray, fit: np.ndarray) -> list[Point]:
-    """Each subpopulation's best member by base fitness; lowest index wins ties."""
-    return [Point(pop[j, i], fit[j, i]) for j, i in enumerate(fit.argmin(axis=1).tolist())]
 
 
 def subpop_spreading(pop: np.ndarray, fit: np.ndarray, j: int, bounds: Bounds) -> float:
@@ -162,7 +157,7 @@ def _run_engine(
     subpopulation. Treat them as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
-    stream = as_stream(rng)
+    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
     counter = _CountingObjective(objective)
     t0 = time.perf_counter()
     gens = [0] * nsp
@@ -178,7 +173,7 @@ def _run_engine(
             seed=stream.seed,
             elapsed_seconds=time.perf_counter() - t0,
             nfe=counter.count,
-            final_bests=[] if anchors is None else _final_bests(pop, fit),
+            final_bests=[] if anchors is None else list(map(Point, anchors, fit.min(axis=1))),
             generations_used=list(gens),
             trace=trace_array,
         )

@@ -170,9 +170,3 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
-
-def as_stream(rng) -> RngStream:
-    """Coerce an int seed or RngStream into an RngStream."""
-    if isinstance(rng, RngStream):
-        return rng
-    return RngStream(int(rng))

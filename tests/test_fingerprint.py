@@ -152,6 +152,16 @@ GOLDEN_OUTPUTS = {
             "report.json": "01eeaac93d4eeacc857b0269c318af9708de6b199c69074cb3447eb48e9016f7",
         },
     ),
+    # One run per cell: every aggregates.csv row is blank and every cell's
+    # "aggregates" is null.
+    "run one": (
+        ["run", "--problem", "B3", "--runs", "1"],
+        {
+            "runs.csv": "e7c08808de9cff6ea3b73191ebcd77203fd2bf4d9c3947f8b850fc206e1a40d0",
+            "aggregates.csv": "9823621de25e8a15c2899f2471529b32c40a2a990205e264a1d753f99daa685f",
+            "report.json": "dccde5ae3e62cdd161d9cd99a730c95b5167da64a1a57724777e409da26051b9",
+        },
+    ),
 }
 
 
@@ -194,3 +204,46 @@ def test_cli_output_files_match_golden(command, tmp_path, capsys):
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(golden)
     assert {name: _blanked_digest(tmp_path / name) for name in golden} == golden
+
+
+# emit_outputs of an experiment whose mde-itmf seed-12 run fails with a
+# partial record: pins the failures block, the failed cell's blank rows and
+# the complete DE cell's groups next to it.
+GOLDEN_FAILED_RUN = {
+    "runs.csv": "7c6f245344e7313349cf3cf7cc1b092bca158799aa530f2867ca51ff3e2e89b1",
+    "aggregates.csv": "18000e097082d06e66bd21b46577ef66c1d3f1d3a8c70c598e91b7d53008073a",
+    "report.json": "308a8ee04670295b9aba8764f7ba0e7b50695acc1fd45ab7f598414a5479ccaf",
+}
+
+
+def test_failed_run_outputs_match_golden(tmp_path, monkeypatch):
+    import multide.harness as hz
+
+    real_get_problem, real_single_run = hz.get_problem, hz._single_run
+
+    def flaky_problem(pid):
+        problem = real_get_problem(pid)
+        calls = {"n": 0}
+
+        def flaky(p):
+            calls["n"] += 1
+            return float("nan") if calls["n"] > 40 else problem.objective(p)
+
+        return replace(problem, objective=flaky)
+
+    def one_flaky_run(problem_id, algorithm, seed, params, trace):
+        with monkeypatch.context() as m:
+            if (algorithm, seed) == ("mde-itmf", 12):
+                m.setattr(hz, "get_problem", flaky_problem)
+            return real_single_run(problem_id, algorithm, seed, params, trace)
+
+    monkeypatch.setattr(hz, "_single_run", one_flaky_run)
+    config = hz.ExperimentConfig(problems=["B3"], algorithms=["de", "mde-itmf"], runs=2, seed=11)
+    report = hz.run_experiment(config)
+    assert [f["seed"] for f in report.failures] == [12]
+    assert report.failures[0]["nfe"] > 40
+    assert report.cells[0].groups is not None and report.cells[1].aggregates is None
+    hz.emit_outputs(report, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(GOLDEN_FAILED_RUN)
+    assert {name: _blanked_digest(tmp_path / name)
+            for name in GOLDEN_FAILED_RUN} == GOLDEN_FAILED_RUN

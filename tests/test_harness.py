@@ -17,6 +17,7 @@ from multide import (
     SweepConfig,
     emit_outputs,
     get_problem,
+    match_minimizers,
     run_mde_itmf,
 )
 from multide.cli import _parser
@@ -83,6 +84,12 @@ def test_config_validation():
         ExperimentConfig(problems=["B1"], runs=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=["B1"], overrides={"population": 30})
+    for repeated in ({"problems": ["B3", "six-hump camel"]}, {"problems": ["B1", "b1"]},
+                     {"algorithms": ["de", "dewi", "de"]}):
+        with pytest.raises(ConfigurationError, match="more than once"):
+            ExperimentConfig(**{"problems": ["B1"], **repeated})
+    # names are stored as given
+    assert ExperimentConfig(problems=["six-hump camel", "B1"]).problems == ["six-hump camel", "B1"]
 
 
 def test_invalid_override_value_rejected_before_any_run():
@@ -220,6 +227,15 @@ def test_experiment_shapes_and_grouping():
     # a group sums subpops records, so the two means differ here
     assert de_cell.aggregates["nfe"].mean != pytest.approx(
         np.mean([r.nfe for r in de_cell.records]))
+
+
+def test_de_group_matches_equal_matching_its_pooled_bests():
+    report = run_experiment(small_config(problems=["B1", "B3"], algorithms=["de"], runs=3))
+    for cell in report.cells:
+        problem = get_problem(cell.problem)
+        assert len(cell.groups) == 3
+        for group in cell.groups:
+            assert group.matched_minimizers == match_minimizers(group.final_bests, problem)
 
 
 def test_single_run_refuses_aggregation():
@@ -532,6 +548,9 @@ MALFORMED_CLI = [
     ["run", "--param", "eps=nan"],
     ["run", "--param", "tol=nan"],
     ["run", "--seed", "-1"],
+    # with the appended --problem B3: one problem named by id and by name
+    ["run", "--problem", "six-hump camel"],
+    ["run", "--algo", "de", "--algo", "de"],
 ]
 
 
@@ -549,8 +568,10 @@ def test_cli_refuses_malformed_overrides_before_any_run(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-# Each once ended in a raw TypeError, or ran with a fractional seed or a
-# boolean run count. The sweep's runs_per_value comes from the config's runs.
+# Each once ended in a raw TypeError or JSONDecodeError, ran with a
+# fractional seed or a boolean run count, or ran a cell twice. The sweep's
+# runs_per_value comes from the config's runs. A string is the file's raw
+# text, a dict is written as JSON.
 MALFORMED_CONFIGS = [
     ("run", {"seed": "5"}),
     ("run", {"runs": 2.5}),
@@ -563,6 +584,12 @@ MALFORMED_CONFIGS = [
     ("run", {"problems": "B3"}),
     ("run", {"seeds": 5}),
     ("run", {"out_dir": 5}),
+    ("run", "{bad"),
+    ("run", "[1, 2]"),
+    ("run", "5"),
+    ("sweep", "{bad"),
+    ("run", {"problems": ["B3", "six-hump camel"]}),
+    ("run", {"algorithms": ["de", "de"]}),
 ]
 
 
@@ -570,7 +597,7 @@ MALFORMED_CONFIGS = [
                          ids=lambda case: case if isinstance(case, str) else json.dumps(case))
 def test_cli_refuses_malformed_runs_and_seed_in_config(command, settings, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(settings))
+    config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     out = tmp_path / "out"
     extra = ["--sweep-param", "np", "--values", "8"] if command == "sweep" else []
     code = cli_main([command, "--config", str(config), "--problem", "B3", "--algo", "de",
@@ -605,6 +632,15 @@ def test_cli_trace_takes_no_runs_or_parallel(capsys):
             cli_main(["trace", *flags])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_help_states_each_subcommands_defaults(capsys):
+    for command, shown in (("trace", ("B1", "mde-itmf")), ("run", ("all", "all"))):
+        with pytest.raises(SystemExit):
+            cli_main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"problem id or name (repeatable; default: {shown[0]})" in out
+        assert f"algorithm (repeatable; default: {shown[1]})" in out
 
 
 def test_cli_rejects_bad_input(capsys):

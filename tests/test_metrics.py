@@ -79,6 +79,22 @@ def test_group_of_identical_runs_has_ngp_one():
     assert count_ngp(group.final_bests, problem) == 1
 
 
+def test_group_matches_are_the_union_of_its_runs_matches():
+    problem = get_problem("B1")
+    bests = [pts(problem.known_minimizers[0]), pts(problem.known_minimizers[2]), pts((0.0, 0.0)),
+             pts(problem.known_minimizers[0])]
+    records = [record(seed=i, nfe=50, bests=b) for i, b in enumerate(bests)]
+    for r in records:
+        r.matched_minimizers = match_minimizers(r.final_bests, problem)
+    (group,) = group_de_runs(records, 4)
+    assert group.matched_minimizers == {0, 2} == match_minimizers(group.final_bests, problem)
+    assert group.ngp == 2
+    # one unscored run leaves the whole group unscored
+    records[2].matched_minimizers = None
+    (group,) = group_de_runs(records, 4)
+    assert group.matched_minimizers is None and group.ngp is None
+
+
 def test_group_de_runs_rejects_indivisible_count():
     records = [record(seed=i, nfe=1, bests=pts((0.0, 0.0))) for i in range(10)]
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from multide import (
     subpop_spreading,
 )
 from multide.core import _spreading
-from multide.multipop import _final_bests, without_switch_tol
+from multide.multipop import without_switch_tol
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
@@ -36,32 +36,33 @@ def make_state(subpops, objective):
     return pop, fit
 
 
+# A run's final bests are its anchor rows with their base fitness, so these
+# pin which member snapshot_anchors picks.
+
 def test_best_of_subpop_tie_goes_to_lowest_index():
     pop, fit = make_state([[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]], sphere)
-    (best,) = _final_bests(pop, fit)
-    assert np.array_equal(best.coords, [1.0, 1.0])
+    (best,) = snapshot_anchors(pop, fit)
+    assert np.array_equal(best, [1.0, 1.0])
     # rows 1 and 3 tie for the lowest fitness at different points
     pop, fit = make_state([[(1.0, 1.0), (0.5, -0.5), (1.0, 1.0), (-0.5, 0.5)]], sphere)
     assert fit[0, 1] == fit[0, 3]
-    (best,) = _final_bests(pop, fit)
-    assert np.array_equal(best.coords, [0.5, -0.5])
-    assert best.fitness == fit[0, 1]
+    (best,) = snapshot_anchors(pop, fit)
+    assert np.array_equal(best, [0.5, -0.5])
 
 
 def test_best_of_subpop_himmelblau_pair():
     problem = get_problem("B1")
     pop, fit = make_state([[(0.0, 0.0), (3.0, 2.0)]], problem.objective)
-    (best,) = _final_bests(pop, fit)
-    assert np.array_equal(best.coords, [3.0, 2.0])
-    assert best.fitness == 0.0
+    (best,) = snapshot_anchors(pop, fit)
+    assert np.array_equal(best, [3.0, 2.0])
+    assert fit.min(axis=1).tolist() == [0.0]
 
 
 def test_best_of_subpop_invariant_to_non_best_permutation():
     pts = [(0.5, 0.5), (1.0, 0.0), (0.1, 0.1), (0.9, 0.9)]
-    a = _final_bests(*make_state([pts], sphere))
-    b = _final_bests(*make_state([[pts[3], pts[1], pts[2], pts[0]]], sphere))
-    assert np.array_equal(a[0].coords, b[0].coords)
-    assert a[0].fitness == b[0].fitness
+    a = snapshot_anchors(*make_state([pts], sphere))
+    b = snapshot_anchors(*make_state([[pts[3], pts[1], pts[2], pts[0]]], sphere))
+    assert np.array_equal(a, b)
 
 
 def test_final_bests_one_point_per_subpop_as_copies():
@@ -72,11 +73,26 @@ def test_final_bests_one_point_per_subpop_as_copies():
         ],
         sphere,
     )
-    bests = _final_bests(pop, fit)
-    assert [p.coords.tolist() for p in bests] == [[0.2, 0.2], [-0.1, 0.1]]
-    assert [p.fitness for p in bests] == [fit[0, 1], fit[1, 2]]
+    bests = snapshot_anchors(pop, fit)
+    assert bests.tolist() == [[0.2, 0.2], [-0.1, 0.1]]
     pop[:] = 0.0
-    assert bests[1].coords.tolist() == [-0.1, 0.1]
+    assert bests[1].tolist() == [-0.1, 0.1]
+
+
+def test_finished_record_bests_are_the_last_anchor_rows():
+    problem = get_problem("B1")
+    last = {}
+
+    def watch(gen, pop, fit, frozen):
+        last.update(pop=pop.copy(), fit=fit.copy())
+
+    for algo, run in (("mde-itmf", run_mde_itmf), ("dewi", run_dewi)):
+        params = problem.default_params if algo == "dewi" else without_switch_tol(
+            problem.default_params)
+        record = run(problem.objective, problem.bounds, params, 3, observer=watch)
+        assert np.array_equal([p.coords for p in record.final_bests],
+                              snapshot_anchors(last["pop"], last["fit"]))
+        assert [p.fitness for p in record.final_bests] == last["fit"].min(axis=1).tolist()
 
 
 def test_subpop_spreading_matches_whole_population_measure():
