@@ -18,15 +18,7 @@ from .harness import (
     run_sweep,
 )
 from .metrics import AggregateStats, aggregate, count_ngp, group_de_runs, match_minimizers
-from .multipop import (
-    MultiParams,
-    run_de,
-    run_dewi,
-    run_mde_itmf,
-    selection_step,
-    snapshot_anchors,
-    subpop_spreading,
-)
+from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, selection_step
 from .rng import RngStream
 
 __version__ = "0.1.0"
@@ -61,7 +53,5 @@ __all__ = [
     "run_mde_itmf",
     "run_sweep",
     "selection_step",
-    "snapshot_anchors",
-    "subpop_spreading",
     "system_problem",
 ]

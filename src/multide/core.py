@@ -10,6 +10,7 @@ canonical ``run_de`` included, live in :mod:`multide.multipop`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,11 @@ from .rng import RngStream
 # Below this normalized magnitude the spreading denominator is treated as
 # degenerate and the measure falls back to mean distance / domain diagonal.
 DEGENERATE_NORM = 1e-12
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,6 +64,8 @@ class Bounds:
             raise ConfigurationError("bounds must have at least one dimension")
         if not np.all(self.lower < self.upper):
             raise ConfigurationError("every lower bound must be strictly below its upper bound")
+        if not np.all(np.isfinite(self.span)):
+            raise ConfigurationError("bounds must be finite, with finite side lengths")
 
     @property
     def dim(self) -> int:
@@ -97,14 +105,15 @@ class DEParams:
     spread_tol: float = 5e-5
 
     def __post_init__(self):
-        if self.pop_size < 4:
-            raise ConfigurationError("pop_size must be >= 4 (mutation needs three distinct donors)")
+        if not is_count(self.pop_size) or self.pop_size < 4:
+            raise ConfigurationError(
+                "pop_size must be an integer >= 4 (mutation needs three distinct donors)")
         if not 0.0 <= self.F <= 1.0:
             raise ConfigurationError("F must lie in [0, 1]")
         if not 0.0 <= self.CR <= 1.0:
             raise ConfigurationError("CR must lie in [0, 1]")
-        if self.max_generations < 1:
-            raise ConfigurationError("max_generations must be >= 1")
+        if not is_count(self.max_generations) or self.max_generations < 1:
+            raise ConfigurationError("max_generations must be an integer >= 1")
         if not self.spread_tol > 0.0:
             raise ConfigurationError("spread_tol must be positive")
 

@@ -30,8 +30,9 @@ class PenaltyParams:
     radius: float
 
     def __post_init__(self):
-        if not self.magnitude > 0.0:
-            raise ConfigurationError("penalty magnitude must be positive")
+        # An infinite magnitude would score every point outside all radii inf * 0 = NaN.
+        if not 0.0 < self.magnitude < np.inf:
+            raise ConfigurationError("penalty magnitude must be positive and finite")
         if not self.radius > 0.0:
             raise ConfigurationError("penalty radius must be positive")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
@@ -22,14 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import get_problem
-from .errors import ConfigurationError
+from .core import is_count
+from .errors import ConfigurationError, EvaluationError
 from .metrics import aggregate, group_de_runs, match_minimizers
-from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, without_switch_tol
+from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf
 
 # Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
 ENGINES = {
     "de": (run_de, lambda params: params.de),
-    "mde-itmf": (run_mde_itmf, without_switch_tol),
+    "mde-itmf": (run_mde_itmf, lambda params: replace(params, switch_tol=None)),
     "dewi": (run_dewi, lambda params: params),
 }
 ALGORITHMS = tuple(ENGINES)
@@ -148,7 +148,7 @@ def _whole(key: str, value) -> int:
     """``value`` as an int; refuses bools, strings and non-integral numbers."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if is_count(value):
         return int(value)
     raise ConfigurationError(f"{key} must be an integer, got {value!r}")
 
@@ -204,6 +204,11 @@ def _run_job(args):
     except Exception as err:  # run errors are recorded, the experiment continues
         failure = {"problem": problem_id, "algorithm": algorithm,
                    "seed": seed, "error": f"{type(err).__name__}: {err}"}
+        if isinstance(err, EvaluationError) and err.point is not None:
+            # json writes the floats exactly; the value is a string because
+            # standard JSON has no NaN or infinity.
+            failure["point"] = [float(c) for c in err.point]
+            failure["value"] = repr(err.value)
         partial = getattr(err, "partial_record", None)
         if partial is not None:
             failure["nfe"] = int(partial.nfe)

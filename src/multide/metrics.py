@@ -24,8 +24,7 @@ def match_minimizers(final_bests: Sequence[Point], problem) -> set[int]:
     minimizers = np.asarray(problem.known_minimizers, dtype=float)
     tol = float(problem.match_tolerance)
     for best in final_bests:
-        coords = np.asarray(getattr(best, "coords", best), dtype=float)
-        dist = np.sqrt(np.sum((minimizers - coords) ** 2, axis=1))
+        dist = np.sqrt(np.sum((minimizers - best.coords) ** 2, axis=1))
         matched.update(int(i) for i in np.flatnonzero(dist <= tol))
     return matched
 

@@ -14,7 +14,7 @@ engines reproduce ``run_de`` exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,6 +28,7 @@ from .core import (
     evaluate_batch,
     generate_trials,
     init_population,
+    is_count,
 )
 from .deflation import PenaltyParams, penalty_batch
 from .errors import ConfigurationError, EvaluationError
@@ -49,20 +50,10 @@ class MultiParams:
     switch_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.subpops < 1:
-            raise ConfigurationError("subpops must be >= 1")
+        if not is_count(self.subpops) or self.subpops < 1:
+            raise ConfigurationError("subpops must be an integer >= 1")
         if self.switch_tol is not None and not self.switch_tol > self.de.spread_tol:
             raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
-
-
-def subpop_spreading(pop: np.ndarray, fit: np.ndarray, j: int, bounds: Bounds) -> float:
-    """Spreading of subpopulation ``j`` around its own best member."""
-    return _spreading(pop[j], pop[j, fit[j].argmin()], bounds)
-
-
-def snapshot_anchors(pop: np.ndarray, fit: np.ndarray) -> np.ndarray:
-    """(nsp, d) anchor array: row j is subpopulation j's current best, copied."""
-    return pop[np.arange(len(pop)), fit.argmin(axis=1)]
 
 
 def selection_step(
@@ -183,8 +174,9 @@ def _run_engine(
         for j in range(nsp):
             pop[j] = init_population(bounds, de.pop_size, streams[j])
             fit[j] = evaluate_batch(counter, pop[j])
-        # anchors[j] is subpopulation j's best row, rewritten whenever fit[j] changes.
-        anchors = snapshot_anchors(pop, fit)
+        # anchors[j] is a copy of subpopulation j's best row (ties go to the
+        # lowest index), rewritten whenever fit[j] changes.
+        anchors = pop[np.arange(nsp), fit.argmin(axis=1)]
         frozen = [False] * nsp
 
         for gen in range(1, de.max_generations + 1):
@@ -193,26 +185,22 @@ def _run_engine(
             for j in range(nsp):
                 if frozen[j]:
                     continue
-                coords = pop[j]
+                coords, fitness = pop[j], fit[j]  # views: writing them updates pop and fit
                 spread = _spreading(coords, anchors[j], bounds)
                 if spread < de.spread_tol:
                     frozen[j] = True
-                    if collect_trace:
-                        trace.append((gen, j, *anchors[j].tolist(), float(fit[j].min()), spread))
-                    continue
-                penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
-                trials = generate_trials(coords, de.F, de.CR, streams[j])
-                new_coords, new_fitness = selection_step(
-                    coords, fit[j], trials, j,
-                    anchors if penalized else None, penalty, bounds, counter,
-                )
-                pop[j] = new_coords
-                fit[j] = new_fitness
-                b = int(new_fitness.argmin())
-                anchors[j] = new_coords[b]
-                gens[j] += 1
+                else:
+                    penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
+                    trials = generate_trials(coords, de.F, de.CR, streams[j])
+                    coords[:], fitness[:] = selection_step(
+                        coords, fitness, trials, j,
+                        anchors if penalized else None, penalty, bounds, counter,
+                    )
+                    anchors[j] = coords[fitness.argmin()]
+                    gens[j] += 1
                 if collect_trace:
-                    trace.append((gen, j, *new_coords[b].tolist(), float(new_fitness[b]), spread))
+                    best_f = float(fitness[fitness.argmin()])  # the anchor's own fitness
+                    trace.append((gen, j, *anchors[j].tolist(), best_f, spread))
             if observer is not None:
                 observer(gen, pop, fit, frozen)
 
@@ -292,8 +280,3 @@ def run_dewi(
         raise ConfigurationError("run_dewi needs a switch tolerance (see MultiParams.switch_tol)")
     return _run_engine(objective, bounds, params, rng, "dewi",
                        collect_trace=collect_trace, observer=observer)
-
-
-def without_switch_tol(params: MultiParams) -> MultiParams:
-    """Copy of ``params`` with the hybrid switch tolerance removed."""
-    return replace(params, switch_tol=None)

@@ -25,7 +25,6 @@ from multide.cli import main as cli_main
 from multide.core import _spreading, generate_trials
 from multide.deflation import PenaltyParams, penalty_batch
 from multide.harness import ExperimentConfig, SweepConfig, run_sweep
-from multide.multipop import without_switch_tol
 
 RUNS = 30
 
@@ -36,7 +35,7 @@ def verdict(name, ok, detail):
 
 
 def mde_records(problem, runs=RUNS):
-    params = without_switch_tol(problem.default_params)
+    params = replace(problem.default_params, switch_tol=None)
     return [run_mde_itmf(problem.objective, problem.bounds, params, seed)
             for seed in range(runs)]
 
@@ -171,7 +170,7 @@ def test_criterion_5_operator_properties(b1):
         for coords in pop:
             contained &= bool(b1.bounds.contains_all(coords).all())
 
-    run_mde_itmf(b1.objective, b1.bounds, without_switch_tol(b1.default_params),
+    run_mde_itmf(b1.objective, b1.bounds, replace(b1.default_params, switch_tol=None),
                  1, observer=watch)
 
     best_history = []
@@ -201,7 +200,7 @@ def test_criterion_5_operator_properties(b1):
 
     mp.selection_step = checking
     try:
-        run_mde_itmf(b1.objective, b1.bounds, without_switch_tol(b1.default_params), 2)
+        run_mde_itmf(b1.objective, b1.bounds, replace(b1.default_params, switch_tol=None), 2)
     finally:
         mp.selection_step = original
 
@@ -221,7 +220,7 @@ def test_criterion_5_operator_properties(b1):
     collapsed = np.full((8, 2), 0.4)
     zero_spread = _spreading(collapsed, collapsed[0], b1.bounds) == 0.0
 
-    single = replace(without_switch_tol(b1.default_params), subpops=1)
+    single = replace(b1.default_params, switch_tol=None, subpops=1)
     equal = True
     for seed in (0, 1):
         a = run_de(b1.objective, b1.bounds, b1.default_params.de, seed)

@@ -52,6 +52,27 @@ def test_bounds_validation():
     assert b.contains([0.0, 1.0]) and not b.contains([0.0, 2.5])
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ([-np.inf, -1.0], [np.inf, 1.0]),
+    ([0.0, 0.0], [1.0, np.inf]),
+    ([-1e308, 0.0], [1e308, 1.0]),  # finite limits, infinite side length
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bounds_refuse_non_finite_limits(lower, upper):
+    with pytest.raises(ConfigurationError, match="finite"):
+        Bounds(np.array(lower), np.array(upper))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("pop_size", 10.5), ("pop_size", 10.0), ("pop_size", True),
+    ("max_generations", 5.5), ("max_generations", "5"),
+])
+def test_de_params_refuse_non_integer_counts(field, value):
+    kwargs = {"pop_size": 10, "F": 0.5, "CR": 0.5, field: value}
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        DEParams(**kwargs)
+
+
 def test_de_params_validation():
     with pytest.raises(ConfigurationError):
         DEParams(pop_size=3, F=0.5, CR=0.5)
@@ -61,6 +82,8 @@ def test_de_params_validation():
         DEParams(pop_size=10, F=0.5, CR=-0.1)
     with pytest.raises(ConfigurationError):
         DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=0.0)
+    de = DEParams(pop_size=np.int64(10), F=0.5, CR=0.5, max_generations=np.int32(5))
+    assert (de.pop_size, de.max_generations) == (10, 5)
 
 
 # ----------------------------------------------------------- initialization

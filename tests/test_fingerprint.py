@@ -207,12 +207,13 @@ def test_cli_output_files_match_golden(command, tmp_path, capsys):
 
 
 # emit_outputs of an experiment whose mde-itmf seed-12 run fails with a
-# partial record: pins the failures block, the failed cell's blank rows and
-# the complete DE cell's groups next to it.
+# partial record: pins the failures block, with the exact offending point and
+# value, the failed cell's blank rows and the complete DE cell's groups next
+# to it.
 GOLDEN_FAILED_RUN = {
     "runs.csv": "7c6f245344e7313349cf3cf7cc1b092bca158799aa530f2867ca51ff3e2e89b1",
     "aggregates.csv": "18000e097082d06e66bd21b46577ef66c1d3f1d3a8c70c598e91b7d53008073a",
-    "report.json": "308a8ee04670295b9aba8764f7ba0e7b50695acc1fd45ab7f598414a5479ccaf",
+    "report.json": "306677d4452315d77679d924e02750ab42eeeb4a62887e4436435b4a5ccedcef",
 }
 
 

@@ -38,7 +38,6 @@ from multide.harness import (
     run_experiment,
     run_sweep,
 )
-from multide.multipop import without_switch_tol
 
 
 def small_config(**kw):
@@ -186,7 +185,7 @@ def test_algorithms_are_the_engine_table():
         assert tuple(algo.choices) == ALGORITHMS
     params = get_problem("B1").default_params
     assert ENGINES["de"][1](params) == params.de
-    assert ENGINES["mde-itmf"][1](params) == without_switch_tol(params)
+    assert ENGINES["mde-itmf"][1](params) == replace(params, switch_tol=None)
     assert ENGINES["dewi"][1](params) == params
 
 
@@ -270,7 +269,7 @@ def test_failed_runs_are_recorded_and_experiment_continues():
     assert len(report.cells[0].records) == 1
 
 
-def test_failed_run_reports_its_partial_record(monkeypatch):
+def test_failed_run_reports_its_partial_record(monkeypatch, tmp_path):
     import multide.harness as hz
 
     real_get_problem = hz.get_problem
@@ -288,15 +287,21 @@ def test_failed_run_reports_its_partial_record(monkeypatch):
     monkeypatch.setattr(hz, "get_problem", flaky_problem)
     report = run_experiment(small_config(algorithms=["mde-itmf"], runs=2))
     assert len(report.failures) == 2
-    for failure in report.failures:
+    emit_outputs(report, tmp_path)
+    written = json.loads((tmp_path / "report.json").read_text())["failures"]
+    for failure, read_back in zip(report.failures, written):
         problem = flaky_problem("B3")
         with pytest.raises(EvaluationError) as info:
             run_mde_itmf(problem.objective, problem.bounds,
-                         without_switch_tol(problem.default_params), failure["seed"])
+                         replace(problem.default_params, switch_tol=None), failure["seed"])
         partial = info.value.partial_record
         assert failure["nfe"] == partial.nfe > 40
         assert failure["generations_used"] == partial.generations_used
         assert failure["error"].startswith("EvaluationError")
+        # The offending point survives report.json bit for bit.
+        point = np.array(read_back["point"])
+        assert point.tobytes() == info.value.point.tobytes()
+        assert read_back["value"] == "nan"
 
 
 def test_records_identical_across_reruns_modulo_elapsed():
@@ -545,6 +550,7 @@ MALFORMED_CLI = [
     ["run", "--config", "{config}"],
     ["run", "--param", "rho=nan"],
     ["run", "--param", "beta=nan"],
+    ["run", "--param", "beta=inf"],
     ["run", "--param", "eps=nan"],
     ["run", "--param", "tol=nan"],
     ["run", "--seed", "-1"],

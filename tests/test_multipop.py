@@ -16,129 +16,132 @@ from multide import (
     Point,
     RngStream,
     get_problem,
+    init_population,
     run_de,
     run_dewi,
     run_mde_itmf,
     selection_step,
-    snapshot_anchors,
-    subpop_spreading,
 )
 from multide.core import _spreading
-from multide.multipop import without_switch_tol
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
 
-def make_state(subpops, objective):
-    """Build the engine's (pop, fit) arrays from per-subpopulation coordinate lists."""
-    pop = np.array(subpops, dtype=float)
-    fit = np.array([[objective(p) for p in coords] for coords in pop])
-    return pop, fit
-
-
 # A run's final bests are its anchor rows with their base fitness, so these
-# pin which member snapshot_anchors picks.
+# pin which member the engine takes as a subpopulation's best.
+
+B1 = get_problem("B1")
+B1_MDE = replace(B1.default_params, switch_tol=None)
+NSP, N = B1_MDE.subpops, B1_MDE.de.pop_size
+
+
+def start_anchors(init_values, seed=5):
+    """Start anchors of a B1 mde-itmf run, and each subpopulation's initial draw.
+
+    The objective returns ``init_values`` (shaped (nsp, pop_size), in
+    evaluation order) for the initial populations, or B1's own values when
+    it is None, and NaN on the first trial. The run stops before any step
+    moves an anchor, so the partial record's bests are the start anchors.
+    """
+    draws = [init_population(B1.bounds, N, s) for s in RngStream(seed).split(NSP)]
+    if init_values is None:
+        init_values = [B1.objective.batch(d) for d in draws]
+    values = iter(np.asarray(init_values, dtype=float).ravel().tolist())
+    with pytest.raises(EvaluationError) as info:
+        run_mde_itmf(lambda p: next(values, float("nan")), B1.bounds, B1_MDE, seed)
+    partial = info.value.partial_record
+    assert partial.generations_used == [0] * NSP
+    return partial.final_bests, draws
+
 
 def test_best_of_subpop_tie_goes_to_lowest_index():
-    pop, fit = make_state([[(1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]], sphere)
-    (best,) = snapshot_anchors(pop, fit)
-    assert np.array_equal(best, [1.0, 1.0])
-    # rows 1 and 3 tie for the lowest fitness at different points
-    pop, fit = make_state([[(1.0, 1.0), (0.5, -0.5), (1.0, 1.0), (-0.5, 0.5)]], sphere)
-    assert fit[0, 1] == fit[0, 3]
-    (best,) = snapshot_anchors(pop, fit)
-    assert np.array_equal(best, [0.5, -0.5])
+    bests, draws = start_anchors(np.ones((NSP, N)))
+    assert np.array_equal([b.coords for b in bests], [d[0] for d in draws])
+    assert [b.fitness for b in bests] == [1.0] * NSP
+    # rows 1 and 3 tie for the lowest value at different points
+    values = np.ones((NSP, N))
+    values[:, [1, 3]] = 0.5
+    bests, draws = start_anchors(values)
+    assert np.array_equal([b.coords for b in bests], [d[1] for d in draws])
 
 
 def test_best_of_subpop_himmelblau_pair():
-    problem = get_problem("B1")
-    pop, fit = make_state([[(0.0, 0.0), (3.0, 2.0)]], problem.objective)
-    (best,) = snapshot_anchors(pop, fit)
-    assert np.array_equal(best, [3.0, 2.0])
-    assert fit.min(axis=1).tolist() == [0.0]
+    bests, draws = start_anchors(None)
+    for best, draw in zip(bests, draws):
+        values = B1.objective.batch(draw)
+        assert np.array_equal(best.coords, draw[values.argmin()])
+        assert best.fitness == values.min()
 
 
 def test_best_of_subpop_invariant_to_non_best_permutation():
-    pts = [(0.5, 0.5), (1.0, 0.0), (0.1, 0.1), (0.9, 0.9)]
-    a = snapshot_anchors(*make_state([pts], sphere))
-    b = snapshot_anchors(*make_state([[pts[3], pts[1], pts[2], pts[0]]], sphere))
-    assert np.array_equal(a, b)
+    # Each subpopulation's best sits at its own row; reversing the values of
+    # the other rows moves no anchor.
+    values = np.linspace(1.0, 2.0, NSP * N).reshape(NSP, N)
+    best_rows = [2, 5, 7, 11]
+    values[np.arange(NSP), best_rows] = 0.0
+    reversed_values = values.copy()
+    for j, row in enumerate(best_rows):
+        others = np.delete(np.arange(N), row)
+        reversed_values[j, others] = values[j, others[::-1]]
+    for script in (values, reversed_values):
+        bests, draws = start_anchors(script)
+        assert np.array_equal([b.coords for b in bests],
+                              [d[row] for d, row in zip(draws, best_rows)])
 
 
 def test_final_bests_one_point_per_subpop_as_copies():
-    pop, fit = make_state(
-        [
-            [(1.0, 1.0), (0.2, 0.2), (1.5, 1.5)],
-            [(0.9, 0.9), (1.1, 1.1), (-0.1, 0.1)],
-        ],
-        sphere,
-    )
-    bests = snapshot_anchors(pop, fit)
-    assert bests.tolist() == [[0.2, 0.2], [-0.1, 0.1]]
-    pop[:] = 0.0
-    assert bests[1].tolist() == [-0.1, 0.1]
+    engine_state = {}
+
+    def keep_reference(gen, pop, fit, frozen):
+        engine_state["pop"] = pop
+
+    record = run_mde_itmf(B1.objective, B1.bounds, B1_MDE, 3, observer=keep_reference)
+    assert len(record.final_bests) == NSP
+    before = [b.coords.copy() for b in record.final_bests]
+    engine_state["pop"][:] = 0.0
+    assert np.array_equal([b.coords for b in record.final_bests], before)
 
 
 def test_finished_record_bests_are_the_last_anchor_rows():
-    problem = get_problem("B1")
     last = {}
 
     def watch(gen, pop, fit, frozen):
         last.update(pop=pop.copy(), fit=fit.copy())
 
-    for algo, run in (("mde-itmf", run_mde_itmf), ("dewi", run_dewi)):
-        params = problem.default_params if algo == "dewi" else without_switch_tol(
-            problem.default_params)
-        record = run(problem.objective, problem.bounds, params, 3, observer=watch)
-        assert np.array_equal([p.coords for p in record.final_bests],
-                              snapshot_anchors(last["pop"], last["fit"]))
+    for run, params in ((run_mde_itmf, B1_MDE), (run_dewi, B1.default_params)):
+        record = run(B1.objective, B1.bounds, params, 3, observer=watch)
+        anchors = last["pop"][np.arange(NSP), last["fit"].argmin(axis=1)]
+        assert np.array_equal([p.coords for p in record.final_bests], anchors)
         assert [p.fitness for p in record.final_bests] == last["fit"].min(axis=1).tolist()
 
 
-def test_subpop_spreading_matches_whole_population_measure():
-    coords = RngStream(4).uniform(size=(12, 2))
-    pop, fit = make_state([coords], sphere)
-    best = coords[np.argmin([sphere(c) for c in coords])]
-    assert subpop_spreading(pop, fit, 0, BOX) == pytest.approx(
-        _spreading(coords, best, BOX), rel=1e-15
-    )
+def test_trace_rows_track_each_subpops_best_and_spreading():
+    # One row per live or just-frozen subpopulation and generation: its best
+    # after the generation, and its spreading around its own best before it.
+    states = {}
 
+    def watch(gen, pop, fit, frozen):
+        states[gen] = (pop.copy(), fit.copy(), list(frozen))
 
-def test_subpop_spreading_zero_when_collapsed():
-    pop, fit = make_state([[(0.5, 0.5)] * 5], sphere)
-    assert subpop_spreading(pop, fit, 0, BOX) == 0.0
-
-
-def test_snapshot_anchors_columns_are_subpop_bests():
-    pop, fit = make_state(
-        [
-            [(1.0, 1.0), (0.2, 0.2), (1.5, 1.5)],
-            [(0.9, 0.9), (1.1, 1.1), (-0.1, 0.1)],
-        ],
-        sphere,
-    )
-    anchors = snapshot_anchors(pop, fit)
-    assert anchors.shape == (2, 2) and len(anchors) == 2
-    assert np.array_equal(anchors[0], [0.2, 0.2])
-    assert np.array_equal(anchors[1], [-0.1, 0.1])
-
-
-def test_snapshot_anchors_track_improvements_per_subpop():
-    pop, fit = make_state(
-        [
-            [(1.0, 1.0), (0.5, 0.5), (1.5, 1.5)],
-            [(0.9, 0.9), (1.1, 1.1), (0.8, 0.8)],
-        ],
-        sphere,
-    )
-    before = snapshot_anchors(pop, fit)
-    # subpopulation 1 improves one member; subpopulation 0 untouched
-    pop[1, 0] = [0.05, 0.05]
-    fit[1, 0] = sphere([0.05, 0.05])
-    after = snapshot_anchors(pop, fit)
-    assert np.array_equal(before[0], after[0])
-    assert np.array_equal(after[1], [0.05, 0.05])
-    assert not np.array_equal(before[1], after[1])
+    record = run_mde_itmf(B1.objective, B1.bounds, B1_MDE, 0, collect_trace=True, observer=watch)
+    rows = {(int(r[0]), int(r[1])): r[2:] for r in record.trace}
+    assert len(rows) == len(record.trace)
+    frozen_seen = 0
+    for gen, (pop, fit, frozen) in states.items():
+        for j in range(NSP):
+            was_frozen = gen > 1 and states[gen - 1][2][j]
+            assert ((gen, j) in rows) == (not was_frozen)
+            if was_frozen:
+                continue
+            b = fit[j].argmin()
+            assert np.array_equal(rows[gen, j][:2], pop[j, b])
+            assert rows[gen, j][2] == fit[j, b]
+            if gen > 1:
+                prev_pop, prev_fit, _ = states[gen - 1]
+                before = prev_pop[j, prev_fit[j].argmin()]
+                assert rows[gen, j][3] == _spreading(prev_pop[j], before, B1.bounds)
+            frozen_seen += frozen[j]
+    assert frozen_seen == NSP
 
 
 # ------------------------------------------------------------ selection step
@@ -237,6 +240,15 @@ def test_multiparams_validation():
         MultiParams(de=de, subpops=0)
     with pytest.raises(ConfigurationError):
         MultiParams(de=de, switch_tol=de.spread_tol)
+    for subpops in (2.5, True):
+        with pytest.raises(ConfigurationError, match="subpops must be an integer"):
+            MultiParams(de=de, subpops=subpops)
+    assert MultiParams(de=de, subpops=np.int64(2)).subpops == 2
+
+
+def test_penalty_magnitude_must_be_finite():
+    with pytest.raises(ConfigurationError, match="finite"):
+        PenaltyParams(magnitude=float("inf"), radius=0.1)
 
 
 def test_parameter_bundles_refuse_nan():
@@ -258,15 +270,15 @@ def test_engine_parameter_bundle_contracts():
     with pytest.raises(ConfigurationError):
         run_mde_itmf(problem.objective, problem.bounds, params, 0)  # carries switch_tol
     with pytest.raises(ConfigurationError):
-        run_dewi(problem.objective, problem.bounds, without_switch_tol(params), 0)
-    bare = replace(without_switch_tol(params), penalty=None)
+        run_dewi(problem.objective, problem.bounds, replace(params, switch_tol=None), 0)
+    bare = replace(params, switch_tol=None, penalty=None)
     with pytest.raises(ConfigurationError):
         run_mde_itmf(problem.objective, problem.bounds, bare, 0)
 
 
 def test_single_subpop_engine_reproduces_run_de():
     problem = get_problem("B1")
-    params = replace(without_switch_tol(problem.default_params), subpops=1)
+    params = replace(problem.default_params, switch_tol=None, subpops=1)
     for seed in (0, 1, 2):
         a = run_de(problem.objective, problem.bounds, params.de, seed)
         b = run_mde_itmf(problem.objective, problem.bounds, params, seed)
@@ -283,9 +295,8 @@ def test_dewi_with_huge_switch_tol_is_unpenalized_co_evolution():
     problem = get_problem("B1")
     params = problem.default_params
     huge = replace(params, switch_tol=1e9)
-    vanishing = replace(
-        without_switch_tol(params), penalty=replace(params.penalty, magnitude=1e-300)
-    )
+    vanishing = replace(params, switch_tol=None,
+                        penalty=replace(params.penalty, magnitude=1e-300))
     for seed in (0, 1):
         a = run_dewi(problem.objective, problem.bounds, huge, seed)
         b = run_mde_itmf(problem.objective, problem.bounds, vanishing, seed)
@@ -301,7 +312,7 @@ def test_dewi_with_switch_tol_just_above_eps_matches_penalized_engine():
     tight = replace(params, switch_tol=float(np.nextafter(params.de.spread_tol, np.inf)))
     for seed in (0, 1):
         a = run_dewi(problem.objective, problem.bounds, tight, seed)
-        b = run_mde_itmf(problem.objective, problem.bounds, without_switch_tol(params), seed)
+        b = run_mde_itmf(problem.objective, problem.bounds, replace(params, switch_tol=None), seed)
         assert a.nfe == b.nfe
         for pa, pb in zip(a.final_bests, b.final_bests):
             assert np.array_equal(pa.coords, pb.coords)
@@ -320,7 +331,7 @@ def test_frozen_subpopulations_stay_bitwise_unchanged():
                 assert np.array_equal(fit[j], frozen_snapshots[j][1])
 
     record = run_mde_itmf(
-        problem.objective, problem.bounds, without_switch_tol(problem.default_params),
+        problem.objective, problem.bounds, replace(problem.default_params, switch_tol=None),
         0, observer=watch,
     )
     assert len(frozen_snapshots) == 4  # every subpopulation converged and froze
@@ -331,7 +342,7 @@ def test_engine_nfe_matches_external_counter():
     problem = get_problem("B1")
     counting = CountingObjective(problem.objective)
     record = run_mde_itmf(
-        counting, problem.bounds, without_switch_tol(problem.default_params), 0
+        counting, problem.bounds, replace(problem.default_params, switch_tol=None), 0
     )
     assert record.nfe == counting.count
     assert record.nfe > 0
@@ -340,7 +351,7 @@ def test_engine_nfe_matches_external_counter():
 def test_engine_finds_all_himmelblau_minima_single_run():
     problem = get_problem("B1")
     record = run_mde_itmf(
-        problem.objective, problem.bounds, without_switch_tol(problem.default_params), 0
+        problem.objective, problem.bounds, replace(problem.default_params, switch_tol=None), 0
     )
     from multide import count_ngp
 
@@ -351,7 +362,7 @@ def test_engine_finds_all_himmelblau_minima_single_run():
 
 def test_observer_sees_live_base_fitness_and_sticky_freezing():
     problem = get_problem("B1")
-    params = without_switch_tol(problem.default_params)
+    params = replace(problem.default_params, switch_tol=None)
     seen = {"gens": [], "frozen": [False] * params.subpops}
 
     def watch(gen, pop, fit, frozen):
@@ -380,7 +391,7 @@ def test_engine_abort_carries_partial_record():
         return float("nan") if calls["n"] > 300 else problem.objective(p)
 
     with pytest.raises(EvaluationError) as info:
-        run_mde_itmf(flaky, problem.bounds, without_switch_tol(problem.default_params), 0)
+        run_mde_itmf(flaky, problem.bounds, replace(problem.default_params, switch_tol=None), 0)
     partial = info.value.partial_record
     assert partial is not None
     assert partial.nfe >= 300
@@ -389,7 +400,7 @@ def test_engine_abort_carries_partial_record():
 
 def test_partial_record_final_bests_are_evaluated_in_bounds_points():
     problem = get_problem("B1")
-    params = without_switch_tol(problem.default_params)
+    params = replace(problem.default_params, switch_tol=None)
     init_nfe = params.subpops * params.de.pop_size
     calls = {"n": 0}
 
@@ -409,7 +420,7 @@ def test_partial_record_final_bests_are_evaluated_in_bounds_points():
 
 def test_partial_record_is_empty_when_initialization_fails():
     problem = get_problem("B1")
-    params = without_switch_tol(problem.default_params)
+    params = replace(problem.default_params, switch_tol=None)
     calls = {"n": 0}
 
     def fails_in_second_subpop(p):

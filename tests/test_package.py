@@ -5,11 +5,14 @@ import inspect
 
 import multide
 
-# The one-point operators that duplicated the engines' batch operators, and
-# the observer-only views of the engine state and the anchor wrapper.
+# The one-point operators that duplicated the engines' batch operators, the
+# observer-only views of the engine state and the anchor wrapper, and the
+# helpers that only tests called (the start-anchor snapshot, a subpopulation's
+# spreading, and a wrapper around dataclasses.replace).
 REMOVED = ("AnchorSet", "PopulationTensor", "SubpopState", "best_of_subpop", "crossover",
            "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
-           "select_greedy", "spreading_measure")
+           "select_greedy", "snapshot_anchors", "spreading_measure", "subpop_spreading",
+           "without_switch_tol")
 
 
 def test_every_exported_name_resolves_once():
