@@ -114,8 +114,8 @@ class DEParams:
             raise ConfigurationError("CR must lie in [0, 1]")
         if not is_count(self.max_generations) or self.max_generations < 1:
             raise ConfigurationError("max_generations must be an integer >= 1")
-        if not self.spread_tol > 0.0:
-            raise ConfigurationError("spread_tol must be positive")
+        if not 0.0 < self.spread_tol < math.inf:
+            raise ConfigurationError("spread_tol must be positive and finite")
 
 
 @dataclass

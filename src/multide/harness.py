@@ -10,6 +10,7 @@ multipopulation run performs ``subpops`` parallel searches. Seeds derive as
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -425,6 +426,24 @@ def _write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+def _write_trace_csv(path: Path, header, traces) -> Path:
+    """Write ``trace.csv`` one run at a time from its ``(record, trace array)`` pairs.
+
+    Each row is one ``%`` format: the run's csv-quoted ``algorithm,problem,seed,``
+    prefix, then ``%d`` (as ``int``) and ``%.17g`` (as :func:`_sig17`) fields.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for record, trace in traces:
+            prefix = io.StringIO()
+            csv.writer(prefix, lineterminator="").writerow(
+                [record.algorithm, record.problem, record.seed, ""])
+            row = (prefix.getvalue().replace("%", "%%") + "%d,%d"
+                   + ",%.17g" * (trace.shape[1] - 2) + "\r\n")
+            fh.write("".join(row % tuple(values) for values in trace.tolist()))
+    return path
+
+
 def _write_json(path: Path, data: dict) -> Path:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -470,13 +489,6 @@ def emit_outputs(report, out_dir) -> list[Path]:
                    [row for cell in data["cells"] for row in _aggregate_rows(cell)]),
         _write_json(out / "report.json", data),
     ]
-    trace_rows = [
-        [record.algorithm, record.problem, record.seed, int(gen), int(subpop)]
-        + [_sig17(c) for c in coords]
-        + [_sig17(best_f), _sig17(spreading)]
-        for record, trace in traces
-        for gen, subpop, *coords, best_f, spreading in trace.tolist()
-    ]
-    if trace_rows:
-        written.append(_write_csv(out / "trace.csv", trace_csv_header(dims.pop()), trace_rows))
+    if traces:
+        written.append(_write_trace_csv(out / "trace.csv", trace_csv_header(dims.pop()), traces))
     return written

@@ -73,6 +73,12 @@ def test_de_params_refuse_non_integer_counts(field, value):
         DEParams(**kwargs)
 
 
+def test_de_params_refuse_infinite_spread_tol():
+    # An infinite tolerance would freeze every subpopulation before its first step.
+    with pytest.raises(ConfigurationError, match="spread_tol must be positive and finite"):
+        DEParams(pop_size=30, F=0.7, CR=0.8, spread_tol=float("inf"))
+
+
 def test_de_params_validation():
     with pytest.raises(ConfigurationError):
         DEParams(pop_size=3, F=0.5, CR=0.5)

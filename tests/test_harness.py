@@ -1,7 +1,10 @@
 """Harness and CLI tests: orchestration, file formats, determinism."""
 
 import csv
+import io
 import json
+import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -37,6 +40,7 @@ from multide.harness import (
     config_from_dict,
     run_experiment,
     run_sweep,
+    trace_csv_header,
 )
 
 
@@ -353,20 +357,74 @@ def test_emit_outputs_files_and_headers(tmp_path):
     assert blob["problems"]["B3"]["formula"]
 
 
-def traced_report(*dims):
-    """A one-cell report with one hand-made traced run per dimension."""
-    records = [
-        RunRecord(algorithm="mde-itmf", seed=i, elapsed_seconds=0.0, nfe=1,
-                  final_bests=[Point(np.zeros(d), 0.0)], generations_used=[1],
-                  problem="B1", matched_minimizers=set(),
-                  trace=np.array([[1, 0, *np.linspace(0.1, 0.3, d), 1.5, 0.25]]))
-        for i, d in enumerate(dims)
-    ]
+def traced_report(*traces, problem="B1"):
+    """A one-cell report with one hand-made run per trace.
+
+    An int ``d`` stands for a one-row trace in ``d`` dimensions; an array or
+    ``None`` becomes the run's trace as it is.
+    """
+    records = []
+    for i, trace in enumerate(traces):
+        if isinstance(trace, int):
+            trace = np.array([[1, 0, *np.linspace(0.1, 0.3, trace), 1.5, 0.25]])
+        records.append(RunRecord(algorithm="mde-itmf", seed=i, elapsed_seconds=0.0, nfe=1,
+                                 final_bests=[Point(np.zeros(2), 0.0)], generations_used=[1],
+                                 problem=problem, matched_minimizers=set(), trace=trace))
     return ExperimentReport(
-        config=small_config(problems=["B1"], algorithms=["mde-itmf"], runs=len(dims)),
-        cells=[CellResult(problem="B1", algorithm="mde-itmf", records=records)],
+        config=small_config(problems=["B1"], algorithms=["mde-itmf"], runs=len(traces)),
+        cells=[CellResult(problem=problem, algorithm="mde-itmf", records=records)],
         failures=[],
     )
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 1e300, math.inf, 1 / 3, -2.5e-7, 12.0]
+
+
+def special_trace(d, rows=5):
+    """``rows`` trace rows in ``d`` dimensions cycling through :data:`SPECIAL_VALUES`."""
+    values = np.resize(SPECIAL_VALUES, (rows, d + 2))
+    return np.column_stack([np.arange(rows) // 2 + 1, np.arange(rows) % 2, values])
+
+
+def list_of_rows_trace_csv(report, d) -> bytes:
+    """``trace.csv`` built from a list of every row: the byte-for-byte reference."""
+    rows = [
+        [record.algorithm, record.problem, record.seed, int(gen), int(subpop)]
+        + [f"{float(v):.17g}" for v in values]
+        for cell in report.cells for record in cell.records if record.trace is not None
+        for gen, subpop, *values in np.asarray(record.trace, dtype=float).tolist()
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(trace_csv_header(d))
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_streamed_trace_csv_equals_the_list_of_rows_writer(d, tmp_path):
+    report = traced_report(special_trace(d), np.empty((0, d + 4)), None, special_trace(d, 3),
+                           problem='B1, "quoted" 5%')
+    emit_outputs(report, tmp_path)
+    written = (tmp_path / "trace.csv").read_bytes()
+    assert written == list_of_rows_trace_csv(report, d)
+    assert written.count(b"\r\n") == 1 + 5 + 3
+    assert b'"B1, ""quoted"" 5%"' in written
+
+
+def test_trace_output_memory_does_not_grow_with_the_trace(tmp_path):
+    rows = 1000
+    trace = np.column_stack([np.arange(rows) // 2 + 1, np.arange(rows) % 2,
+                             np.random.default_rng(0).random((rows, 4))])
+    report = traced_report(*[trace] * 20)
+    tracemalloc.start()
+    try:
+        emit_outputs(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.csv").read_bytes().count(b"\n") == 1 + 20 * rows
+    assert peak < 2 * 2**20  # a list of all 20,000 rows takes about 8 MB
 
 
 def test_trace_header_names_one_column_per_dimension(tmp_path):
@@ -552,6 +610,7 @@ MALFORMED_CLI = [
     ["run", "--param", "beta=nan"],
     ["run", "--param", "beta=inf"],
     ["run", "--param", "eps=nan"],
+    ["run", "--param", "eps=inf"],
     ["run", "--param", "tol=nan"],
     ["run", "--seed", "-1"],
     # with the appended --problem B3: one problem named by id and by name
@@ -571,6 +630,15 @@ def test_cli_refuses_malformed_overrides_before_any_run(argv, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.out == ""  # nothing ran, so no table was printed
+    assert not out.exists()
+
+
+def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli_main(["run", "--problem", "B1", "--algo", "de", "--runs", "2",
+                     "--param", "eps=inf", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: spread_tol must be positive and finite\n"
     assert not out.exists()
 
 
