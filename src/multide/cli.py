@@ -99,19 +99,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # No sweep output holds traces, so none are collected.
-    base = _build_config(args, {"runs": 30}, {"trace": False})
-    sweep = SweepConfig(
-        base=base,
-        parameter=args.sweep_param,
-        values=_parse_values(args.values),
-        runs_per_value=base.runs,
-    )
+    sweep = SweepConfig(base=_build_config(args, {"runs": 30}), parameter=args.sweep_param,
+                        values=_parse_values(args.values))
     report = run_sweep(sweep)
     for value, exp in report.rows:
         print(f"--- {sweep.parameter} = {value}")
         _print_experiment(exp)
-    return _finish(report, base.out_dir)
+    return _finish(report, sweep.base.out_dir)
 
 
 def _cmd_list(args) -> int:

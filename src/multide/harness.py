@@ -119,12 +119,15 @@ class ExperimentConfig:
 
 @dataclass
 class SweepConfig:
-    """One-at-a-time sensitivity sweep over a single control parameter."""
+    """One-at-a-time sensitivity sweep: the base experiment once per value, untraced.
+
+    Every value's experiment is resolved when the sweep is built, so a bad
+    value is refused before any run.
+    """
 
     base: ExperimentConfig
     parameter: str
     values: list[float]
-    runs_per_value: int = 30
 
     def __post_init__(self):
         if self.parameter not in SWEEPABLE_KEYS:
@@ -133,11 +136,14 @@ class SweepConfig:
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
-        for value in self.values:
-            _override_value(self.parameter, value)
-        self.runs_per_value = _whole("runs_per_value", self.runs_per_value)
-        if self.runs_per_value < 1:
-            raise ConfigurationError("runs_per_value must be >= 1")
+        self.base = replace(self.base, trace=False)  # no sweep output holds traces
+        for experiment in self.experiments():
+            _resolve(experiment)
+
+    def experiments(self) -> list[ExperimentConfig]:
+        """The base experiment with each swept value, in sweep order."""
+        return [replace(self.base, overrides={**self.base.overrides, self.parameter: value})
+                for value in self.values]
 
 
 def _check_type(key: str, value, types, expected: str):
@@ -185,6 +191,12 @@ def apply_overrides(params: MultiParams, overrides: dict) -> MultiParams:
             raise ConfigurationError(f"cannot override {name} parameters: none configured")
         changes[name] = replace(inner, **{sub: kind(value)})
     return replace(params, **changes)
+
+
+def _resolve(config: ExperimentConfig) -> list:
+    """Each configured problem with its parameters, overrides applied and range-checked."""
+    return [(problem, apply_overrides(problem.default_params, config.overrides))
+            for problem in map(get_problem, config.problems)]
 
 
 def _single_run(problem_id: str, algorithm: str, seed: int, params: MultiParams, trace: bool):
@@ -265,10 +277,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     the elapsed-time fields is identical to a sequential execution.
     """
     cell_specs, jobs = [], []
-    for key in config.problems:
-        problem = get_problem(key)
-        # Type-check overrides against every problem row before any run starts.
-        params = apply_overrides(problem.default_params, config.overrides)
+    for problem, params in _resolve(config):  # every problem row is checked before any run
         for algo in config.algorithms:
             n = config.runs * params.subpops if algo == "de" else config.runs
             cell_specs.append((problem.pid, params.subpops, algo, n))
@@ -296,16 +305,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Re-run the base experiment once per swept value and tabulate."""
-    rows = []
-    for value in config.values:
-        cfg = replace(
-            config.base,
-            runs=config.runs_per_value,
-            overrides={**config.base.overrides, config.parameter: value},
-        )
-        rows.append((value, run_experiment(cfg)))
-    return SweepReport(config=config, rows=rows)
+    """Run the base experiment once per swept value and tabulate."""
+    return SweepReport(config=config,
+                       rows=list(zip(config.values, map(run_experiment, config.experiments()))))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

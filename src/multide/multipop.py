@@ -129,7 +129,7 @@ def _run_engine(
     objective: Callable,
     bounds: Bounds,
     params: MultiParams,
-    rng,
+    seed: int,
     algorithm: str,
     collect_trace: bool = False,
     observer=None,
@@ -148,7 +148,8 @@ def _run_engine(
     subpopulation. Treat them as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    if not is_count(seed) or seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     counter = _CountingObjective(objective)
     t0 = time.perf_counter()
     gens = [0] * nsp
@@ -161,7 +162,7 @@ def _run_engine(
     def record(trace_array=None) -> RunRecord:
         return RunRecord(
             algorithm=algorithm,
-            seed=stream.seed,
+            seed=int(seed),
             elapsed_seconds=time.perf_counter() - t0,
             nfe=counter.count,
             final_bests=[] if anchors is None else list(map(Point, anchors, fit.min(axis=1))),
@@ -170,7 +171,7 @@ def _run_engine(
         )
 
     try:
-        streams = stream.split(nsp)
+        streams = RngStream(seed).split(nsp)
         for j in range(nsp):
             pop[j] = init_population(bounds, de.pop_size, streams[j])
             fit[j] = evaluate_batch(counter, pop[j])
@@ -214,7 +215,7 @@ def run_de(
     objective: Callable,
     bounds: Bounds,
     params: DEParams,
-    rng,
+    seed: int,
     *,
     collect_trace: bool = False,
     observer=None,
@@ -223,10 +224,9 @@ def run_de(
 
     The run halts when the whole-population spreading measure drops below
     ``params.spread_tol`` or after ``params.max_generations`` generations.
-    ``rng`` may be an :class:`RngStream` or an int seed; the record is fully
-    determined by (seed, params, objective).
+    The record is fully determined by (seed, params, objective).
     """
-    return _run_engine(objective, bounds, MultiParams(de=params), rng, "de",
+    return _run_engine(objective, bounds, MultiParams(de=params), seed, "de",
                        collect_trace=collect_trace, observer=observer)
 
 
@@ -234,7 +234,7 @@ def run_mde_itmf(
     objective: Callable,
     bounds: Bounds,
     params: MultiParams,
-    rng,
+    seed: int,
     *,
     collect_trace: bool = False,
     observer=None,
@@ -252,7 +252,7 @@ def run_mde_itmf(
         raise ConfigurationError("run_mde_itmf needs penalty parameters")
     if params.switch_tol is not None:
         raise ConfigurationError("params carry a switch tolerance; use run_dewi for the hybrid")
-    return _run_engine(objective, bounds, params, rng, "mde-itmf",
+    return _run_engine(objective, bounds, params, seed, "mde-itmf",
                        collect_trace=collect_trace, observer=observer)
 
 
@@ -260,7 +260,7 @@ def run_dewi(
     objective: Callable,
     bounds: Bounds,
     params: MultiParams,
-    rng,
+    seed: int,
     *,
     collect_trace: bool = False,
     observer=None,
@@ -278,5 +278,5 @@ def run_dewi(
         raise ConfigurationError("run_dewi needs penalty parameters")
     if params.switch_tol is None:
         raise ConfigurationError("run_dewi needs a switch tolerance (see MultiParams.switch_tol)")
-    return _run_engine(objective, bounds, params, rng, "dewi",
+    return _run_engine(objective, bounds, params, seed, "dewi",
                        collect_trace=collect_trace, observer=observer)

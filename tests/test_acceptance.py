@@ -279,9 +279,8 @@ def test_criterion_7_population_size_sweep():
     from scipy.stats import spearmanr
 
     values = [8, 10, 12, 15, 20, 25, 30, 35, 40]
-    base = ExperimentConfig(problems=["B1"], algorithms=["mde-itmf"], seed=0)
-    report = run_sweep(SweepConfig(base=base, parameter="np", values=values,
-                                   runs_per_value=RUNS))
+    base = ExperimentConfig(problems=["B1"], algorithms=["mde-itmf"], runs=RUNS, seed=0)
+    report = run_sweep(SweepConfig(base=base, parameter="np", values=values))
     ngp = {}
     nfe = {}
     for value, exp in report.rows:

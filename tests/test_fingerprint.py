@@ -149,7 +149,7 @@ GOLDEN_OUTPUTS = {
         ["sweep", "--problem", "B3", "--runs", "2", "--sweep-param", "np", "--values", "15,20"],
         {
             "sweep.csv": "7ef38a86fd14461d96f0edf792a648679432771c7d8de2c089a4396483cf7800",
-            "report.json": "01eeaac93d4eeacc857b0269c318af9708de6b199c69074cb3447eb48e9016f7",
+            "report.json": "6fd2320123a9d83fd9b5bf9d065164c902e817608a83a82bd8928cf9300c96f2",
         },
     ),
     # One run per cell: every aggregates.csv row is blank and every cell's

@@ -135,10 +135,6 @@ def test_runs_and_seed_must_be_whole_numbers():
                 {"seed": 1.5}, {"seed": False}, {"seed": float("nan")}):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(problems=["B1"], **bad)
-    base = small_config()
-    for runs_per_value in (2.5, True, "3"):
-        with pytest.raises(ConfigurationError):
-            SweepConfig(base=base, parameter="np", values=[8], runs_per_value=runs_per_value)
     # integral floats and numpy integers are whole numbers
     config = ExperimentConfig(problems=["B1"], runs=2.0, seed=np.int64(3))
     assert (config.runs, config.seed) == (2, 3)
@@ -501,8 +497,8 @@ def test_trace_rows_end_below_spread_tolerance(tmp_path):
 # -------------------------------------------------------------------- sweep
 
 def test_single_value_sweep_matches_experiment():
-    base = small_config(algorithms=["mde-itmf"])
-    sweep = run_sweep(SweepConfig(base=base, parameter="np", values=[20], runs_per_value=3))
+    base = small_config(algorithms=["mde-itmf"], runs=3)
+    sweep = run_sweep(SweepConfig(base=base, parameter="np", values=[20]))
     direct = run_experiment(
         small_config(algorithms=["mde-itmf"], overrides={"np": 20}, runs=3)
     )
@@ -515,14 +511,53 @@ def test_single_value_sweep_matches_experiment():
 def test_switch_tol_sweep_runs_clean(tmp_path):
     base = ExperimentConfig(problems=["B3"], algorithms=["dewi"], runs=2, seed=4)
     values = [5e-1, 4e-1, 3e-1, 2e-1, 1e-1, 1e-2, 1e-3, 5e-4, 2.5e-4, 1e-4]
-    report = run_sweep(SweepConfig(base=base, parameter="tol", values=values,
-                                   runs_per_value=2))
+    report = run_sweep(SweepConfig(base=base, parameter="tol", values=values))
     assert report.ok
     paths = emit_outputs(report, tmp_path)
     rows = read_rows(tmp_path / "sweep.csv")
     assert rows[0] == SWEEP_CSV_HEADER
     assert len(rows) - 1 == len(values) * 3  # one cell, three metrics per value
     assert {p.name for p in paths} == {"sweep.csv", "report.json"}
+
+
+def spy_on_runs(monkeypatch) -> list:
+    """The arguments of every run the harness makes from now on, in order."""
+    import multide.harness as hz
+
+    real_single_run, runs = hz._single_run, []
+
+    def counting_single_run(*args):
+        runs.append(args)
+        return real_single_run(*args)
+
+    monkeypatch.setattr(hz, "_single_run", counting_single_run)
+    return runs
+
+
+def test_sweep_refuses_a_bad_later_value_before_any_run(monkeypatch):
+    runs = spy_on_runs(monkeypatch)
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
+    with pytest.raises(ConfigurationError, match=r"F must lie in \[0, 1\]"):
+        run_sweep(SweepConfig(base=base, parameter="f", values=[0.5, 1.5]))
+    assert runs == []
+
+
+def test_library_sweep_collects_no_traces(tmp_path):
+    base = ExperimentConfig(problems=["B3"], algorithms=["de", "dewi"], runs=2, trace=True)
+    report = run_sweep(SweepConfig(base=base, parameter="np", values=[10]))
+    records = [r for _, exp in report.rows for cell in exp.cells for r in cell.records]
+    assert len(records) == 6 and all(r.trace is None for r in records)
+    emit_outputs(report, tmp_path)
+    assert json.loads((tmp_path / "report.json").read_text())["config"]["base"]["trace"] is False
+
+
+def test_sweep_report_states_the_runs_of_each_cell(tmp_path):
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf", "dewi"], runs=2, seed=3)
+    report = run_sweep(SweepConfig(base=base, parameter="np", values=[10]))
+    emit_outputs(report, tmp_path)
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert sorted(config) == ["base", "parameter", "values"]
+    assert [len(cell.records) for cell in report.rows[0][1].cells] == [config["base"]["runs"]] * 2
 
 
 # ---------------------------------------------------------------------- CLI
@@ -574,6 +609,15 @@ def test_cli_merges_file_and_flag_overrides(tmp_path):
         config = json.load(fh)["config"]
     assert config["overrides"] == {"np": 8.0, "f": 0.6}
     assert config["problems"] == ["B3"] and config["runs"] == 2 and config["seed"] == 5
+
+
+def test_cli_checks_ranges_after_the_flags_join_the_config_file(tmp_path, capsys):
+    # eps=1e-3 alone is above B3's switch_tol of 5e-4; the flag's tol lifts it.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"overrides": {"eps": 1e-3}}))
+    assert cli_main(["run", "--config", str(config), "--problem", "B3", "--algo", "dewi",
+                     "--runs", "1", "--param", "tol=1e-2"]) == 0
+    capsys.readouterr()
 
 
 def test_cli_trace_subcommand(tmp_path, capsys):
@@ -642,10 +686,23 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_refuses_a_bad_later_value_before_any_run(tmp_path, capsys, monkeypatch):
+    runs = spy_on_runs(monkeypatch)
+    out = tmp_path / "out"
+    code = cli_main(["sweep", "--problem", "B3", "--algo", "mde-itmf", "--runs", "2",
+                     "--sweep-param", "f", "--values", "0.5,1.5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: F must lie in [0, 1]\n"
+    assert captured.out == ""  # nothing ran, so no table was printed
+    assert not out.exists()
+    assert runs == []
+
+
 # Each once ended in a raw TypeError or JSONDecodeError, ran with a
-# fractional seed or a boolean run count, or ran a cell twice. The sweep's
-# runs_per_value comes from the config's runs. A string is the file's raw
-# text, a dict is written as JSON.
+# fractional seed or a boolean run count, or ran a cell twice. A sweep runs
+# its config's runs per value. A string is the file's raw text, a dict is
+# written as JSON.
 MALFORMED_CONFIGS = [
     ("run", {"seed": "5"}),
     ("run", {"runs": 2.5}),

@@ -276,6 +276,29 @@ def test_engine_parameter_bundle_contracts():
         run_mde_itmf(problem.objective, problem.bounds, bare, 0)
 
 
+# Each once ran: 3.7 as seed 3, True as seed 1, and a split stream under a
+# recorded seed that did not reproduce it; -1 ended in numpy's ValueError.
+@pytest.mark.parametrize("seed", [3.7, True, -1, RngStream(5, (3,))], ids=repr)
+def test_engines_refuse_a_seed_that_is_not_a_whole_number(seed):
+    problem = get_problem("B3")
+    params = problem.default_params
+    for engine, engine_params in ((run_de, params.de),
+                                  (run_mde_itmf, replace(params, switch_tol=None)),
+                                  (run_dewi, params)):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            engine(problem.objective, problem.bounds, engine_params, seed)
+
+
+def test_numpy_integer_seed_runs_as_the_same_int():
+    problem = get_problem("B3")
+    a = run_de(problem.objective, problem.bounds, problem.default_params.de, np.int64(5))
+    b = run_de(problem.objective, problem.bounds, problem.default_params.de, 5)
+    assert type(a.seed) is int and a.seed == b.seed == 5
+    assert (a.nfe, a.generations_used) == (b.nfe, b.generations_used)
+    assert [(p.coords.tolist(), p.fitness) for p in a.final_bests] == \
+        [(p.coords.tolist(), p.fitness) for p in b.final_bests]
+
+
 def test_single_subpop_engine_reproduces_run_de():
     problem = get_problem("B1")
     params = replace(problem.default_params, switch_tol=None, subpops=1)

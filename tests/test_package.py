@@ -32,6 +32,9 @@ def test_second_copies_are_gone():
     # config_to_dict was dataclasses.asdict; BenchmarkProblem.system was never read.
     assert not hasattr(multide.harness, "config_to_dict")
     assert "system" not in {f.name for f in dataclasses.fields(multide.BenchmarkProblem)}
+    # runs_per_value was the base experiment's runs.
+    sweep_fields = tuple(f.name for f in dataclasses.fields(multide.SweepConfig))
+    assert sweep_fields == ("base", "parameter", "values")
 
 
 def test_engines_take_no_anchor_mode():
