@@ -177,6 +177,7 @@ def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
             f"objective returned non-finite value {values[k]} at {pts[k]}",
             point=pts[k].copy(),
             value=float(values[k]),
+            values=values,
         )
     return values
 
@@ -193,56 +194,78 @@ def init_population(bounds: Bounds, count: int, rng: RngStream) -> np.ndarray:
     return bounds.lower + h * bounds.span
 
 
-def _spreading(coords: np.ndarray, best: np.ndarray, bounds: Bounds) -> float:
-    """Average relative normalized distance of ``coords`` rows to ``best``.
+def _spreading(pops: np.ndarray, bests: np.ndarray, bounds: Bounds) -> np.ndarray:
+    """Average relative normalized distance of each (k, n, d) population's rows to its best.
 
+    Returns one value per population of the stack; ``bests`` is (k, d).
     Distances are scaled per dimension by the domain side lengths and
     divided by the normalized magnitude of the best point. When the best
     point sits at the normalized origin (degenerate denominator), the
-    unnormalized mean distance divided by the domain diagonal is used
-    instead.
+    unnormalized mean distance divided by the domain diagonal is used.
     """
-    span = bounds.span
-    # One row per dimension, in C order: reducing over axis 0 then adds the
+    span, n = bounds.span, pops.shape[1]
+    # One row per dimension, in C order: reducing over axis 1 then adds the
     # squared terms dimension by dimension, whatever the memory layout of
-    # ``coords``. np.add.reduce is what np.sum and ndarray.mean reduce with,
+    # ``pops``. np.add.reduce is what np.sum and ndarray.mean reduce with,
     # minus their Python wrappers.
-    diff = np.subtract(coords.T, best[:, None], order="C")  # (d, n)
-    best_rel = best / span
-    denom = math.sqrt(float(np.dot(best_rel, best_rel)))
-    if denom < DEGENERATE_NORM:
-        dist = np.sqrt(np.add.reduce(diff ** 2, axis=0))
-        return float(np.add.reduce(dist) / len(dist) / bounds.diagonal)
+    diff = np.subtract(pops.transpose(0, 2, 1), bests[:, :, None], order="C")  # (k, d, n)
+    best_rel = bests / span
+    # matmul takes each row's dot product as np.dot does, bit for bit.
+    denom = np.sqrt(np.matmul(best_rel[:, None, :], best_rel[:, :, None])[:, 0])  # (k, 1)
     rel = diff / span[:, None]
-    numer = np.sqrt(np.add.reduce(rel * rel, axis=0))
-    return float(np.add.reduce(numer / denom) / len(numer))
+    numer = np.sqrt(np.add.reduce(rel * rel, axis=1))  # (k, n)
+    if min(denom.ravel().tolist()) >= DEGENERATE_NORM:
+        return np.add.reduce(numer / denom, axis=1) / n
+    degenerate = denom[:, 0] < DEGENERATE_NORM
+    denom[degenerate] = 1.0  # their spreading is replaced below
+    out = np.add.reduce(numer / denom, axis=1) / n
+    dist = np.sqrt(np.add.reduce(diff[degenerate] ** 2, axis=1))
+    out[degenerate] = np.add.reduce(dist, axis=1) / n / bounds.diagonal
+    return out
 
 
-def generate_trials(coords: np.ndarray, F: float, CR: float, rng: RngStream) -> np.ndarray:
-    """Mutation + crossover for a whole (sub)population at once.
+def generate_trials(pops: np.ndarray, F: float, CR: float, rngs) -> np.ndarray:
+    """Mutation + crossover for a (k, n, d) stack of populations at once.
 
-    ``coords`` is (n, d); the result holds one trial vector per row. Draw
-    order per generation is fixed: donor index triples (with rejection
-    redraws of colliding rows), then the forced crossover indices, then one
-    uniform per coordinate.
+    ``rngs`` holds one stream per population; the result holds one trial
+    vector per row. Each stream's draw order per generation is fixed:
+    donor index triples (colliding rows redrawn round by round, resolved
+    in plain Python over one window of values), then the forced crossover
+    indices, then one uniform per coordinate.
     """
-    n, d = coords.shape
+    k, n, d = pops.shape
     if n < 4:
         raise ConfigurationError("mutation needs a population of at least 4")
-    r = rng.integers(0, n, size=(n, 3))
-    # Colliding rows are found in plain Python, which beats six numpy
-    # comparisons at these sizes. Rows that passed keep their triple, so
-    # only the few redrawn rows are checked again.
-    rows = [i for i, (a, b, c) in enumerate(r.tolist())
-            if a == i or b == i or c == i or a == b or a == c or b == c]
-    while rows:
-        sub = rng.integers(0, n, size=(len(rows), 3))
-        r[rows] = sub
-        rows = [i for i, (a, b, c) in zip(rows, sub.tolist())
+    # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
+    size = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
+    triples, rnbr, uniforms = [], [], []
+    for rng in rngs:
+        window = rng.window(n, size)
+        r = window[:3 * n]
+        it = iter(r)
+        rows = [i for i, a, b, c in zip(range(n), it, it, it)
                 if a == i or b == i or c == i or a == b or a == c or b == c]
-    x = coords[r.T]                                         # (3, n, d)
+        used = 3 * n
+        while rows:
+            end = used + 3 * len(rows)
+            if end > len(window):
+                window = rng.window(n, 2 * end)
+            it, again = iter(window[used:end]), []
+            for i, a, b, c in zip(rows, it, it, it):
+                r[3 * i:3 * i + 3] = a, b, c
+                if a == i or b == i or c == i or a == b or a == c or b == c:
+                    again.append(i)
+            rows, used = again, end
+        rng.skip(n, used)
+        triples += r
+        rnbr.append(rng.integers(0, d, size=n))
+        uniforms.append(rng.uniform(size=(n, d)))
+    flat = pops.reshape(k * n, d)
+    r = np.fromiter(triples, np.intp, 3 * k * n).reshape(k, 3 * n)
+    if k > 1:  # donor rows in ``flat``: population j's rows start at j * n
+        r += np.arange(0, k * n, n)[:, None]
+    x = flat[r.reshape(k * n, 3).T]                          # (3, k n, d)
     donors = x[0] + F * (x[1] - x[2])
-    rnbr = rng.integers(0, d, size=n)
-    take = rng.uniform(size=(n, d)) <= CR
-    take[np.arange(n), rnbr] = True
-    return np.where(take, donors, coords)
+    take = np.concatenate(uniforms) <= CR
+    take[np.arange(k * n), np.concatenate(rnbr)] = True
+    return np.where(take, donors, flat).reshape(k, n, d)

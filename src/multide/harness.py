@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -134,6 +133,8 @@ class SweepConfig:
             raise ConfigurationError(
                 f"cannot sweep {self.parameter!r}; expected one of {SWEEPABLE_KEYS}"
             )
+        if not isinstance(self.values, (list, tuple)):
+            raise ConfigurationError(f"sweep values must be a list, got {self.values!r}")
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
         self.base = replace(self.base, trace=False)  # no sweep output holds traces
@@ -284,6 +285,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             jobs += [(problem.pid, algo, config.seed + i, params, config.trace) for i in range(n)]
 
     if config.parallel:
+        from concurrent.futures import ProcessPoolExecutor  # slow to import, so only here
         with ProcessPoolExecutor() as pool:
             outcomes = list(pool.map(_run_job, jobs, chunksize=1))
     else:

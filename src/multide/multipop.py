@@ -64,46 +64,29 @@ def selection_step(
     anchors: Optional[np.ndarray],
     penalty: Optional[PenaltyParams],
     bounds: Bounds,
-    objective,
+    trial_fitness: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-to-one selection over a whole subpopulation.
 
-    Out-of-bounds trials lose without being evaluated. In-bounds trials
-    are evaluated once on the base objective; the comparison is made on
-    base + repulsion penalty when ``anchors`` (an (nsp, d) array, see
-    :func:`penalty_batch`) is given, with parents reusing their cached base
-    fitness, and on the base values otherwise. Ties go to the trial.
-    Returns new coordinates and base-fitness arrays; the inputs are left
-    untouched.
+    ``trial_fitness`` holds the trials' base values, with +inf for the
+    trials outside ``bounds``: those lose without ever being evaluated.
+    The comparison is made on base + repulsion penalty when ``anchors`` (an
+    (nsp, d) array, see :func:`penalty_batch`) is given, with parents
+    reusing their cached base fitness, and on the base values otherwise.
+    Ties go to the trial. Returns new coordinates and base-fitness arrays;
+    the inputs are left untouched.
     """
     if anchors is not None and penalty is None:
         raise ConfigurationError("penalized selection needs penalty parameters")
-    feasible = bounds.contains_all(trials)
-    n_feasible = np.count_nonzero(feasible)
-    if n_feasible == len(feasible):
-        rows = None
-        cand, parents, parent_fit = trials, coords, fitness
-    elif n_feasible:
-        rows = feasible.nonzero()[0]
-        cand, parents, parent_fit = trials[rows], coords[rows], fitness[rows]
-    else:
-        return coords.copy(), fitness.copy()
-    cand_fit = evaluate_batch(objective, cand)
-    cand_score, parent_score = cand_fit, parent_fit
+    trial_score, parent_score = trial_fitness, fitness
     if anchors is not None:
         # Penalty rows are independent, so one call scores trials and parents.
-        pen = penalty_batch(np.concatenate((cand, parents)), own_index, anchors, penalty)
-        m = len(cand)
-        cand_score = cand_fit + pen[:m]
-        parent_score = parent_fit + pen[m:]
-    wins = cand_score <= parent_score
-    if rows is None:
-        return np.where(wins[:, None], cand, coords), np.where(wins, cand_fit, fitness)
-    new_coords, new_fitness = coords.copy(), fitness.copy()
-    rows = rows[wins]
-    new_coords[rows] = cand[wins]
-    new_fitness[rows] = cand_fit[wins]
-    return new_coords, new_fitness
+        pen = penalty_batch(np.concatenate((trials, coords)), own_index, anchors, penalty)
+        m = len(trials)
+        trial_score = trial_fitness + pen[:m]
+        parent_score = fitness + pen[m:]
+    wins = trial_score <= parent_score
+    return np.where(wins[:, None], trials, coords), np.where(wins, trial_fitness, fitness)
 
 
 class _CountingObjective:
@@ -136,16 +119,19 @@ def _run_engine(
 ) -> RunRecord:
     """Shared generation loop for the three engines.
 
-    Subpopulations are updated in ascending order, and each one's anchor
-    row is rewritten right after its update, so improvements made
-    earlier in the same generation already repel later subpopulations.
+    Each generation steps the live subpopulations as one stack (spreading,
+    trials, bounds check, evaluation), then selects per subpopulation in
+    ascending order, rewriting each one's anchor row right after its
+    update, so earlier improvements already repel later subpopulations.
     Selection is penalized when ``params.penalty`` is set and, if
     ``params.switch_tol`` is set too, only while the subpopulation's
-    spreading is at or above it; ``algorithm`` only labels the record.
-    ``observer(gen, pop, fit, frozen)`` is called after every generation
-    with the engine's own state: ``pop`` shaped (nsp, pop_size, d), ``fit``
-    the (nsp, pop_size) base values and one frozen flag per
-    subpopulation. Treat them as read-only.
+    spreading is at or above it; ``algorithm`` only labels the record. A
+    non-finite value in subpopulation m's trials is raised after the steps
+    before m, with evaluations counted up to m's, as a loop over single
+    subpopulations would. ``observer(gen, pop, fit, frozen)`` is called
+    after every generation with the engine's own state: ``pop`` shaped
+    (nsp, pop_size, d), ``fit`` the (nsp, pop_size) base values and one
+    frozen flag per subpopulation. Treat them as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
     if not is_count(seed) or seed < 0:
@@ -153,11 +139,15 @@ def _run_engine(
     counter = _CountingObjective(objective)
     t0 = time.perf_counter()
     gens = [0] * nsp
+    n, dim = de.pop_size, bounds.dim
     # pop[j] is subpopulation j as one C-contiguous (pop_size, d) block.
-    pop = np.empty((nsp, de.pop_size, bounds.dim))
-    fit = np.empty((nsp, de.pop_size))
+    pop = np.empty((nsp, n, dim))
+    fit = np.empty((nsp, n))
     anchors = None
     trace = [] if collect_trace else None
+
+    def stack(array, js):  # rows js of array, without a copy when that is all of it
+        return array if len(js) == nsp else array[js]
 
     def record(trace_array=None) -> RunRecord:
         return RunRecord(
@@ -173,35 +163,58 @@ def _run_engine(
     try:
         streams = RngStream(seed).split(nsp)
         for j in range(nsp):
-            pop[j] = init_population(bounds, de.pop_size, streams[j])
+            pop[j] = init_population(bounds, n, streams[j])
             fit[j] = evaluate_batch(counter, pop[j])
         # anchors[j] is a copy of subpopulation j's best row (ties go to the
         # lowest index), rewritten whenever fit[j] changes.
         anchors = pop[np.arange(nsp), fit.argmin(axis=1)]
         frozen = [False] * nsp
+        live = list(range(nsp))  # the subpopulations not frozen yet
 
         for gen in range(1, de.max_generations + 1):
-            if all(frozen):
+            if not live:
                 break
-            for j in range(nsp):
-                if frozen[j]:
-                    continue
-                coords, fitness = pop[j], fit[j]  # views: writing them updates pop and fit
-                spread = _spreading(coords, anchors[j], bounds)
+            spreads = _spreading(stack(pop, live), stack(anchors, live), bounds).tolist()
+            steps = [j for j, spread in zip(live, spreads) if spread >= de.spread_tol]
+            failed = failure = None
+            if steps:
+                trials = generate_trials(stack(pop, steps), de.F, de.CR, [streams[j] for j in steps])
+                flat = trials.reshape(-1, dim)
+                rows = bounds.contains_all(flat).nonzero()[0]
+                try:
+                    if len(rows) == len(flat):
+                        values = evaluate_batch(counter, flat)
+                    else:
+                        values = np.full(len(flat), np.inf)  # out-of-bounds trials lose
+                        if len(rows):
+                            values[rows] = evaluate_batch(counter, flat[rows])
+                except EvaluationError as err:
+                    if err.values is None:
+                        raise
+                    values = np.full(len(flat), np.inf)
+                    values[rows] = err.values
+                    m = rows[np.isfinite(err.values).argmin()] // n
+                    counter.count -= np.count_nonzero(rows >= (m + 1) * n)
+                    failed, failure = steps[m], err
+                stepped = zip(trials, values.reshape(-1, n))
+            for j, spread in zip(live, spreads):
                 if spread < de.spread_tol:
                     frozen[j] = True
                 else:
+                    if j == failed:
+                        raise failure
                     penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
-                    trials = generate_trials(coords, de.F, de.CR, streams[j])
-                    coords[:], fitness[:] = selection_step(
-                        coords, fitness, trials, j,
-                        anchors if penalized else None, penalty, bounds, counter,
+                    coords, values_j = next(stepped)
+                    pop[j], fit[j] = selection_step(
+                        pop[j], fit[j], coords, j,
+                        anchors if penalized else None, penalty, bounds, values_j,
                     )
-                    anchors[j] = coords[fitness.argmin()]
+                    anchors[j] = pop[j, fit[j].argmin()]
                     gens[j] += 1
                 if collect_trace:
-                    best_f = float(fitness[fitness.argmin()])  # the anchor's own fitness
+                    best_f = float(fit[j].min())  # the anchor's own fitness
                     trace.append((gen, j, *anchors[j].tolist(), best_f, spread))
+            live = steps
             if observer is not None:
                 observer(gen, pop, fit, frozen)
 

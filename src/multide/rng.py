@@ -137,27 +137,46 @@ class RngStream:
                 out += low
         return out[0] if shape is None else out.reshape(shape)
 
+    def window(self, n: int, count: int) -> list[int]:
+        """The next ``count`` values of ``integers(0, n)``, as a list, not consumed.
+
+        Rejection rounds take their values from one window and then
+        :meth:`skip` exactly the values taken, as one ``integers`` call per
+        round would consume them. ``n`` ranges from 2 to ``2**32``.
+        """
+        span, used = self._span(n, count)
+        return span.tolist() if used == count else [v for v in span.tolist() if v >= 0]
+
+    def skip(self, n: int, count: int) -> None:
+        """Consume the next ``count`` values of range ``n``, as ``integers`` would."""
+        end = 2 * self._pos - self._half + self._span(n, count)[1]
+        self._pos, self._half = (end + 1) // 2, end % 2
+
     def _lemire(self, n: int, count: int) -> np.ndarray:
         """The next ``count`` accepted values for range ``n``, in a fresh array."""
-        self._reserve((count - self._half + 1) // 2)
-        start = 2 * self._pos - self._half
-        end = start + count
+        span, used = self._span(n, count)
+        end = 2 * self._pos - self._half + used
         self._pos, self._half = (end + 1) // 2, end % 2
-        if n in self._tables:
-            values, rejecting = self._tables[n]
-        elif len(self._tables) < TABLES:
-            values, rejecting = self._tables[n] = _decode(self._halves, n)
-        else:  # no table left for this block: decode only the halves drawn
-            values, rejecting = _decode(self._halves[start:end], n)
-            start, end = 0, count
-        drawn = values[start:end].copy()
-        if not rejecting:
-            return drawn
-        kept = drawn[drawn >= 0]
-        if len(kept) == count:
-            return kept
-        # each rejected half is replaced by the next uint32
-        return np.concatenate((kept, self._lemire(n, count - len(kept))))
+        return span.copy() if used == count else span[span >= 0]
+
+    def _span(self, n: int, count: int) -> tuple[np.ndarray, int]:
+        """Decoded halves (-1 if rejected) through the ``count``-th accepted one, and their count."""
+        used = count
+        while True:
+            self._reserve((used - self._half + 1) // 2)
+            start = 2 * self._pos - self._half
+            if n in self._tables:
+                values, rejecting = self._tables[n]
+            elif len(self._tables) < TABLES:
+                values, rejecting = self._tables[n] = _decode(self._halves, n)
+            else:  # no table left for this block: decode only the halves drawn
+                values, rejecting = _decode(self._halves[start:start + used], n)
+                start = 0
+            span = values[start:start + used]
+            missing = count - np.count_nonzero(span >= 0) if rejecting else 0
+            if not missing:
+                return span, used
+            used += missing  # each rejected half is replaced by the next uint32
 
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from multide.core import evaluate_batch
+
 
 class FakeRng:
     """Scripted stand-in for RngStream that replays queued draws."""
@@ -17,6 +19,23 @@ class FakeRng:
     def integers(self, low, high=None, size=None):
         value = self._integers.pop(0)
         return value if size is None else np.asarray(value).reshape(size)
+
+    def window(self, n, count):
+        """The next queued integer block, flattened: a script holds no redraws."""
+        return np.asarray(self._integers[0]).ravel().tolist()
+
+    def skip(self, n, count):
+        self._integers.pop(0)
+
+
+def trial_values(trials, bounds, objective):
+    """What the engine hands ``selection_step``: in-bounds trials' base values, +inf elsewhere."""
+    trials = np.asarray(trials, dtype=float)
+    inside = bounds.contains_all(trials)
+    values = np.full(len(trials), np.inf)
+    if inside.any():
+        values[inside] = evaluate_batch(objective, trials[inside])
+    return values
 
 
 class CountingObjective:

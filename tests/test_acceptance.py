@@ -158,7 +158,7 @@ def test_criterion_5_operator_properties(b1):
     rng = RngStream(99)
     distinct_rows = np.repeat(np.arange(10.0)[:, None], 2, axis=1)
     guarantee = all(
-        (generate_trials(distinct_rows, 0.0, float(rng.uniform()), rng) != distinct_rows)
+        (generate_trials(distinct_rows[None], 0.0, float(rng.uniform()), [rng])[0] != distinct_rows)
         .any(axis=1).all()
         for _ in range(10_000)
     )
@@ -218,7 +218,7 @@ def test_criterion_5_operator_properties(b1):
     self_excluded = penalty_batch(x, 0, a1, params)[0] == penalty_batch(x, 0, a2, params)[0]
 
     collapsed = np.full((8, 2), 0.4)
-    zero_spread = _spreading(collapsed, collapsed[0], b1.bounds) == 0.0
+    zero_spread = _spreading(collapsed[None], collapsed[:1], b1.bounds).tolist() == [0.0]
 
     single = replace(b1.default_params, switch_tol=None, subpops=1)
     equal = True

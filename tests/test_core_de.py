@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import CountingObjective, FakeRng, sphere
+from conftest import CountingObjective, FakeRng, sphere, trial_values
 
 from multide import (
     Bounds,
@@ -20,6 +20,16 @@ from multide import (
 from multide.core import _spreading, evaluate_batch, generate_trials
 
 UNIT = Bounds(np.zeros(2), np.ones(2))
+
+
+def trials_of(pop, F, CR, rng):
+    """``generate_trials`` on a single population."""
+    return generate_trials(pop[None], F, CR, [rng])[0]
+
+
+def spread_of(pop, best, bounds):
+    """``_spreading`` of a single population."""
+    return _spreading(pop[None], best[None], bounds).item()
 
 
 # ---------------------------------------------------------------- rng stream
@@ -120,9 +130,9 @@ def test_init_population_rejects_bad_count():
 
 # ------------------------------------------------- mutation and crossover
 
-# generate_trials draws, in order: one (n, 3) block of donor indices (plus
-# redraws of colliding rows, none when the script is valid), the (n,)
-# forced crossover indices, then one (n, d) block of uniforms.
+# generate_trials draws, in order: one window of donor indices (with redraws
+# of colliding rows, none when the script is valid), the (n,) forced
+# crossover indices, then one (n, d) block of uniforms.
 
 def scripted(donors, forced=None, uniforms=None, dim=2):
     donors = np.array(donors)
@@ -157,7 +167,7 @@ def donor_triple(row, i):
 def test_mutate_direct_arithmetic():
     pop = np.array([(1, 1), (3, 3), (1, 1), (9, 9)], dtype=float)
     rng = scripted([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    trials = generate_trials(pop, 0.5, 1.0, rng)
+    trials = trials_of(pop, 0.5, 1.0, rng)
     assert np.array_equal(trials[3], [2.0, 2.0])
     assert np.array_equal(trials, [[-1.0, -1.0], [-3.0, -3.0], [-2.0, -2.0], [2.0, 2.0]])
 
@@ -165,26 +175,26 @@ def test_mutate_direct_arithmetic():
 def test_mutate_f_zero_returns_first_donor():
     pop = np.array([(1, 2), (5, 5), (7, 7), (9, 9)], dtype=float)
     rng = scripted([[1, 2, 3], [2, 0, 3], [3, 0, 1], [0, 1, 2]])
-    trials = generate_trials(pop, 0.0, 1.0, rng)
+    trials = trials_of(pop, 0.0, 1.0, rng)
     assert np.array_equal(trials, pop[[1, 2, 3, 0]])
 
 
 def test_mutate_zero_difference_collapses_to_base():
     pop = np.full((5, 2), 4.0)
-    trials = generate_trials(pop, 0.9, 0.5, RngStream(3))
+    trials = trials_of(pop, 0.9, 0.5, RngStream(3))
     assert np.array_equal(trials, pop)
 
 
 def test_mutate_requires_four_members():
     with pytest.raises(ConfigurationError):
-        generate_trials(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, 0.5, RngStream(0))
+        trials_of(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, 0.5, RngStream(0))
 
 
 def test_donor_indices_distinct_and_exclude_target():
     rng = RngStream(11)
     pop = np.eye(8)
     for _ in range(2000):
-        trials = generate_trials(pop, 0.5, 1.0, rng)
+        trials = trials_of(pop, 0.5, 1.0, rng)
         for i, row in enumerate(trials):
             assert donor_triple(row, i) is not None
 
@@ -196,12 +206,12 @@ def test_crossover_cr_one_copies_donor():
         donors = valid_donors(4, gen)
         script = scripted(donors, gen.integers(0, 3, size=4), gen.random((4, 3)), dim=3)
         expected = pop[donors[:, 0]] + 0.7 * (pop[donors[:, 1]] - pop[donors[:, 2]])
-        assert np.array_equal(generate_trials(pop, 0.7, 1.0, script), expected)
+        assert np.array_equal(trials_of(pop, 0.7, 1.0, script), expected)
     # the same on live draws: every trial is a whole, valid donor
     rng = RngStream(2)
     pop = np.eye(6)
     for _ in range(50):
-        trials = generate_trials(pop, 0.5, 1.0, rng)
+        trials = trials_of(pop, 0.5, 1.0, rng)
         assert all(donor_triple(row, i) is not None for i, row in enumerate(trials))
 
 
@@ -211,7 +221,7 @@ def test_crossover_cr_zero_changes_exactly_one_coordinate():
     # in every coordinate
     pop = np.repeat(np.arange(5.0)[:, None], 4, axis=1)
     for _ in range(200):
-        trials = generate_trials(pop, 0.0, 0.0, rng)
+        trials = trials_of(pop, 0.0, 0.0, rng)
         assert np.array_equal(np.count_nonzero(trials != pop, axis=1), np.ones(5))
 
 
@@ -223,7 +233,7 @@ def test_crossover_scripted_example():
         forced=[0, 1, 0, 1],
         uniforms=[[0.3, 0.9], [0.9, 0.9], [0.05, 0.1], [0.9, 0.9]],
     )
-    trials = generate_trials(pop, 0.0, 0.1, rng)
+    trials = trials_of(pop, 0.0, 0.1, rng)
     assert np.array_equal(trials[0], [1.0, 20.0])
     assert np.array_equal(trials, [[1.0, 20.0], [1.0, 20.0], [10.0, 20.0], [5.0, 20.0]])
 
@@ -233,7 +243,7 @@ def test_crossover_always_inherits_from_donor():
     pop = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     for _ in range(5000):
         cr = float(rng.uniform())
-        trials = generate_trials(pop, 0.0, cr, rng)
+        trials = trials_of(pop, 0.0, cr, rng)
         assert (trials != pop).any(axis=1).all()
 
 
@@ -241,26 +251,34 @@ def test_crossover_always_inherits_from_donor():
 
 def select_one(parent, fitness, trial, objective, bounds=UNIT):
     """Plain selection of one trial against one parent with a cached fitness."""
+    trials = np.array([trial], dtype=float)
     coords, fit = selection_step(
         np.array([parent], dtype=float), np.array([fitness], dtype=float),
-        np.array([trial], dtype=float), 0, None, None, bounds, objective,
+        trials, 0, None, None, bounds, trial_values(trials, bounds, objective),
     )
     return coords[0], fit[0]
 
 
 def test_select_greedy_rejects_out_of_bounds_without_evaluating():
-    counting = CountingObjective(sphere)
-    coords, fit = select_one([0.5, 0.5], 0.5, [1.5, 0.5], counting)
-    assert np.array_equal(coords, [0.5, 0.5]) and fit == 0.5
-    assert counting.count == 0
-    # beside an in-bounds trial, only that one is evaluated
-    new_coords, new_fit = selection_step(
+    # an out-of-bounds trial arrives unevaluated, as +inf, and loses
+    coords, fit = selection_step(
         np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 0.5]),
-        np.array([[1.5, 0.5], [0.1, 0.1]]), 0, None, None, UNIT, counting,
+        np.array([[1.5, 0.5], [0.1, 0.1]]), 0, None, None, UNIT, np.array([np.inf, 0.02]),
     )
-    assert counting.count == 1
-    assert np.array_equal(new_coords, [[0.5, 0.5], [0.1, 0.1]])
-    assert new_fit[0] == 0.5 and new_fit[1] == pytest.approx(0.02)
+    assert np.array_equal(coords, [[0.5, 0.5], [0.1, 0.1]])
+    assert fit.tolist() == [0.5, 0.02]
+    # the engine evaluates only in-bounds trials, each once
+    seen = []
+
+    def recording(p):
+        seen.append(np.array(p))
+        return sphere(p)
+
+    record = run_de(recording, UNIT, FAST, 4)
+    assert len(seen) == record.nfe
+    assert all(UNIT.contains(p) for p in seen)
+    # some trials left the box: fewer evaluations than points drawn
+    assert record.nfe < FAST.pop_size * (1 + record.generations_used[0])
 
 
 def test_select_greedy_tie_goes_to_trial():
@@ -280,10 +298,16 @@ def test_select_greedy_himmelblau_example():
 
 
 def test_select_greedy_propagates_non_finite():
-    bad = lambda p: float("nan")
+    # the first trial's NaN stops the run, and the error names that trial
+    seen = []
+
+    def bad(p):
+        seen.append(np.array(p))
+        return sphere(p) if len(seen) <= FAST.pop_size else float("nan")
+
     with pytest.raises(EvaluationError) as info:
-        select_one([0.5, 0.5], 1.0, [0.2, 0.2], bad)
-    assert np.array_equal(info.value.point, [0.2, 0.2])
+        run_de(bad, UNIT, FAST, 0)
+    assert np.array_equal(info.value.point, seen[FAST.pop_size])
 
 
 # ---------------------------------------------------------------- spreading
@@ -291,14 +315,14 @@ def test_select_greedy_propagates_non_finite():
 def test_spreading_zero_on_collapsed_population():
     best = np.array([0.3, 0.7])
     pop = np.tile(best, (6, 1))
-    assert _spreading(pop, best, UNIT) == 0.0
+    assert spread_of(pop, best, UNIT) == 0.0
 
 
 def test_spreading_hand_computed_example():
     best = np.array([0.5, 0.5])
     pop = np.array([best, [0.5, 1.0]])
     expected = 0.5 * (0.5 / math.sqrt(0.5))
-    assert _spreading(pop, best, UNIT) == pytest.approx(expected, rel=1e-12)
+    assert spread_of(pop, best, UNIT) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.35355339, abs=1e-8)
 
 
@@ -306,9 +330,9 @@ def test_spreading_permutation_invariant():
     rng = RngStream(5)
     pop = rng.uniform(size=(8, 2))
     best = pop[3]
-    base = _spreading(pop, best, UNIT)
+    base = spread_of(pop, best, UNIT)
     perm = pop[[5, 1, 7, 3, 0, 6, 2, 4]]
-    assert _spreading(perm, best, UNIT) == pytest.approx(base, rel=1e-15)
+    assert spread_of(perm, best, UNIT) == pytest.approx(base, rel=1e-15)
 
 
 def test_spreading_degenerate_denominator_uses_domain_diagonal():
@@ -316,7 +340,7 @@ def test_spreading_degenerate_denominator_uses_domain_diagonal():
     best = np.zeros(2)
     pop = np.array([best, [1.0, 0.0]])
     expected = 0.5 / math.sqrt(8.0)
-    assert _spreading(pop, best, sym) == pytest.approx(expected, rel=1e-12)
+    assert spread_of(pop, best, sym) == pytest.approx(expected, rel=1e-12)
 
 
 def test_spreading_nonnegative_random_populations():
@@ -324,7 +348,7 @@ def test_spreading_nonnegative_random_populations():
     for _ in range(100):
         pop = rng.uniform(size=(10, 2))
         best = pop[np.argmin([sphere(c) for c in pop])]
-        assert _spreading(pop, best, UNIT) >= 0.0
+        assert spread_of(pop, best, UNIT) >= 0.0
 
 
 # ------------------------------------------------------------------ run_de

@@ -1,10 +1,11 @@
 """Tests for the repulsion penalty and residual-sum objectives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import CountingObjective, sphere
+from conftest import CountingObjective, sphere, trial_values
 
 from multide import (
     Bounds,
@@ -102,18 +103,34 @@ def test_penalized_dominates_base_with_equality_iff_far():
         assert (pen == base) == far
 
 
-def test_penalized_performs_exactly_one_base_evaluation():
-    # penalized selection evaluates each in-bounds trial once on the base
-    # objective and reuses the parents' cached values
-    counting = CountingObjective(sphere)
+def test_penalized_performs_exactly_one_base_evaluation(monkeypatch):
+    # penalized selection compares each in-bounds trial's one base value and
+    # reuses the parents' cached values
+    import multide.multipop as mp
+
     params = PenaltyParams(magnitude=10.0, radius=1.0)
     anchors = anchors_of([0.0, 0.0], [1.0, 1.0], [2.0, 2.0])
     coords = np.array([[0.5, 0.5], [0.2, 0.4], [0.9, 0.1]])
     fitness = np.array([sphere(c) for c in coords])
     trials = np.array([[0.4, 0.5], [5.0, 0.0], [0.8, 0.2]])  # the middle one leaves the box
     bounds = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    selection_step(coords, fitness, trials, 1, anchors, params, bounds, counting)
-    assert counting.count == 2
+    new_coords, _ = selection_step(coords, fitness, trials, 1, anchors, params, bounds,
+                                   trial_values(trials, bounds, sphere))
+    assert np.array_equal(new_coords[1], coords[1])
+    # live: the engine evaluates every in-bounds trial once, nothing more
+    problem = get_problem("B1")
+    real, inside = mp.selection_step, []
+
+    def watch(*args):
+        inside.append(np.count_nonzero(args[6].contains_all(args[2])))
+        return real(*args)
+
+    monkeypatch.setattr(mp, "selection_step", watch)
+    counting = CountingObjective(problem.objective)
+    params = replace(problem.default_params, switch_tol=None, subpops=3)
+    record = mp.run_mde_itmf(counting, problem.bounds, params, 0)
+    pop_size = problem.default_params.de.pop_size
+    assert counting.count == record.nfe == 3 * pop_size + sum(inside)
 
 
 def test_penalty_dimension_mismatch():

@@ -109,6 +109,13 @@ def test_sweep_config_validation():
         SweepConfig(base=base, parameter="np", values=[])
 
 
+@pytest.mark.parametrize("values", [8, "0.5"])
+def test_sweep_config_refuses_values_that_are_not_a_list(values):
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
+    with pytest.raises(ConfigurationError, match="sweep values must be a list"):
+        SweepConfig(base=base, parameter="np", values=values)
+
+
 def test_config_refuses_malformed_override_values_and_seeds():
     for overrides in ({"np": 15.5}, {"nsp": 2.7}, {"gmax": float("inf")}, {"np": float("nan")},
                       {"rho": float("nan")}, {"f": "abc"}, {"cr": None}):

@@ -7,12 +7,27 @@ bits and consume the same random draws, or seeded runs would change.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multide import Bounds, PenaltyParams, RngStream
-from multide.core import _spreading, generate_trials
+from multide import (
+    Bounds,
+    DEParams,
+    EvaluationError,
+    MultiParams,
+    PenaltyParams,
+    RngStream,
+    get_problem,
+    init_population,
+    run_de,
+    run_dewi,
+    run_mde_itmf,
+)
+from multide.core import _spreading, evaluate_batch, generate_trials
 from multide.deflation import penalty_batch
 
 
@@ -69,7 +84,7 @@ def test_generate_trials_matches_reference_draw_for_draw(n, d):
     for seed in range(150):
         coords = RngStream(10_000 + seed).uniform(size=(n, d)) * 4.0 - 2.0
         a, b = RngStream(seed), RngStream(seed)
-        got = generate_trials(coords, 0.7, 0.4, a)
+        got = generate_trials(coords[None], 0.7, 0.4, [a])[0]
         want = reference_generate_trials(coords, 0.7, 0.4, b)
         assert same_bits(got, want)
         # both consumed exactly the same draws
@@ -115,5 +130,224 @@ def test_spreading_matches_reference_bit_for_bit(d):
         coords = bounds.lower + rng.uniform(size=(n, d)) * bounds.span
         for best in (coords[0], np.zeros(d)):  # regular and degenerate denominator
             want = reference_spreading(np.asfortranarray(coords), best, bounds)
-            assert _spreading(coords, best, bounds) == want
-            assert _spreading(np.asfortranarray(coords), best, bounds) == want
+            assert _spreading(coords[None], best[None], bounds).tolist() == [want]
+            fortran = np.asfortranarray(coords)[None]
+            assert _spreading(fortran, best[None], bounds).tolist() == [want]
+
+
+# ------------------------------------------------- the stacked generation step
+
+def reference_selection(coords, fitness, trials, own_index, anchors, penalty, bounds, objective):
+    """Selection of one subpopulation that evaluates its own in-bounds trials."""
+    rows = bounds.contains_all(trials).nonzero()[0]
+    new_coords, new_fitness = coords.copy(), fitness.copy()
+    if not len(rows):
+        return new_coords, new_fitness
+    cand = trials[rows]
+    cand_fit = evaluate_batch(objective, cand)
+    cand_score, parent_score = cand_fit, fitness[rows]
+    if anchors is not None:
+        cand_score = cand_fit + penalty_batch(cand, own_index, anchors, penalty)
+        parent_score = fitness[rows] + penalty_batch(coords[rows], own_index, anchors, penalty)
+    wins = cand_score <= parent_score
+    new_coords[rows[wins]] = cand[wins]
+    new_fitness[rows[wins]] = cand_fit[wins]
+    return new_coords, new_fitness
+
+
+def reference_run(objective, bounds, params, seed):
+    """The generation loop that steps one subpopulation after the other.
+
+    Returns what a record reports (final bests, nfe, generations used, trace
+    bytes, or the offending point of a failed run) and, per generation, the
+    penalized flags of the subpopulations stepped.
+    """
+    de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
+
+    class Counting:
+        count = 0
+
+        def batch(self, pts):
+            self.count += len(pts)
+            batch = getattr(objective, "batch", None)
+            return batch(pts) if batch is not None else [objective(p) for p in pts]
+
+    counting = Counting()
+    streams = RngStream(seed).split(nsp)
+    pop = [init_population(bounds, de.pop_size, s) for s in streams]
+    fit = [evaluate_batch(counting, p) for p in pop]
+    anchors = np.array([p[f.argmin()] for p, f in zip(pop, fit)])
+    frozen, gens, trace, modes, point = [False] * nsp, [0] * nsp, [], [], None
+    try:
+        for gen in range(1, de.max_generations + 1):
+            if all(frozen):
+                break
+            modes.append([])
+            for j in range(nsp):
+                if frozen[j]:
+                    continue
+                spread = reference_spreading(np.asfortranarray(pop[j]), anchors[j], bounds)
+                if spread < de.spread_tol:
+                    frozen[j] = True
+                else:
+                    penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
+                    modes[-1].append(penalized)
+                    trials = reference_generate_trials(pop[j], de.F, de.CR, streams[j])
+                    pop[j], fit[j] = reference_selection(
+                        pop[j], fit[j], trials, j, anchors if penalized else None, penalty,
+                        bounds, counting)
+                    anchors[j] = pop[j][fit[j].argmin()]
+                    gens[j] += 1
+                trace.append((gen, j, *anchors[j].tolist(), float(fit[j].min()), spread))
+    except EvaluationError as err:
+        point, trace = err.point, None
+    outcome = {
+        "bests": [(a.tolist(), float(f.min())) for a, f in zip(anchors, fit)],
+        "nfe": counting.count,
+        "gens": gens,
+        "trace": None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4).tobytes(),
+        "point": None if point is None else point.tolist(),
+    }
+    return outcome, modes
+
+
+ENGINES = {"de": run_de, "mde-itmf": run_mde_itmf, "dewi": run_dewi}
+
+
+def engine_run(algorithm, objective, bounds, params, seed):
+    """The engine's record in the reference's terms."""
+    run = ENGINES[algorithm]
+    try:
+        record = run(objective, bounds, params.de if algorithm == "de" else params, seed,
+                     collect_trace=True)
+        trace, point = record.trace.tobytes(), None
+    except EvaluationError as err:
+        record, trace, point = err.partial_record, None, err.point.tolist()
+    return {
+        "bests": [(b.coords.tolist(), b.fitness) for b in record.final_bests],
+        "nfe": record.nfe,
+        "gens": record.generations_used,
+        "trace": trace,
+        "point": point,
+    }
+
+
+def engine_params(problem, algorithm, **changes):
+    params = replace(problem.default_params, **changes)
+    if algorithm == "de":
+        return MultiParams(de=params.de)
+    return replace(params, switch_tol=None) if algorithm == "mde-itmf" else params
+
+
+def check_against_reference(problem, algorithm, seed, objective=None, **changes):
+    params = engine_params(problem, algorithm, **changes)
+    objective = problem.objective if objective is None else objective
+    want, modes = reference_run(objective, problem.bounds, params, seed)
+    assert engine_run(algorithm, objective, problem.bounds, params, seed) == want
+    return want, modes
+
+
+@pytest.mark.parametrize("pid", [f"B{i}" for i in range(1, 11)])
+@pytest.mark.parametrize("algorithm", ["de", "mde-itmf", "dewi"])
+def test_engines_match_the_per_subpopulation_loop(pid, algorithm):
+    for seed in (0, 1, 2):
+        check_against_reference(get_problem(pid), algorithm, seed)
+
+
+@pytest.mark.parametrize("pid", ["B1", "B7"])
+def test_five_subpopulations_match_the_per_subpopulation_loop(pid):
+    for seed in (3, 4):
+        want, _ = check_against_reference(get_problem(pid), "mde-itmf", seed, subpops=5)
+        # the subpopulations freeze at different generations
+        assert len(set(want["gens"])) > 1
+
+
+def test_degenerate_spreading_denominator_matches_the_per_subpopulation_loop():
+    # B2's minimizer sits at the origin: a converged anchor there makes the
+    # spreading fall back to the domain diagonal.
+    problem = get_problem("B2")
+    hits = 0
+    real = _spreading
+
+    def spreading(pops, bests, bounds):
+        nonlocal hits
+        best_rel = np.atleast_2d(bests) / bounds.span  # one best or a stack of them
+        hits += int(np.count_nonzero(np.linalg.norm(best_rel, axis=1) < 1e-12))
+        return real(pops, bests, bounds)
+
+    import multide.multipop as mp
+
+    mp._spreading = spreading
+    try:
+        for algorithm in ("de", "mde-itmf"):
+            check_against_reference(problem, algorithm, 5)
+    finally:
+        mp._spreading = real
+    assert hits > 0
+
+
+def test_dewi_generations_mixing_penalized_and_plain_steps_match():
+    problem = get_problem("B1")
+    _, modes = check_against_reference(problem, "dewi", 6)
+    assert any(True in m and False in m for m in modes)
+
+
+def test_failure_in_a_later_subpopulation_matches_the_per_subpopulation_loop():
+    problem = get_problem("B1")
+    for nsp in (2, 3):
+        params = engine_params(problem, "mde-itmf", subpops=nsp)
+        # The reference evaluates one batch per subpopulation: the initial
+        # populations, then generation 1's in-bounds trials.
+        batches = []
+
+        class Recording:
+            def batch(self, pts):
+                batches.append(pts.copy())
+                return problem.objective.batch(pts)
+
+        reference_run(Recording(), problem.bounds, params, 8)
+        target = batches[nsp + 1][0]  # subpopulation 1's first evaluated trial
+
+        def failing(p):
+            return float("nan") if np.array_equal(p, target) else problem.objective(p)
+
+        want, _ = reference_run(failing, problem.bounds, params, 8)
+        got = engine_run("mde-itmf", failing, problem.bounds, params, 8)
+        assert got == want
+        assert got["gens"] == [1] + [0] * (nsp - 1)
+        assert got["point"] == target.tolist()
+        # nfe counts the initial populations and the trials up to subpopulation 1's
+        assert got["nfe"] == sum(map(len, batches[:nsp + 2]))
+
+
+class RandomBox:
+    """A random box and DE settings; the problem ``check_against_reference`` runs."""
+
+    def __init__(self, bounds, params):
+        self.bounds, self.default_params = bounds, params
+
+    @staticmethod
+    def objective(p):  # a plain callable: evaluated row by row
+        return float(np.sum(np.sin(3.0 * p) + 0.1 * p * p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_stacks_match_the_per_subpopulation_loop(data):
+    d = data.draw(st.integers(1, 3))
+    lower = np.array(data.draw(st.lists(st.floats(-5.0, 0.0), min_size=d, max_size=d)))
+    width = np.array(data.draw(st.lists(st.floats(0.5, 5.0), min_size=d, max_size=d)))
+    spread_tol = data.draw(st.floats(1e-3, 0.2))
+    de = DEParams(pop_size=data.draw(st.integers(4, 12)), F=data.draw(st.floats(0.0, 1.0)),
+                  CR=data.draw(st.floats(0.0, 1.0)), max_generations=data.draw(st.integers(1, 12)),
+                  spread_tol=spread_tol)
+    params = MultiParams(
+        de=de,
+        penalty=PenaltyParams(magnitude=data.draw(st.floats(0.1, 100.0)),
+                              radius=data.draw(st.floats(0.05, 2.0))),
+        subpops=data.draw(st.integers(1, 5)),
+        switch_tol=spread_tol * data.draw(st.floats(1.5, 20.0)),
+    )
+    algorithm = data.draw(st.sampled_from(["de", "mde-itmf", "dewi"]))
+    check_against_reference(RandomBox(Bounds(lower, lower + width), params), algorithm,
+                            data.draw(st.integers(0, 2**32 - 1)))

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import CountingObjective, sphere
+from conftest import CountingObjective, sphere, trial_values
 
 from multide import (
     Bounds,
@@ -139,7 +139,7 @@ def test_trace_rows_track_each_subpops_best_and_spreading():
             if gen > 1:
                 prev_pop, prev_fit, _ = states[gen - 1]
                 before = prev_pop[j, prev_fit[j].argmin()]
-                assert rows[gen, j][3] == _spreading(prev_pop[j], before, B1.bounds)
+                assert rows[gen, j][3] == _spreading(prev_pop[j][None], before[None], B1.bounds)[0]
             frozen_seen += frozen[j]
     assert frozen_seen == NSP
 
@@ -166,7 +166,7 @@ def select_greedy(target, trial, objective, bounds):
 def test_selection_step_plain_matches_select_greedy():
     coords, fitness, trials, _ = random_scenario(7)
     new_coords, new_fitness = selection_step(
-        coords, fitness, trials, 0, None, None, BOX, sphere
+        coords, fitness, trials, 0, None, None, BOX, trial_values(trials, BOX, sphere)
     )
     for i in range(len(coords)):
         expect = select_greedy(Point(coords[i], fitness[i]), trials[i], sphere, BOX)
@@ -178,8 +178,9 @@ def test_selection_step_penalized_equals_plain_when_anchors_far():
     coords, fitness, trials, _ = random_scenario(8)
     far = np.array([[50.0, 50.0], [-60.0, 10.0]])
     penalty = PenaltyParams(magnitude=2000.0, radius=1.0)
-    plain = selection_step(coords, fitness, trials, 0, None, None, BOX, sphere)
-    pen = selection_step(coords, fitness, trials, 0, far, penalty, BOX, sphere)
+    values = trial_values(trials, BOX, sphere)
+    plain = selection_step(coords, fitness, trials, 0, None, None, BOX, values)
+    pen = selection_step(coords, fitness, trials, 0, far, penalty, BOX, values)
     assert np.array_equal(plain[0], pen[0])
     assert np.array_equal(plain[1], pen[1])
 
@@ -194,22 +195,35 @@ def test_selection_step_parent_survives_inside_foreign_radius():
     trial = np.array([[0.0, 0.0]])  # the foreign anchor itself, base value 0
     anchors = np.stack([parent[0], np.zeros(2)])
     new_coords, new_fitness = selection_step(
-        parent, fitness, trial, 0, anchors, penalty, problem.bounds, problem.objective
+        parent, fitness, trial, 0, anchors, penalty, problem.bounds,
+        trial_values(trial, problem.bounds, problem.objective),
     )
     assert np.array_equal(new_coords[0], [-2.0, 0.0])
 
 
 def test_selection_step_out_of_bounds_trials_never_evaluated():
-    counting = CountingObjective(sphere)
+    # out-of-bounds trials arrive unevaluated, as +inf, and lose
     coords = np.array([[0.0, 0.0], [0.5, 0.5]])
     fitness = np.array([0.0, 0.5])
     trials = np.array([[5.0, 5.0], [-3.0, 0.0]])
     new_coords, new_fitness = selection_step(
-        coords, fitness, trials, 0, None, None, BOX, counting
+        coords, fitness, trials, 0, None, None, BOX, np.full(2, np.inf)
     )
-    assert counting.count == 0
     assert np.array_equal(new_coords, coords)
     assert np.array_equal(new_fitness, fitness)
+    # live: no engine ever hands the objective an out-of-bounds point
+    seen = []
+
+    def recording(p):
+        seen.append(np.array(p))
+        return B1.objective(p)
+
+    for run in (run_mde_itmf, run_dewi):
+        params = B1.default_params if run is run_dewi else B1_MDE
+        record = run(recording, B1.bounds, params, 3)
+        assert len(seen) == record.nfe
+        assert all(B1.bounds.contains(p) for p in seen)
+        seen.clear()
 
 
 def test_selection_step_penalized_score_never_worsens():
@@ -219,7 +233,7 @@ def test_selection_step_penalized_score_never_worsens():
     for seed in range(50):
         coords, fitness, trials, anchors = random_scenario(seed)
         new_coords, new_fitness = selection_step(
-            coords, fitness, trials, 0, anchors, penalty, BOX, sphere
+            coords, fitness, trials, 0, anchors, penalty, BOX, trial_values(trials, BOX, sphere)
         )
         old_score = fitness + penalty_batch(coords, 0, anchors, penalty)
         new_score = new_fitness + penalty_batch(new_coords, 0, anchors, penalty)
@@ -229,7 +243,8 @@ def test_selection_step_penalized_score_never_worsens():
 def test_selection_step_needs_penalty_params_for_penalized_mode():
     coords, fitness, trials, anchors = random_scenario(1)
     with pytest.raises(ConfigurationError):
-        selection_step(coords, fitness, trials, 0, anchors, None, BOX, sphere)
+        selection_step(coords, fitness, trials, 0, anchors, None, BOX,
+                       trial_values(trials, BOX, sphere))
 
 
 # ------------------------------------------------------------------ engines

@@ -131,3 +131,49 @@ def test_unsupported_ranges_are_refused():
             stream.integers(low, high, size=3)
     with pytest.raises(ValueError):
         stream.uniform(size=(-1, 2))
+
+
+# -------------------------------------------------------------- donor window
+
+def window_then_rounds(stream, ref, n, rounds):
+    """Take ``rounds`` (value counts) from one window; the twin draws them per call."""
+    total = sum(rounds)
+    window = stream.window(n, total + 7)  # a few values more than taken
+    assert len(window) == total + 7 and all(type(v) is int for v in window)
+    drawn = np.concatenate([ref.integers(0, n, size=count) for count in rounds])
+    assert window[:total] == drawn.tolist()
+    stream.skip(n, total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.sampled_from([2, 4, 30, 2**31 + 1, 3 * 2**30, 2**32]),
+       before=st.lists(st.tuples(st.sampled_from(["uniform", "integers"]),
+                                 st.integers(0, BLOCK + 3)), max_size=3),
+       rounds=st.lists(st.integers(0, 3 * BLOCK // 4), min_size=1, max_size=5))
+def test_window_then_skip_matches_per_round_integers(seed, n, before, rounds):
+    # Earlier draws leave the window to start mid-block, next to a block
+    # refill or on an owed half word; the draws after it must line up too.
+    stream, ref = RngStream(seed), twin(seed)
+    replay(stream, ref, [(kind, 0, 30, size) for kind, size in before])
+    window_then_rounds(stream, ref, n, rounds)
+    replay(stream, ref, [("integers", 0, 30, 3), ("uniform", 0, 0, 5), ("integers", 0, n, 9)])
+
+
+def test_window_rejections_refill_and_owed_half():
+    stream, ref = RngStream(17, (1,)), twin(17, (1,))
+    # 3 * 2**30 rejects a quarter of all uint32 draws, so a window of 60
+    # values spans about 80 halves; the first round starts on an owed half
+    # and the window crosses the block refill.
+    replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 30)])
+    assert stream._half == 1
+    window_then_rounds(stream, ref, 3 * 2**30, [45, 9, 3, 3])
+    replay(stream, ref, FIXED_CALLS)
+
+
+def test_window_consumes_nothing_and_extends_from_the_same_start():
+    stream, ref = RngStream(23), twin(23)
+    short = stream.window(30, 10)
+    longer = stream.window(30, 3 * BLOCK)  # runs past the block's end
+    assert longer[:10] == short
+    same(stream.integers(0, 30, size=3 * BLOCK), ref.integers(0, 30, size=3 * BLOCK))
