@@ -64,17 +64,13 @@ class Bounds:
             raise ConfigurationError("bounds must have at least one dimension")
         if not np.all(self.lower < self.upper):
             raise ConfigurationError("every lower bound must be strictly below its upper bound")
+        object.__setattr__(self, "span", self.upper - self.lower)  # side lengths U - L
         if not np.all(np.isfinite(self.span)):
             raise ConfigurationError("bounds must be finite, with finite side lengths")
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def span(self) -> np.ndarray:
-        """Side lengths U - L of the domain box."""
-        return self.upper - self.lower
 
     @property
     def diagonal(self) -> float:
@@ -177,7 +173,6 @@ def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
             f"objective returned non-finite value {values[k]} at {pts[k]}",
             point=pts[k].copy(),
             value=float(values[k]),
-            values=values,
         )
     return values
 

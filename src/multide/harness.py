@@ -137,6 +137,7 @@ class SweepConfig:
             raise ConfigurationError(f"sweep values must be a list, got {self.values!r}")
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
+        self.values = [_override_value(self.parameter, v) for v in self.values]
         self.base = replace(self.base, trace=False)  # no sweep output holds traces
         for experiment in self.experiments():
             _resolve(experiment)

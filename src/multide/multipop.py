@@ -89,25 +89,6 @@ def selection_step(
     return np.where(wins[:, None], trials, coords), np.where(wins, trial_fitness, fitness)
 
 
-class _CountingObjective:
-    """Wraps an objective and counts every base evaluation.
-
-    ``batch`` returns the raw values; the engine reads them through
-    :func:`evaluate_batch`, which checks them once.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._batch = getattr(fn, "batch", None)
-        self.count = 0
-
-    def batch(self, pts):
-        self.count += len(pts)
-        if self._batch is not None:
-            return self._batch(pts)
-        return [self._fn(p) for p in pts]
-
-
 def _run_engine(
     objective: Callable,
     bounds: Bounds,
@@ -126,17 +107,19 @@ def _run_engine(
     Selection is penalized when ``params.penalty`` is set and, if
     ``params.switch_tol`` is set too, only while the subpopulation's
     spreading is at or above it; ``algorithm`` only labels the record. A
-    non-finite value in subpopulation m's trials is raised after the steps
-    before m, with evaluations counted up to m's, as a loop over single
-    subpopulations would. ``observer(gen, pop, fit, frozen)`` is called
-    after every generation with the engine's own state: ``pop`` shaped
-    (nsp, pop_size, d), ``fit`` the (nsp, pop_size) base values and one
-    frozen flag per subpopulation. Treat them as read-only.
+    non-finite trial value fails the run before any selection of its
+    generation: the error's ``partial_record`` holds the state after the
+    previous generation, and its ``nfe`` counts every row the objective
+    was handed, the failing call's included.
+    ``observer(gen, pop, fit, frozen)`` is called after every generation
+    with the engine's own state: ``pop`` shaped (nsp, pop_size, d),
+    ``fit`` the (nsp, pop_size) base values and one frozen flag per
+    subpopulation. Treat them as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
     if not is_count(seed) or seed < 0:
         raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
-    counter = _CountingObjective(objective)
+    nfe = 0
     t0 = time.perf_counter()
     gens = [0] * nsp
     n, dim = de.pop_size, bounds.dim
@@ -154,7 +137,7 @@ def _run_engine(
             algorithm=algorithm,
             seed=int(seed),
             elapsed_seconds=time.perf_counter() - t0,
-            nfe=counter.count,
+            nfe=nfe,
             final_bests=[] if anchors is None else list(map(Point, anchors, fit.min(axis=1))),
             generations_used=list(gens),
             trace=trace_array,
@@ -164,7 +147,8 @@ def _run_engine(
         streams = RngStream(seed).split(nsp)
         for j in range(nsp):
             pop[j] = init_population(bounds, n, streams[j])
-            fit[j] = evaluate_batch(counter, pop[j])
+            nfe += n
+            fit[j] = evaluate_batch(objective, pop[j])
         # anchors[j] is a copy of subpopulation j's best row (ties go to the
         # lowest index), rewritten whenever fit[j] changes.
         anchors = pop[np.arange(nsp), fit.argmin(axis=1)]
@@ -176,33 +160,22 @@ def _run_engine(
                 break
             spreads = _spreading(stack(pop, live), stack(anchors, live), bounds).tolist()
             steps = [j for j, spread in zip(live, spreads) if spread >= de.spread_tol]
-            failed = failure = None
             if steps:
                 trials = generate_trials(stack(pop, steps), de.F, de.CR, [streams[j] for j in steps])
                 flat = trials.reshape(-1, dim)
                 rows = bounds.contains_all(flat).nonzero()[0]
-                try:
-                    if len(rows) == len(flat):
-                        values = evaluate_batch(counter, flat)
-                    else:
-                        values = np.full(len(flat), np.inf)  # out-of-bounds trials lose
-                        if len(rows):
-                            values[rows] = evaluate_batch(counter, flat[rows])
-                except EvaluationError as err:
-                    if err.values is None:
-                        raise
-                    values = np.full(len(flat), np.inf)
-                    values[rows] = err.values
-                    m = rows[np.isfinite(err.values).argmin()] // n
-                    counter.count -= np.count_nonzero(rows >= (m + 1) * n)
-                    failed, failure = steps[m], err
+                nfe += len(rows)
+                if len(rows) == len(flat):
+                    values = evaluate_batch(objective, flat)
+                else:
+                    values = np.full(len(flat), np.inf)  # out-of-bounds trials lose
+                    if len(rows):
+                        values[rows] = evaluate_batch(objective, flat[rows])
                 stepped = zip(trials, values.reshape(-1, n))
             for j, spread in zip(live, spreads):
                 if spread < de.spread_tol:
                     frozen[j] = True
                 else:
-                    if j == failed:
-                        raise failure
                     penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
                     coords, values_j = next(stepped)
                     pop[j], fit[j] = selection_step(

@@ -1,6 +1,7 @@
 """Operator-level and single-engine tests for canonical DE."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_bounds_validation():
     b = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     assert b.span.tolist() == [2.0, 2.0]
     assert b.contains([0.0, 1.0]) and not b.contains([0.0, 2.5])
+
+
+def test_bounds_span_is_computed_once():
+    b = Bounds(np.array([-1.0, 0.1]), np.array([0.3, 2.0]))
+    assert b.span is b.span
+    assert b.span.tobytes() == (b.upper - b.lower).tobytes()
+    wider = replace(b, upper=np.array([0.3, 5.0]))
+    assert wider.span.tobytes() == (wider.upper - wider.lower).tobytes()
+    assert wider.span[1] != b.span[1]
+    assert [f.name for f in fields(Bounds)] == ["lower", "upper"]
 
 
 @pytest.mark.parametrize("lower, upper", [

@@ -207,13 +207,13 @@ def test_cli_output_files_match_golden(command, tmp_path, capsys):
 
 
 # emit_outputs of an experiment whose mde-itmf seed-12 run fails with a
-# partial record: pins the failures block, with the exact offending point and
-# value, the failed cell's blank rows and the complete DE cell's groups next
-# to it.
+# partial record: pins the failures block, with the exact offending point,
+# value and nfe (every row the objective was handed), the failed cell's blank
+# rows and the complete DE cell's groups next to it.
 GOLDEN_FAILED_RUN = {
     "runs.csv": "7c6f245344e7313349cf3cf7cc1b092bca158799aa530f2867ca51ff3e2e89b1",
     "aggregates.csv": "18000e097082d06e66bd21b46577ef66c1d3f1d3a8c70c598e91b7d53008073a",
-    "report.json": "306677d4452315d77679d924e02750ab42eeeb4a62887e4436435b4a5ccedcef",
+    "report.json": "828de76a8f1c1c37e2101fa22eb575f4546b62e6e1fa4a4eb143a56d9a5d4dfa",
 }
 
 

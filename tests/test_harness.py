@@ -558,6 +558,18 @@ def test_library_sweep_collects_no_traces(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["config"]["base"]["trace"] is False
 
 
+@pytest.mark.parametrize("values", [[np.int64(20), np.int64(24)], ["20"]])
+def test_sweep_values_are_stored_and_written_as_floats(values, tmp_path):
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
+    sweep = SweepConfig(base=base, parameter="np", values=values)
+    want = [float(v) for v in values]
+    assert sweep.values == want and all(type(v) is float for v in sweep.values)
+    emit_outputs(run_sweep(sweep), tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["values"] == want
+    assert [row["value"] for row in report["rows"]] == want
+
+
 def test_sweep_report_states_the_runs_of_each_cell(tmp_path):
     base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf", "dewi"], runs=2, seed=3)
     report = run_sweep(SweepConfig(base=base, parameter="np", values=[10]))

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from multide import (
     Bounds,
     DEParams,
-    EvaluationError,
     MultiParams,
     PenaltyParams,
     RngStream,
@@ -158,9 +157,9 @@ def reference_selection(coords, fitness, trials, own_index, anchors, penalty, bo
 def reference_run(objective, bounds, params, seed):
     """The generation loop that steps one subpopulation after the other.
 
-    Returns what a record reports (final bests, nfe, generations used, trace
-    bytes, or the offending point of a failed run) and, per generation, the
-    penalized flags of the subpopulations stepped.
+    Returns what a record reports (final bests, nfe, generations used and
+    trace bytes) and, per generation, the penalized flags of the
+    subpopulations stepped.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
 
@@ -177,36 +176,32 @@ def reference_run(objective, bounds, params, seed):
     pop = [init_population(bounds, de.pop_size, s) for s in streams]
     fit = [evaluate_batch(counting, p) for p in pop]
     anchors = np.array([p[f.argmin()] for p, f in zip(pop, fit)])
-    frozen, gens, trace, modes, point = [False] * nsp, [0] * nsp, [], [], None
-    try:
-        for gen in range(1, de.max_generations + 1):
-            if all(frozen):
-                break
-            modes.append([])
-            for j in range(nsp):
-                if frozen[j]:
-                    continue
-                spread = reference_spreading(np.asfortranarray(pop[j]), anchors[j], bounds)
-                if spread < de.spread_tol:
-                    frozen[j] = True
-                else:
-                    penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
-                    modes[-1].append(penalized)
-                    trials = reference_generate_trials(pop[j], de.F, de.CR, streams[j])
-                    pop[j], fit[j] = reference_selection(
-                        pop[j], fit[j], trials, j, anchors if penalized else None, penalty,
-                        bounds, counting)
-                    anchors[j] = pop[j][fit[j].argmin()]
-                    gens[j] += 1
-                trace.append((gen, j, *anchors[j].tolist(), float(fit[j].min()), spread))
-    except EvaluationError as err:
-        point, trace = err.point, None
+    frozen, gens, trace, modes = [False] * nsp, [0] * nsp, [], []
+    for gen in range(1, de.max_generations + 1):
+        if all(frozen):
+            break
+        modes.append([])
+        for j in range(nsp):
+            if frozen[j]:
+                continue
+            spread = reference_spreading(np.asfortranarray(pop[j]), anchors[j], bounds)
+            if spread < de.spread_tol:
+                frozen[j] = True
+            else:
+                penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
+                modes[-1].append(penalized)
+                trials = reference_generate_trials(pop[j], de.F, de.CR, streams[j])
+                pop[j], fit[j] = reference_selection(
+                    pop[j], fit[j], trials, j, anchors if penalized else None, penalty,
+                    bounds, counting)
+                anchors[j] = pop[j][fit[j].argmin()]
+                gens[j] += 1
+            trace.append((gen, j, *anchors[j].tolist(), float(fit[j].min()), spread))
     outcome = {
         "bests": [(a.tolist(), float(f.min())) for a, f in zip(anchors, fit)],
         "nfe": counting.count,
         "gens": gens,
-        "trace": None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4).tobytes(),
-        "point": None if point is None else point.tolist(),
+        "trace": np.array(trace).reshape(-1, bounds.dim + 4).tobytes(),
     }
     return outcome, modes
 
@@ -217,18 +212,13 @@ ENGINES = {"de": run_de, "mde-itmf": run_mde_itmf, "dewi": run_dewi}
 def engine_run(algorithm, objective, bounds, params, seed):
     """The engine's record in the reference's terms."""
     run = ENGINES[algorithm]
-    try:
-        record = run(objective, bounds, params.de if algorithm == "de" else params, seed,
-                     collect_trace=True)
-        trace, point = record.trace.tobytes(), None
-    except EvaluationError as err:
-        record, trace, point = err.partial_record, None, err.point.tolist()
+    record = run(objective, bounds, params.de if algorithm == "de" else params, seed,
+                 collect_trace=True)
     return {
         "bests": [(b.coords.tolist(), b.fitness) for b in record.final_bests],
         "nfe": record.nfe,
         "gens": record.generations_used,
-        "trace": trace,
-        "point": point,
+        "trace": record.trace.tobytes(),
     }
 
 
@@ -290,34 +280,6 @@ def test_dewi_generations_mixing_penalized_and_plain_steps_match():
     problem = get_problem("B1")
     _, modes = check_against_reference(problem, "dewi", 6)
     assert any(True in m and False in m for m in modes)
-
-
-def test_failure_in_a_later_subpopulation_matches_the_per_subpopulation_loop():
-    problem = get_problem("B1")
-    for nsp in (2, 3):
-        params = engine_params(problem, "mde-itmf", subpops=nsp)
-        # The reference evaluates one batch per subpopulation: the initial
-        # populations, then generation 1's in-bounds trials.
-        batches = []
-
-        class Recording:
-            def batch(self, pts):
-                batches.append(pts.copy())
-                return problem.objective.batch(pts)
-
-        reference_run(Recording(), problem.bounds, params, 8)
-        target = batches[nsp + 1][0]  # subpopulation 1's first evaluated trial
-
-        def failing(p):
-            return float("nan") if np.array_equal(p, target) else problem.objective(p)
-
-        want, _ = reference_run(failing, problem.bounds, params, 8)
-        got = engine_run("mde-itmf", failing, problem.bounds, params, 8)
-        assert got == want
-        assert got["gens"] == [1] + [0] * (nsp - 1)
-        assert got["point"] == target.tolist()
-        # nfe counts the initial populations and the trials up to subpopulation 1's
-        assert got["nfe"] == sum(map(len, batches[:nsp + 2]))
 
 
 class RandomBox:

@@ -471,3 +471,44 @@ def test_partial_record_is_empty_when_initialization_fails():
     assert partial.final_bests == []
     assert partial.generations_used == [0] * params.subpops
     assert partial.nfe == 2 * params.de.pop_size
+
+
+def capped(params, gmax):
+    return replace(params, de=replace(params.de, max_generations=gmax))
+
+
+@pytest.mark.parametrize("nsp", [2, 3, 4])
+def test_failed_generation_reports_the_previous_one_and_every_call(nsp, monkeypatch):
+    # A NaN on subpopulation 1's first evaluated trial of generation 2 fails
+    # the run as it stood after generation 1, with every objective call counted.
+    import multide.multipop as mp
+
+    params = replace(B1_MDE, subpops=nsp)
+    stacks, real_generate_trials = [], mp.generate_trials
+
+    def recording_generate_trials(pops, F, CR, rngs):
+        stacks.append(real_generate_trials(pops, F, CR, rngs))
+        return stacks[-1]
+
+    monkeypatch.setattr(mp, "generate_trials", recording_generate_trials)
+    run_mde_itmf(B1.objective, B1.bounds, capped(params, 2), 8)
+    monkeypatch.undo()
+    trials = stacks[1]  # generation 2's stack: every subpopulation steps
+    assert len(trials) == nsp
+    target = trials[1][B1.bounds.contains_all(trials[1])][0]
+    gen2_rows = int(np.count_nonzero(B1.bounds.contains_all(trials.reshape(-1, 2))))
+    calls = {"n": 0}
+
+    def failing(p):
+        calls["n"] += 1
+        return float("nan") if np.array_equal(p, target) else B1.objective(p)
+
+    with pytest.raises(EvaluationError) as info:
+        run_mde_itmf(failing, B1.bounds, params, 8)
+    partial = info.value.partial_record
+    one_gen = run_mde_itmf(B1.objective, B1.bounds, capped(params, 1), 8)
+    assert partial.nfe == calls["n"] == one_gen.nfe + gen2_rows
+    assert partial.generations_used == one_gen.generations_used == [1] * nsp
+    digits = [[f"{v:.17g}" for v in (*b.coords, b.fitness)] for b in partial.final_bests]
+    assert digits == [[f"{v:.17g}" for v in (*b.coords, b.fitness)] for b in one_gen.final_bests]
+    assert np.array_equal(info.value.point, target)

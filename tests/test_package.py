@@ -35,6 +35,9 @@ def test_second_copies_are_gone():
     # runs_per_value was the base experiment's runs.
     sweep_fields = tuple(f.name for f in dataclasses.fields(multide.SweepConfig))
     assert sweep_fields == ("base", "parameter", "values")
+    # The engine counts its own evaluations, and a failed generation is not replayed.
+    assert not hasattr(multide.multipop, "_CountingObjective")
+    assert not hasattr(multide.EvaluationError("x"), "values")
 
 
 def test_engines_take_no_anchor_mode():
