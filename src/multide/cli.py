@@ -32,7 +32,10 @@ def _parse_params(items) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigurationError(f"--param expects key=value, got {item!r}")
-        overrides[key.strip().lower()] = value  # checked by ExperimentConfig
+        try:
+            overrides[key.strip().lower()] = float(value)  # range-checked by ExperimentConfig
+        except ValueError:
+            raise ConfigurationError(f"--param {key.strip()}: {value!r} is not a number") from None
     return overrides
 
 

@@ -223,44 +223,25 @@ def generate_trials(pops: np.ndarray, F: float, CR: float, rngs) -> np.ndarray:
     """Mutation + crossover for a (k, n, d) stack of populations at once.
 
     ``rngs`` holds one stream per population; the result holds one trial
-    vector per row. Each stream's draw order per generation is fixed:
-    donor index triples (colliding rows redrawn round by round, resolved
-    in plain Python over one window of values), then the forced crossover
+    vector per row. Each stream gives one :meth:`RngStream.trial_draws`
+    call per generation, which fixes its draw order: donor index triples
+    (colliding rows redrawn round by round), then the forced crossover
     indices, then one uniform per coordinate.
     """
     k, n, d = pops.shape
-    if n < 4:
-        raise ConfigurationError("mutation needs a population of at least 4")
-    # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
-    size = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
     triples, rnbr, uniforms = [], [], []
     for rng in rngs:
-        window = rng.window(n, size)
-        r = window[:3 * n]
-        it = iter(r)
-        rows = [i for i, a, b, c in zip(range(n), it, it, it)
-                if a == i or b == i or c == i or a == b or a == c or b == c]
-        used = 3 * n
-        while rows:
-            end = used + 3 * len(rows)
-            if end > len(window):
-                window = rng.window(n, 2 * end)
-            it, again = iter(window[used:end]), []
-            for i, a, b, c in zip(rows, it, it, it):
-                r[3 * i:3 * i + 3] = a, b, c
-                if a == i or b == i or c == i or a == b or a == c or b == c:
-                    again.append(i)
-            rows, used = again, end
-        rng.skip(n, used)
+        r, forced, u = rng.trial_draws(n, d)
         triples += r
-        rnbr.append(rng.integers(0, d, size=n))
-        uniforms.append(rng.uniform(size=(n, d)))
+        rnbr.append(forced)
+        uniforms.append(u)
     flat = pops.reshape(k * n, d)
     r = np.fromiter(triples, np.intp, 3 * k * n).reshape(k, 3 * n)
     if k > 1:  # donor rows in ``flat``: population j's rows start at j * n
         r += np.arange(0, k * n, n)[:, None]
-    x = flat[r.reshape(k * n, 3).T]                          # (3, k n, d)
+        rnbr, uniforms = [np.concatenate(rnbr)], [np.concatenate(uniforms)]
+    x = flat.take(r.reshape(k * n, 3).T, axis=0)             # (3, k n, d)
     donors = x[0] + F * (x[1] - x[2])
-    take = np.concatenate(uniforms) <= CR
-    take[np.arange(k * n), np.concatenate(rnbr)] = True
+    take = uniforms[0] <= CR
+    take[np.arange(k * n), rnbr[0]] = True
     return np.where(take, donors, flat).reshape(k, n, d)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -163,15 +164,14 @@ def _whole(key: str, value) -> int:
 
 
 def _override_value(key: str, value) -> float:
-    """``value`` as a float; refuses unknown keys, non-numbers, NaN and non-integral ints."""
+    """``value`` as a float; refuses unknown keys, bools, strings, NaN and non-integral ints."""
     if key not in _OVERRIDES:
         raise ConfigurationError(
             f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
         )
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"parameter {key}: {value!r} is not a number") from None
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigurationError(f"parameter {key}: {value!r} is not a number")
+    number = float(value)
     if math.isnan(number):
         raise ConfigurationError(f"parameter {key} must not be NaN")
     if _OVERRIDES[key][2] is int and not number.is_integer():

@@ -66,16 +66,20 @@ class RngStream:
     next ``integers`` call), skipping ``x`` while the low 32 bits of
     ``x * n`` are below ``(2**32 - n) % n``. It supports 1 to ``2**32``
     values (``n == 1`` draws nothing); a wider range raises
-    :class:`ConfigurationError` and an empty one ``ValueError``. Returned
-    arrays belong to the caller. Words pulled past the last draw are never
-    seen, since engine streams are private children from ``split``. No
-    option selects numpy's own generator instead.
+    :class:`ConfigurationError` and an empty one ``ValueError``. Arrays
+    returned by ``uniform`` and ``integers`` belong to the caller.
+    ``trial_draws`` gives one generation of DE/rand/1/bin draws in one
+    call, exactly as its sequence of ``integers`` and ``uniform`` calls
+    would. Words pulled past the last draw are never seen, since engine
+    streams are private children from ``split``. No option selects numpy's
+    own generator instead.
 
     Each block decodes its uniforms once, and its integers once for each of
     the first :data:`TABLES` ranges drawn from it, so a call is one slice
-    copy. Further ranges in the same block decode only the halves they
-    draw, which keeps work and memory per call in line with its size when
-    a caller changes the range on every call.
+    copy and a ``trial_draws`` call a few slices. Further ranges in the
+    same block decode only the halves they draw, which keeps work and
+    memory per call in line with its size when a caller changes the range
+    on every call.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -111,12 +115,7 @@ class RngStream:
         """Uniform draws in [0, 1), as numpy's ``random(size)``."""
         shape, count = _shape(size)
         self._reserve(count)
-        pos = self._pos
-        end = self._pos = pos + count
-        if self._half:  # the owed half moves to the last word taken
-            for column in (self._halves, *(v for v, _ in self._tables.values())):
-                column[2 * end - 1] = column[2 * pos - 1]
-        out = self._unit[pos:end]
+        out = self._units(self._pos, count)
         return float(out[0]) if shape is None else out.reshape(shape).copy()
 
     def integers(self, low, high=None, size=None):
@@ -132,46 +131,115 @@ class RngStream:
         if n == 1:
             out = np.full(count, low, dtype=np.int64)
         else:
-            out = self._lemire(n, count)
+            span, used = self._span(n, count)
+            end = 2 * self._pos - self._half + used
+            self._pos, self._half = (end + 1) // 2, end % 2
+            out = span.copy() if used == count else span[span >= 0]
             if low:
                 out += low
         return out[0] if shape is None else out.reshape(shape)
 
-    def window(self, n: int, count: int) -> list[int]:
-        """The next ``count`` values of ``integers(0, n)``, as a list, not consumed.
+    def trial_draws(self, n: int, d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """One generation of DE/rand/1/bin draws for ``n >= 4`` rows in ``d`` dimensions.
 
-        Rejection rounds take their values from one window and then
-        :meth:`skip` exactly the values taken, as one ``integers`` call per
-        round would consume them. ``n`` ranges from 2 to ``2**32``.
+        Returns what these calls would, and leaves the stream where they
+        would: ``integers(0, n, size=(n, 3))`` as a flat list of donor
+        indices, each redrawn by one ``integers(0, n, size=(m, 3))`` per round
+        over the ``m`` rows, ascending, whose triple repeats an index or holds
+        the row's own; then ``integers(0, d, size=n)``, the forced crossover
+        indices, and ``uniform(size=(n, d))``. Both arrays may be views of the
+        block: do not write to them.
+
+        The rounds run in plain Python over one window of decoded values,
+        taken with the rest after one :meth:`_reserve`; a window the rounds
+        outrun is taken again, twice as long. Rejected halves, refills and a
+        block with no table left go through :meth:`_span`.
         """
-        span, used = self._span(n, count)
-        return span.tolist() if used == count else [v for v in span.tolist() if v >= 0]
-
-    def skip(self, n: int, count: int) -> None:
-        """Consume the next ``count`` values of range ``n``, as ``integers`` would."""
-        end = 2 * self._pos - self._half + self._span(n, count)[1]
-        self._pos, self._half = (end + 1) // 2, end % 2
-
-    def _lemire(self, n: int, count: int) -> np.ndarray:
-        """The next ``count`` accepted values for range ``n``, in a fresh array."""
-        span, used = self._span(n, count)
+        if n < 4:
+            raise ConfigurationError("mutation needs a population of at least 4")
+        # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
+        size = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
+        count = n * d
+        self._reserve((size + n + 1) // 2 + count)
+        window, clean = self._values(n, 0, size)
+        window = window.tolist()
+        r = window[:3 * n]
+        it = iter(r)
+        rows = [i for i, a, b, c in zip(range(n), it, it, it)
+                if a == i or b == i or c == i or a == b or a == c or b == c]
+        used = 3 * n
+        while rows:
+            end = used + 3 * len(rows)
+            if end > len(window):
+                window, clean = self._values(n, 0, 2 * end)
+                window = window.tolist()
+            it, again = iter(window[used:end]), []
+            for i, a, b, c in zip(rows, it, it, it):
+                r[3 * i:3 * i + 3] = a, b, c
+                if a == i or b == i or c == i or a == b or a == c or b == c:
+                    again.append(i)
+            rows, used = again, end
+        if not clean:  # the halves the values took, rejected ones included
+            used = self._span(n, used)[1]
+        if d > 1:
+            forced, clean = self._values(d, used, n)
+            used += n if clean else self._span(d, n, used)[1]
+        else:
+            forced = np.zeros(n, dtype=np.int64)
         end = 2 * self._pos - self._half + used
-        self._pos, self._half = (end + 1) // 2, end % 2
-        return span.copy() if used == count else span[span >= 0]
+        pos, self._half = (end + 1) // 2, end % 2
+        if pos + count > len(self._unit):  # the reserved words ran out
+            self._pos = pos
+            self._reserve(count)
+            pos = self._pos
+        return r, forced, self._units(pos, count).reshape(n, d)
 
-    def _span(self, n: int, count: int) -> tuple[np.ndarray, int]:
-        """Decoded halves (-1 if rejected) through the ``count``-th accepted one, and their count."""
+    def _units(self, pos: int, count: int) -> np.ndarray:
+        """A view of the uniforms of the ``count`` words from ``pos``, which the stream moves past.
+
+        An owed half moves to the last word taken.
+        """
+        end = self._pos = pos + count
+        if self._half:
+            self._halves[2 * end - 1] = self._halves[2 * pos - 1]
+            for values, _ in self._tables.values():
+                values[2 * end - 1] = values[2 * pos - 1]
+        return self._unit[pos:end]
+
+    def _values(self, n: int, offset: int, count: int) -> tuple[np.ndarray, bool]:
+        """The next ``count`` accepted values of range ``n``, ``offset`` halves on; nothing is consumed.
+
+        Also returns whether they took just ``count`` halves (none rejected).
+        The array may be a view of a table.
+        """
+        start = 2 * self._pos - self._half + offset
+        table = self._table(n)
+        if table is not None and not table[1] and start + count <= len(self._halves):
+            return table[0][start:start + count], True
+        span, used = self._span(n, count, offset)
+        return (span, True) if used == count else (span[span >= 0], False)
+
+    def _table(self, n: int) -> tuple[np.ndarray, bool] | None:
+        """Range ``n``'s ``_decode`` of the block, built on first use; None when no table is left."""
+        table = self._tables.get(n)
+        if table is None and len(self._tables) < TABLES:
+            table = self._tables[n] = _decode(self._halves, n)
+        return table
+
+    def _span(self, n: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
+        """Decoded halves (-1 if rejected) through the ``count``-th accepted one, and their count.
+
+        The halves start ``offset`` halves past the stream's place.
+        """
         used = count
         while True:
-            self._reserve((used - self._half + 1) // 2)
-            start = 2 * self._pos - self._half
-            if n in self._tables:
-                values, rejecting = self._tables[n]
-            elif len(self._tables) < TABLES:
-                values, rejecting = self._tables[n] = _decode(self._halves, n)
-            else:  # no table left for this block: decode only the halves drawn
-                values, rejecting = _decode(self._halves[start:start + used], n)
+            self._reserve((offset + used - self._half + 1) // 2)
+            start = 2 * self._pos - self._half + offset
+            table = self._table(n)
+            if table is None:  # no table left for this block: decode only the halves drawn
+                table = _decode(self._halves[start:start + used], n)
                 start = 0
+            values, rejecting = table
             span = values[start:start + used]
             missing = count - np.count_nonzero(span >= 0) if rejecting else 0
             if not missing:

@@ -1,31 +1,41 @@
-"""Shared test helpers: scripted RNG, evaluation counters, minimizer oracle."""
+"""Shared test helpers: scripted RNG, evaluation counters, minimizer oracle, hypothesis settings."""
+
+import os
 
 import numpy as np
+from hypothesis import settings
 
 from multide.core import evaluate_batch
+
+# MULTIDE_HYPOTHESIS=slow runs the property tests that take their settings
+# from ``examples`` with the slow profile's example count instead.
+settings.register_profile("slow", max_examples=2000, deadline=None)
+SLOW = os.environ.get("MULTIDE_HYPOTHESIS") == "slow"
+if SLOW:
+    settings.load_profile("slow")
+
+
+def examples(count):
+    """Settings for a property test: ``count`` examples, or the slow profile's."""
+    return settings(deadline=None) if SLOW else settings(max_examples=count, deadline=None)
 
 
 class FakeRng:
     """Scripted stand-in for RngStream that replays queued draws."""
 
-    def __init__(self, uniforms=None, integers=None):
+    def __init__(self, uniforms=None, generations=None):
         self._uniforms = list(uniforms or [])
-        self._integers = list(integers or [])
+        self._generations = list(generations or [])
 
     def uniform(self, size=None):
         value = np.asarray(self._uniforms.pop(0), dtype=float)
         return float(value) if size is None else value.reshape(size)
 
-    def integers(self, low, high=None, size=None):
-        value = self._integers.pop(0)
-        return value if size is None else np.asarray(value).reshape(size)
-
-    def window(self, n, count):
-        """The next queued integer block, flattened: a script holds no redraws."""
-        return np.asarray(self._integers[0]).ravel().tolist()
-
-    def skip(self, n, count):
-        self._integers.pop(0)
+    def trial_draws(self, n, d):
+        """The next queued (donors, forced, uniforms) generation: a script holds no redraws."""
+        donors, forced, uniforms = self._generations.pop(0)
+        return (np.ravel(donors).tolist(), np.asarray(forced).reshape(n),
+                np.asarray(uniforms, dtype=float).reshape(n, d))
 
 
 def trial_values(trials, bounds, objective):
@@ -61,13 +71,25 @@ def sphere(p):
     return float(p[0] * p[0] + p[1] * p[1])
 
 
-def grid_polish_minimizers(problem, grid=401, starts=300, merge_radius=0.02):
+_ORACLE = {}
+
+
+def grid_polish_minimizers(problem):
     """Locate a problem's global minimizers independently of the registry.
 
     Dense grid scan over the domain, local descent (Nelder-Mead) from the
     lowest cells, then distance-clustering of the polished points that
-    reach the global level. Returns an (n, 2) array of representatives.
+    reach the global level. Returns a read-only (n, 2) array of
+    representatives, computed once per problem id and session.
     """
+    if problem.pid not in _ORACLE:
+        found = _grid_polish(problem)
+        found.flags.writeable = False
+        _ORACLE[problem.pid] = found
+    return _ORACLE[problem.pid]
+
+
+def _grid_polish(problem, grid=401, starts=300, merge_radius=0.02):
     from scipy.optimize import minimize
 
     lo, hi = problem.bounds.lower, problem.bounds.upper

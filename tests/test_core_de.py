@@ -141,16 +141,16 @@ def test_init_population_rejects_bad_count():
 
 # ------------------------------------------------- mutation and crossover
 
-# generate_trials draws, in order: one window of donor indices (with redraws
-# of colliding rows, none when the script is valid), the (n,) forced
-# crossover indices, then one (n, d) block of uniforms.
+# generate_trials takes one trial_draws generation per stream: the donor
+# indices (with redraws of colliding rows, none when the script is valid),
+# the (n,) forced crossover indices and one (n, d) block of uniforms.
 
 def scripted(donors, forced=None, uniforms=None, dim=2):
     donors = np.array(donors)
     n = len(donors)
     forced = np.zeros(n, dtype=int) if forced is None else np.array(forced)
     uniforms = np.zeros((n, dim)) if uniforms is None else np.array(uniforms)
-    return FakeRng(integers=[donors, forced], uniforms=[uniforms])
+    return FakeRng(generations=[(donors, forced, uniforms)])
 
 
 def valid_donors(n, gen):

@@ -123,9 +123,20 @@ def test_config_refuses_malformed_override_values_and_seeds():
             ExperimentConfig(problems=["B1"], overrides=overrides)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=["B1"], seed=-1)
-    # integral floats and numeric strings are numbers
-    config = ExperimentConfig(problems=["B1"], overrides={"np": 15.0, "f": "0.5"})
+    # integral floats are numbers; a numeric string is not
+    config = ExperimentConfig(problems=["B1"], overrides={"np": 15.0, "f": 0.5})
     assert config.overrides == {"np": 15.0, "f": 0.5}
+    with pytest.raises(ConfigurationError, match="not a number"):
+        ExperimentConfig(problems=["B1"], overrides={"f": "0.5"})
+
+
+def test_override_values_refuse_bools_and_strings():
+    with pytest.raises(ConfigurationError, match="not a number"):
+        ExperimentConfig(problems=["B1"], overrides={"f": True})
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
+    for parameter, values in (("cr", [True, False]), ("np", ["20"])):
+        with pytest.raises(ConfigurationError, match="not a number"):
+            SweepConfig(base=base, parameter=parameter, values=values)
 
 
 def test_sweep_config_checks_every_value_up_front():
@@ -558,7 +569,7 @@ def test_library_sweep_collects_no_traces(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["config"]["base"]["trace"] is False
 
 
-@pytest.mark.parametrize("values", [[np.int64(20), np.int64(24)], ["20"]])
+@pytest.mark.parametrize("values", [[np.int64(20), np.int64(24)], [20, 24.0]])
 def test_sweep_values_are_stored_and_written_as_floats(values, tmp_path):
     base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
     sweep = SweepConfig(base=base, parameter="np", values=values)

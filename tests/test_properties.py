@@ -6,13 +6,13 @@ fitness and one frozen flag per subpopulation after each generation.
 """
 
 import numpy as np
-from conftest import CountingObjective
-from hypothesis import given, settings
+from conftest import CountingObjective, examples
+from hypothesis import given
 from hypothesis import strategies as st
 
 from multide import Bounds, DEParams, MultiParams, PenaltyParams, run_de, run_dewi, run_mde_itmf
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+PROPERTY_SETTINGS = examples(60)
 
 
 class DoubleWell:

@@ -3,12 +3,16 @@
 ``RngStream`` decodes PCG64 words itself, in blocks, instead of calling
 ``Generator``. These tests make the same call sequence on an ``RngStream``
 and on ``default_rng(SeedSequence(entropy=seed, spawn_key=key))`` and
-compare every returned value, its type, dtype and shape.
+compare every returned value, its type, dtype and shape. ``trial_draws``,
+one generation's draws in one call, is compared with the per-call draws it
+stands for, on numpy's words and on crafted words that force its rare
+paths.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import examples
+from hypothesis import given
 from hypothesis import strategies as st
 
 from multide import ConfigurationError, RngStream
@@ -56,7 +60,7 @@ calls = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@examples(80)
 @given(seed=st.integers(0, 2**32 - 1),
        spawn_key=st.lists(st.integers(0, 7), max_size=3).map(tuple),
        calls=calls)
@@ -133,47 +137,128 @@ def test_unsupported_ranges_are_refused():
         stream.uniform(size=(-1, 2))
 
 
-# -------------------------------------------------------------- donor window
+# ------------------------------------------------------- one generation's draws
 
-def window_then_rounds(stream, ref, n, rounds):
-    """Take ``rounds`` (value counts) from one window; the twin draws them per call."""
-    total = sum(rounds)
-    window = stream.window(n, total + 7)  # a few values more than taken
-    assert len(window) == total + 7 and all(type(v) is int for v in window)
-    drawn = np.concatenate([ref.integers(0, n, size=count) for count in rounds])
-    assert window[:total] == drawn.tolist()
-    stream.skip(n, total)
+def reference_trial_draws(integers, uniform, n, d):
+    """``trial_draws`` as one call per draw: donors and their redraw rounds, forced indices, uniforms."""
+    own = np.arange(n)
+    r = integers(0, n, (n, 3))
+    while True:
+        bad = ((r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
+               | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2]))
+        if not bad.any():
+            return r.ravel().tolist(), integers(0, d, n), uniform((n, d))
+        r[bad] = integers(0, n, (int(bad.sum()), 3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       n=st.sampled_from([2, 4, 30, 2**31 + 1, 3 * 2**30, 2**32]),
+def per_call_draws(ref, n, d):
+    """The reference draws from ``ref``, a numpy ``Generator`` or a :class:`PerCall`."""
+    return reference_trial_draws(lambda lo, hi, size: ref.integers(lo, hi, size=size), ref.random, n, d)
+
+
+def same_draws(ours, theirs):
+    assert ours[0] == theirs[0] and all(type(v) is int for v in ours[0])
+    for got, want in zip(ours[1:], theirs[1:]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@examples(60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
        before=st.lists(st.tuples(st.sampled_from(["uniform", "integers"]),
                                  st.integers(0, BLOCK + 3)), max_size=3),
-       rounds=st.lists(st.integers(0, 3 * BLOCK // 4), min_size=1, max_size=5))
-def test_window_then_skip_matches_per_round_integers(seed, n, before, rounds):
-    # Earlier draws leave the window to start mid-block, next to a block
-    # refill or on an owed half word; the draws after it must line up too.
+       probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
+def test_trial_draws_match_per_call_reference(seed, n, d, before, probes):
+    # Earlier draws start the first generation mid-block, next to a refill
+    # or on an owed half; each generation's probe draws (odd integer counts
+    # leave a half owed, none lets generations follow each other directly)
+    # show the stream ends where the per-call draws leave numpy's.
     stream, ref = RngStream(seed), twin(seed)
     replay(stream, ref, [(kind, 0, 30, size) for kind, size in before])
-    window_then_rounds(stream, ref, n, rounds)
-    replay(stream, ref, [("integers", 0, 30, 3), ("uniform", 0, 0, 5), ("integers", 0, n, 9)])
+    for integer_probe, uniform_probe in probes:
+        same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
+        replay(stream, ref, [("integers", 0, n, integer_probe), ("uniform", 0, 0, uniform_probe)])
 
 
-def test_window_rejections_refill_and_owed_half():
-    stream, ref = RngStream(17, (1,)), twin(17, (1,))
-    # 3 * 2**30 rejects a quarter of all uint32 draws, so a window of 60
-    # values spans about 80 halves; the first round starts on an owed half
-    # and the window crosses the block refill.
-    replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 30)])
+class CraftedBits:
+    """PCG64 words with a share of their uint32 halves replaced, the same for the same seed.
+
+    A 0 half is rejected by every range that is not a power of two, and a
+    1 half decodes to 0, so rows collide and redraw rounds outrun the window.
+    """
+
+    def __init__(self, seed, rejected, zeros):
+        self._bits = np.random.PCG64(seed)
+        self._pick = np.random.default_rng(seed + 1)
+        self.rejected, self.zeros = rejected, zeros
+
+    def random_raw(self, size):
+        halves = self._bits.random_raw(size).astype("<u8").view("<u4").copy()
+        roll = self._pick.random(halves.size)
+        halves[roll < self.rejected + self.zeros] = 1
+        halves[roll < self.rejected] = 0
+        return halves.view("<u8")
+
+
+class PerCall:
+    """An RngStream under numpy's ``Generator`` names, drawn one call per draw."""
+
+    def __init__(self, stream):
+        self.integers, self.random = stream.integers, stream.uniform
+
+
+def crafted_pair(seed, rejected, zeros):
+    """A stream on crafted words and a :class:`PerCall` twin on the same words."""
+    pair = RngStream(seed), RngStream(seed)
+    for stream in pair:
+        stream._bitgen = CraftedBits(seed, rejected, zeros)
+    return pair[0], PerCall(pair[1])
+
+
+@examples(40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
+       rejected=st.sampled_from([0.0, 0.01, 0.25]), zeros=st.sampled_from([0.0, 0.05, 0.3]),
+       ranges=st.lists(st.integers(2, 70), max_size=TABLES + 1),
+       probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=15))
+def test_trial_draws_match_per_call_draws_on_crafted_words(seed, n, d, rejected, zeros, ranges, probes):
+    # Against the per-call draws of a twin stream on the same words, which
+    # the tests above check against numpy. Other ranges drawn first may
+    # leave the block no table for n or d.
+    stream, ref = crafted_pair(seed, rejected, zeros)
+    replay(stream, ref, [("integers", 0, m, 1) for m in ranges])
+    for integer_probe, uniform_probe in probes:
+        same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
+        replay(stream, ref, [("integers", 0, n, integer_probe), ("uniform", 0, 0, uniform_probe)])
+
+
+def test_trial_draws_rejections_refill_and_owed_half():
+    stream, ref = crafted_pair(17, 0.25, 0.3)
+    spans, places = [], []
+    span = stream._span
+
+    def recorded_span(n, count, offset=0):
+        spans.append((n, count, offset))
+        return span(n, count, offset)
+
+    stream._span = recorded_span
+    # A quarter of the halves are rejected and 3 in 10 decode to 0, so
+    # generations go through _span for the window, its extensions past the
+    # 159 values of n = 30, the halves the donors took and the forced
+    # indices after them. The first generation starts on an owed half.
+    replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 300)])
     assert stream._half == 1
-    window_then_rounds(stream, ref, 3 * 2**30, [45, 9, 3, 3])
+    for _ in range(40):
+        same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
+        places.append(stream._pos)
+    assert any(n == 30 and count > 159 and not offset for n, count, offset in spans)
+    assert any(n == 3 and offset for n, count, offset in spans)
+    assert any(b < a for a, b in zip(places, places[1:]))  # block refills
     replay(stream, ref, FIXED_CALLS)
 
 
-def test_window_consumes_nothing_and_extends_from_the_same_start():
+def test_trial_draws_without_a_table_for_the_block():
     stream, ref = RngStream(23), twin(23)
-    short = stream.window(30, 10)
-    longer = stream.window(30, 3 * BLOCK)  # runs past the block's end
-    assert longer[:10] == short
-    same(stream.integers(0, 30, size=3 * BLOCK), ref.integers(0, 30, size=3 * BLOCK))
+    replay(stream, ref, [("integers", 0, m, 1) for m in (5, 6, 7, 9)])
+    same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
+    assert sorted(stream._tables) == [5, 6, 7, 9]  # 30 and 3 were decoded alone
+    replay(stream, ref, FIXED_CALLS)
