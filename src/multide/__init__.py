@@ -7,7 +7,7 @@ benchmark registry, and an experiment harness with CSV/JSON reporting.
 """
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems, system_problem
-from .core import Bounds, DEParams, Point, RunRecord, init_population
+from .core import Bounds, DEParams, RunRecord, best_records, init_population
 from .deflation import NonlinearSystem, PenaltyParams, residual_objective
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
@@ -34,11 +34,11 @@ __all__ = [
     "MultiParams",
     "NonlinearSystem",
     "PenaltyParams",
-    "Point",
     "RngStream",
     "RunRecord",
     "SweepConfig",
     "aggregate",
+    "best_records",
     "count_ngp",
     "emit_outputs",
     "get_problem",

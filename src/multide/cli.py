@@ -129,10 +129,9 @@ def _cmd_trace(args) -> int:
     report = run_experiment(config)
     for cell in report.cells:
         for record in cell.records:
-            bests = "; ".join(
-                f"({p.coords[0]:.6g}, {p.coords[1]:.6g}) f={p.fitness:.6g}"
-                for p in record.final_bests
-            )
+            b = record.final_bests
+            bests = "; ".join(f"({x:.6g}, {y:.6g}) f={f:.6g}"
+                              for (x, y, *_), f in zip(b.coords.tolist(), b.fitness.tolist()))
             print(f"{cell.problem} {cell.algorithm} seed={record.seed} "
                   f"nfe={record.nfe} generations={record.generations_used} bests: {bests}")
     return _finish(report, config.out_dir)

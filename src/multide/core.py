@@ -1,10 +1,11 @@
 """Building blocks of DE/rand/1/bin on box-bounded domains.
 
-Points, bounds, parameters and run records, plus the operators every
-engine runs on whole (sub)populations at once: uniform initialization,
-checked batch evaluation, trial generation (mutation and binomial
-crossover) and the population spreading measure. The engines themselves,
-canonical ``run_de`` included, live in :mod:`multide.multipop`.
+Bounds, parameters and run records (a run's final bests are one record
+array), plus the operators every engine runs on whole (sub)populations at
+once: uniform initialization, checked batch evaluation, trial generation
+(mutation and binomial crossover) and the population spreading measure.
+The engines themselves, canonical ``run_de`` included, live in
+:mod:`multide.multipop`.
 """
 
 from __future__ import annotations
@@ -27,25 +28,6 @@ DEGENERATE_NORM = 1e-12
 def is_count(value) -> bool:
     """Whether ``value`` is an integer (numpy's included) and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-@dataclass
-class Point:
-    """A position in the search space with an optionally cached objective value.
-
-    Engines report each subpopulation's final best as a point whose
-    ``fitness`` is its base (unpenalized) objective value.
-    """
-
-    coords: np.ndarray
-    fitness: Optional[float] = None
-
-    def __post_init__(self):
-        self.coords = np.array(self.coords, dtype=float)
-        if self.coords.ndim != 1:
-            raise ConfigurationError("point coordinates must be a 1-D vector")
-        if self.fitness is not None:
-            self.fitness = float(self.fitness)
 
 
 @dataclass(frozen=True)
@@ -118,8 +100,10 @@ class DEParams:
 class RunRecord:
     """Outcome of one engine execution.
 
-    ``final_bests`` holds one point per subpopulation (a single point for
-    canonical DE). ``generations_used`` counts the evolution steps applied
+    ``final_bests`` is a :func:`best_records` array with one row per
+    subpopulation (one row for canonical DE): ``coords`` holds the (nsp, d)
+    best points and ``fitness`` their base objective values.
+    ``generations_used`` counts the evolution steps applied
     to each subpopulation. ``problem`` and ``matched_minimizers`` are filled
     by the harness once the run is matched against a benchmark registry
     entry. When tracing was requested, ``trace`` holds one row per
@@ -133,7 +117,7 @@ class RunRecord:
     seed: int
     elapsed_seconds: float
     nfe: int
-    final_bests: list[Point]
+    final_bests: np.recarray
     generations_used: list[int]
     problem: Optional[str] = None
     matched_minimizers: Optional[set[int]] = None
@@ -143,6 +127,22 @@ class RunRecord:
     def ngp(self) -> Optional[int]:
         """Distinct known minimizers matched, when the run has been scored."""
         return None if self.matched_minimizers is None else len(self.matched_minimizers)
+
+
+def best_records(coords, fitness) -> np.recarray:
+    """Final bests as one record array: ``coords`` (k, d) and base ``fitness`` (k,).
+
+    ``bests.coords`` and ``bests.fitness`` are the fields as whole arrays.
+    ``bests[i].coords`` works too, but costs microseconds per element read.
+    """
+    coords, fitness = np.asarray(coords, dtype=float), np.asarray(fitness, dtype=float)
+    if coords.ndim != 2 or fitness.shape != coords.shape[:1]:
+        raise ConfigurationError(f"bests need (k, d) coords and (k,) fitness, "
+                                 f"got {coords.shape} and {fitness.shape}")
+    # A record dtype up front: viewing a plain structured array as a recarray builds a second one.
+    out = np.empty(len(fitness), (np.record, [("coords", float, coords.shape[1:]), ("fitness", float)]))
+    out["coords"], out["fitness"] = coords, fitness
+    return out.view(np.recarray)
 
 
 def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:

@@ -164,14 +164,17 @@ def _whole(key: str, value) -> int:
 
 
 def _override_value(key: str, value) -> float:
-    """``value`` as a float; refuses unknown keys, bools, strings, NaN and non-integral ints."""
+    """``value`` as a float; refuses unknown keys, non-numbers, NaN, overflow, non-integral ints."""
     if key not in _OVERRIDES:
         raise ConfigurationError(
             f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
         )
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigurationError(f"parameter {key}: {value!r} is not a number")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range; its repr may exceed str's limit
+        raise ConfigurationError(f"parameter {key} is too large to be a float") from None
     if math.isnan(number):
         raise ConfigurationError(f"parameter {key} must not be NaN")
     if _OVERRIDES[key][2] is int and not number.is_integer():
@@ -346,6 +349,7 @@ def _aggregate_rows(cell: dict) -> list[list]:
 
 
 def _record_dict(record) -> dict:
+    bests = record.final_bests
     return {
         "algorithm": record.algorithm,
         "problem": record.problem,
@@ -354,9 +358,7 @@ def _record_dict(record) -> dict:
         "nfe": int(record.nfe),
         "ngp": record.ngp,
         "generations_used": [int(g) for g in record.generations_used],
-        "final_bests": [
-            [float(c) for c in p.coords] + [float(p.fitness)] for p in record.final_bests
-        ],
+        "final_bests": np.column_stack((bests.coords, bests.fitness)).tolist(),
         "matched_minimizers": sorted(record.matched_minimizers),
     }
 

@@ -15,21 +15,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Point, RunRecord
+from .core import RunRecord
 
 
-def match_minimizers(final_bests: Sequence[Point], problem) -> set[int]:
-    """Indices of the problem's known minimizers matched by ``final_bests``."""
-    matched: set[int] = set()
+def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
+    """Indices of the known minimizers ``final_bests`` match, from one (k, m) distance matrix."""
     minimizers = np.asarray(problem.known_minimizers, dtype=float)
-    tol = float(problem.match_tolerance)
-    for best in final_bests:
-        dist = np.sqrt(np.sum((minimizers - best.coords) ** 2, axis=1))
-        matched.update(int(i) for i in np.flatnonzero(dist <= tol))
-    return matched
+    diff = final_bests.coords[:, None, :] - minimizers  # (k, m, d)
+    dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    return set(np.flatnonzero((dist <= float(problem.match_tolerance)).any(axis=0)).tolist())
 
 
-def count_ngp(final_bests: Sequence[Point], problem) -> int:
+def count_ngp(final_bests: np.recarray, problem) -> int:
     """Number of distinct known global minimizers matched by a run."""
     return len(match_minimizers(final_bests, problem))
 
@@ -59,7 +56,7 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
                 seed=chunk[0].seed,
                 elapsed_seconds=sum(r.elapsed_seconds for r in chunk),
                 nfe=sum(r.nfe for r in chunk),
-                final_bests=[b for r in chunk for b in r.final_bests],
+                final_bests=np.concatenate([r.final_bests for r in chunk]).view(np.recarray),
                 generations_used=[g for r in chunk for g in r.generations_used],
                 problem=chunk[0].problem,
                 matched_minimizers=None if None in matched else set().union(*matched),

@@ -22,9 +22,9 @@ import numpy as np
 from .core import (
     Bounds,
     DEParams,
-    Point,
     RunRecord,
     _spreading,
+    best_records,
     evaluate_batch,
     generate_trials,
     init_population,
@@ -138,7 +138,8 @@ def _run_engine(
             seed=int(seed),
             elapsed_seconds=time.perf_counter() - t0,
             nfe=nfe,
-            final_bests=[] if anchors is None else list(map(Point, anchors, fit.min(axis=1))),
+            final_bests=(best_records(np.empty((0, dim)), ()) if anchors is None
+                         else best_records(anchors, fit.min(axis=1))),
             generations_used=list(gens),
             trace=trace_array,
         )

@@ -15,9 +15,9 @@ from multide import (
     EvaluationError,
     ExperimentConfig,
     MultiParams,
-    Point,
     RunRecord,
     SweepConfig,
+    best_records,
     emit_outputs,
     get_problem,
     match_minimizers,
@@ -137,6 +137,15 @@ def test_override_values_refuse_bools_and_strings():
     for parameter, values in (("cr", [True, False]), ("np", ["20"])):
         with pytest.raises(ConfigurationError, match="not a number"):
             SweepConfig(base=base, parameter=parameter, values=values)
+
+
+def test_override_values_beyond_the_float_range_are_refused():
+    for overrides in ({"np": 10**400}, {"f": 10**400}):
+        with pytest.raises(ConfigurationError, match="too large"):
+            ExperimentConfig(problems=["B1"], overrides=overrides)
+    base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
+    with pytest.raises(ConfigurationError, match="too large"):
+        SweepConfig(base=base, parameter="np", values=[10**400])
 
 
 def test_sweep_config_checks_every_value_up_front():
@@ -382,8 +391,9 @@ def traced_report(*traces, problem="B1"):
         if isinstance(trace, int):
             trace = np.array([[1, 0, *np.linspace(0.1, 0.3, trace), 1.5, 0.25]])
         records.append(RunRecord(algorithm="mde-itmf", seed=i, elapsed_seconds=0.0, nfe=1,
-                                 final_bests=[Point(np.zeros(2), 0.0)], generations_used=[1],
-                                 problem=problem, matched_minimizers=set(), trace=trace))
+                                 final_bests=best_records(np.zeros((1, 2)), [0.0]),
+                                 generations_used=[1], problem=problem,
+                                 matched_minimizers=set(), trace=trace))
     return ExperimentReport(
         config=small_config(problems=["B1"], algorithms=["mde-itmf"], runs=len(traces)),
         cells=[CellResult(problem=problem, algorithm="mde-itmf", records=records)],

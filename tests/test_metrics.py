@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
+from conftest import examples
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multide import (
-    Point,
+    ConfigurationError,
     RunRecord,
     aggregate,
+    best_records,
     count_ngp,
     get_problem,
     group_de_runs,
+    list_problems,
     match_minimizers,
 )
 
 
 def pts(*coords):
-    return [Point(np.array(c, dtype=float), 0.0) for c in coords]
+    return best_records(np.array(coords, dtype=float), np.zeros(len(coords)))
 
 
 def record(seed, nfe, bests, et=0.5):
@@ -46,18 +51,74 @@ def test_count_ngp_near_match_and_miss():
 
 def test_count_ngp_bounded_and_monotone():
     problem = get_problem("B1")
-    bests = pts((3.0, 2.0))
-    assert count_ngp(bests, problem) == 1
-    more = bests + pts((-2.805118, 3.131313))
-    assert count_ngp(more, problem) == 2
-    everything = more + pts(*problem.known_minimizers)
-    assert count_ngp(everything, problem) == problem.minimizer_count
+    coords = [(3.0, 2.0)]
+    assert count_ngp(pts(*coords), problem) == 1
+    coords.append((-2.805118, 3.131313))
+    assert count_ngp(pts(*coords), problem) == 2
+    coords.extend(problem.known_minimizers)
+    assert count_ngp(pts(*coords), problem) == problem.minimizer_count
 
 
 def test_match_boundary_is_inclusive():
     problem = get_problem("B1")
     at_tol = pts((3.0 + problem.match_tolerance, 2.0))
     assert count_ngp(at_tol, problem) == 1
+
+
+def reference_matches(coords, problem):
+    """Per-best matching: one distance row per best, as a loop over the bests."""
+    matched = set()
+    minimizers = np.asarray(problem.known_minimizers, dtype=float)
+    for best in coords:
+        dist = np.sqrt(np.sum((minimizers - best) ** 2, axis=1))
+        matched.update(int(i) for i in np.flatnonzero(dist <= problem.match_tolerance))
+    return matched
+
+
+@st.composite
+def registry_bests(draw):
+    """A registry problem and 0-12 bests: anywhere, near a minimizer, or exactly at
+    the match tolerance from one along an axis, with repeats."""
+    problem = draw(st.sampled_from(list_problems()))
+    minimizers, tol = problem.known_minimizers, problem.match_tolerance
+    unit = st.floats(0.0, 1.0)
+    anywhere = st.tuples(unit, unit).map(
+        lambda u: problem.bounds.lower + np.array(u) * problem.bounds.span)
+    index = st.integers(0, problem.minimizer_count - 1)
+    near = st.tuples(index, st.floats(-2 * tol, 2 * tol), st.floats(-2 * tol, 2 * tol)).map(
+        lambda t: minimizers[t[0]] + np.array(t[1:]))
+    at_tol = st.tuples(index, st.sampled_from([(tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol)]))
+    at_tol = at_tol.map(lambda t: minimizers[t[0]] + np.array(t[1]))
+    distinct = draw(st.lists(st.one_of(anywhere, near, at_tol), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(distinct), max_size=12))
+    return problem, np.array(rows, dtype=float).reshape(-1, 2)
+
+
+@examples(200)
+@given(registry_bests())
+def test_match_minimizers_equals_the_per_best_loop(case):
+    problem, coords = case
+    bests = best_records(coords, np.zeros(len(coords)))
+    assert match_minimizers(bests, problem) == reference_matches(coords, problem)
+
+
+def test_best_records_fields_are_the_arrays_it_was_given():
+    coords, fitness = np.arange(6.0).reshape(3, 2), np.array([0.5, 1.5, 2.5])
+    bests = best_records(coords, fitness)
+    assert isinstance(bests, np.recarray) and len(bests) == 3
+    assert np.array_equal(bests.coords, coords) and np.array_equal(bests.fitness, fitness)
+    assert np.array_equal(bests[1].coords, coords[1]) and bests[1].fitness == 1.5
+    coords[0, 0] = 99.0  # a copy, not a view of the caller's array
+    assert bests.coords[0, 0] == 0.0
+    assert best_records(np.empty((0, 2)), []).coords.shape == (0, 2)
+
+
+@pytest.mark.parametrize("coords, fitness", [
+    (np.zeros(2), [0.0]), (np.zeros((2, 2)), [0.0]), (np.zeros((1, 2)), [[0.0]]),
+])
+def test_best_records_refuses_mismatched_shapes(coords, fitness):
+    with pytest.raises(ConfigurationError):
+        best_records(coords, fitness)
 
 
 # --------------------------------------------------------------- grouping
@@ -70,6 +131,8 @@ def test_group_de_runs_shapes_and_sums():
     assert groups[0].elapsed_seconds == pytest.approx(2.0)
     assert len(groups[0].final_bests) == 4
     assert groups[0].seed == 0 and groups[1].seed == 4
+    assert isinstance(groups[0].final_bests, np.recarray)
+    assert groups[0].final_bests.coords.shape == (4, 2)
 
 
 def test_group_of_identical_runs_has_ngp_one():

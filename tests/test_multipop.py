@@ -13,8 +13,8 @@ from multide import (
     EvaluationError,
     MultiParams,
     PenaltyParams,
-    Point,
     RngStream,
+    best_records,
     get_problem,
     init_population,
     run_de,
@@ -160,7 +160,7 @@ def select_greedy(target, trial, objective, bounds):
     if not bounds.contains(trial):
         return target
     f_trial = float(objective(trial))
-    return Point(trial, f_trial) if f_trial <= target.fitness else target
+    return best_records([trial], [f_trial])[0] if f_trial <= target.fitness else target
 
 
 def test_selection_step_plain_matches_select_greedy():
@@ -169,7 +169,8 @@ def test_selection_step_plain_matches_select_greedy():
         coords, fitness, trials, 0, None, None, BOX, trial_values(trials, BOX, sphere)
     )
     for i in range(len(coords)):
-        expect = select_greedy(Point(coords[i], fitness[i]), trials[i], sphere, BOX)
+        target = best_records([coords[i]], [fitness[i]])[0]
+        expect = select_greedy(target, trials[i], sphere, BOX)
         assert np.array_equal(new_coords[i], expect.coords)
         assert new_fitness[i] == expect.fitness
 
@@ -468,7 +469,7 @@ def test_partial_record_is_empty_when_initialization_fails():
     with pytest.raises(EvaluationError) as info:
         run_mde_itmf(fails_in_second_subpop, problem.bounds, params, 0)
     partial = info.value.partial_record
-    assert partial.final_bests == []
+    assert len(partial.final_bests) == 0
     assert partial.generations_used == [0] * params.subpops
     assert partial.nfe == 2 * params.de.pop_size
 
