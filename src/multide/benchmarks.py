@@ -9,6 +9,7 @@ problem's ``formula`` string for the exact definition used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,9 +105,11 @@ _B7_B = 0.14446873451445472
 class BenchmarkProblem:
     """A registered problem: objective, domain, solutions, default parameters.
 
-    ``known_minimizers`` is an (n, 2) array of all global minimizers inside
+    ``known_minimizers`` is an (m, d) array of all global minimizers inside
     the domain; ``match_tolerance`` is the Euclidean radius used when
-    counting which of them a run has found.
+    counting which of them a run has found. Both are checked here, so a
+    malformed root fails when the problem is built, not when a run is
+    scored.
     """
 
     pid: str
@@ -120,7 +123,17 @@ class BenchmarkProblem:
     formula: str = ""
 
     def __post_init__(self):
-        self.known_minimizers = np.array(self.known_minimizers, dtype=float)
+        try:
+            m = self.known_minimizers = np.array(self.known_minimizers, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows or non-numbers
+            raise ConfigurationError(f"known minimizers must be an array of numbers: {exc}") from None
+        if m.ndim != 2 or len(m) < 1 or m.shape[1] != self.bounds.dim:
+            raise ConfigurationError(f"known minimizers must be an (m, {self.bounds.dim}) array "
+                                     f"with m >= 1, got shape {m.shape}")
+        if not self.bounds.contains_all(m).all():  # the bounds are finite, so NaN and inf fail too
+            raise ConfigurationError(f"known minimizers must lie inside the bounds, got {m.tolist()}")
+        if not 0.0 < self.match_tolerance < math.inf:
+            raise ConfigurationError("match_tolerance must be positive and finite")
 
     @property
     def minimizer_count(self) -> int:
@@ -144,7 +157,7 @@ def _problem(pid, name, fxy, formula, lo, hi, minimizers, global_value, params):
         name=name,
         objective=Objective2D(fxy),
         bounds=Bounds(np.array(lo, dtype=float), np.array(hi, dtype=float)),
-        known_minimizers=np.array(minimizers, dtype=float),
+        known_minimizers=minimizers,
         global_value=global_value,
         default_params=params,
         formula=formula,
@@ -177,7 +190,7 @@ def system_problem(
         name=name,
         objective=residual_objective(system),
         bounds=bounds,
-        known_minimizers=np.array(known_roots, dtype=float),
+        known_minimizers=known_roots,
         global_value=0.0,
         default_params=default_params,
         match_tolerance=match_tolerance,

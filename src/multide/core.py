@@ -10,6 +10,7 @@ The engines themselves, canonical ``run_de`` included, live in
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -139,10 +140,16 @@ def best_records(coords, fitness) -> np.recarray:
     if coords.ndim != 2 or fitness.shape != coords.shape[:1]:
         raise ConfigurationError(f"bests need (k, d) coords and (k,) fitness, "
                                  f"got {coords.shape} and {fitness.shape}")
-    # A record dtype up front: viewing a plain structured array as a recarray builds a second one.
-    out = np.empty(len(fitness), (np.record, [("coords", float, coords.shape[1:]), ("fitness", float)]))
+    out = np.empty(len(fitness), _record_dtype(coords.shape[1]))
     out["coords"], out["fitness"] = coords, fitness
     return out.view(np.recarray)
+
+
+@functools.cache
+def _record_dtype(d: int) -> np.dtype:
+    # One per dimension, and a record dtype up front: viewing a plain
+    # structured array as a recarray builds a second one.
+    return np.dtype((np.record, [("coords", float, (d,)), ("fitness", float)]))
 
 
 def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:

@@ -114,8 +114,7 @@ class RngStream:
     def uniform(self, size=None):
         """Uniform draws in [0, 1), as numpy's ``random(size)``."""
         shape, count = _shape(size)
-        self._reserve(count)
-        out = self._units(self._pos, count)
+        out = self._units(count)
         return float(out[0]) if shape is None else out.reshape(shape).copy()
 
     def integers(self, low, high=None, size=None):
@@ -131,12 +130,10 @@ class RngStream:
         if n == 1:
             out = np.full(count, low, dtype=np.int64)
         else:
-            span, used = self._span(n, count)
+            values, used = self._take(n, count)
             end = 2 * self._pos - self._half + used
             self._pos, self._half = (end + 1) // 2, end % 2
-            out = span.copy() if used == count else span[span >= 0]
-            if low:
-                out += low
+            out = values + low
         return out[0] if shape is None else out.reshape(shape)
 
     def trial_draws(self, n: int, d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -150,18 +147,15 @@ class RngStream:
         indices, and ``uniform(size=(n, d))``. Both arrays may be views of the
         block: do not write to them.
 
-        The rounds run in plain Python over one window of decoded values,
-        taken with the rest after one :meth:`_reserve`; a window the rounds
-        outrun is taken again, twice as long. Rejected halves, refills and a
-        block with no table left go through :meth:`_span`.
+        The rounds run in plain Python over one window of decoded values; a
+        window the rounds outrun is taken again, twice as long. The forced
+        indices are read past the halves the donors took, so the stream
+        moves once, before the uniforms.
         """
         if n < 4:
             raise ConfigurationError("mutation needs a population of at least 4")
         # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
-        size = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
-        count = n * d
-        self._reserve((size + n + 1) // 2 + count)
-        window, clean = self._values(n, 0, size)
+        window, halves = self._take(n, 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12)
         window = window.tolist()
         r = window[:3 * n]
         it = iter(r)
@@ -171,7 +165,7 @@ class RngStream:
         while rows:
             end = used + 3 * len(rows)
             if end > len(window):
-                window, clean = self._values(n, 0, 2 * end)
+                window, halves = self._take(n, 2 * end)
                 window = window.tolist()
             it, again = iter(window[used:end]), []
             for i, a, b, c in zip(rows, it, it, it):
@@ -179,26 +173,24 @@ class RngStream:
                 if a == i or b == i or c == i or a == b or a == c or b == c:
                     again.append(i)
             rows, used = again, end
-        if not clean:  # the halves the values took, rejected ones included
-            used = self._span(n, used)[1]
+        if halves > len(window):  # a half was rejected: count those the values took
+            used = self._take(n, used)[1]
         if d > 1:
-            forced, clean = self._values(d, used, n)
-            used += n if clean else self._span(d, n, used)[1]
+            forced, halves = self._take(d, n, used)
+            used += halves
         else:
             forced = np.zeros(n, dtype=np.int64)
         end = 2 * self._pos - self._half + used
-        pos, self._half = (end + 1) // 2, end % 2
-        if pos + count > len(self._unit):  # the reserved words ran out
-            self._pos = pos
-            self._reserve(count)
-            pos = self._pos
-        return r, forced, self._units(pos, count).reshape(n, d)
+        self._pos, self._half = (end + 1) // 2, end % 2
+        return r, forced, self._units(n * d).reshape(n, d)
 
-    def _units(self, pos: int, count: int) -> np.ndarray:
-        """A view of the uniforms of the ``count`` words from ``pos``, which the stream moves past.
+    def _units(self, count: int) -> np.ndarray:
+        """A view of the uniforms of the next ``count`` words, which the stream moves past.
 
         An owed half moves to the last word taken.
         """
+        self._reserve(count)
+        pos = self._pos
         end = self._pos = pos + count
         if self._half:
             self._halves[2 * end - 1] = self._halves[2 * pos - 1]
@@ -206,45 +198,29 @@ class RngStream:
                 values[2 * end - 1] = values[2 * pos - 1]
         return self._unit[pos:end]
 
-    def _values(self, n: int, offset: int, count: int) -> tuple[np.ndarray, bool]:
-        """The next ``count`` accepted values of range ``n``, ``offset`` halves on; nothing is consumed.
+    def _take(self, n: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
+        """The next ``count`` accepted values of range ``n``, ``offset`` halves past the stream's place.
 
-        Also returns whether they took just ``count`` halves (none rejected).
-        The array may be a view of a table.
-        """
-        start = 2 * self._pos - self._half + offset
-        table = self._table(n)
-        if table is not None and not table[1] and start + count <= len(self._halves):
-            return table[0][start:start + count], True
-        span, used = self._span(n, count, offset)
-        return (span, True) if used == count else (span[span >= 0], False)
-
-    def _table(self, n: int) -> tuple[np.ndarray, bool] | None:
-        """Range ``n``'s ``_decode`` of the block, built on first use; None when no table is left."""
-        table = self._tables.get(n)
-        if table is None and len(self._tables) < TABLES:
-            table = self._tables[n] = _decode(self._halves, n)
-        return table
-
-    def _span(self, n: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
-        """Decoded halves (-1 if rejected) through the ``count``-th accepted one, and their count.
-
-        The halves start ``offset`` halves past the stream's place.
+        Also returns the number of halves they span, rejected ones included.
+        Nothing is consumed. The values may be a view of a table.
         """
         used = count
         while True:
             self._reserve((offset + used - self._half + 1) // 2)
             start = 2 * self._pos - self._half + offset
-            table = self._table(n)
-            if table is None:  # no table left for this block: decode only the halves drawn
+            table = self._tables.get(n)
+            if table is None and len(self._tables) < TABLES:
+                table = self._tables[n] = _decode(self._halves, n)
+            elif table is None:  # no table left for this block: decode only the halves drawn
                 table = _decode(self._halves[start:start + used], n)
                 start = 0
             values, rejecting = table
-            span = values[start:start + used]
-            missing = count - np.count_nonzero(span >= 0) if rejecting else 0
-            if not missing:
-                return span, used
-            used += missing  # each rejected half is replaced by the next uint32
+            values = values[start:start + used]
+            if rejecting:
+                values = values[values >= 0]
+            if len(values) == count:
+                return values, used
+            used += count - len(values)  # each rejected half is replaced by the next uint32
 
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.

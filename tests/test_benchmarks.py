@@ -170,3 +170,19 @@ def test_system_problem_override():
     assert problem.objective(np.array([0.25, -0.5])) == 0.0
     assert problem.minimizer_count == 1
     assert problem.default_params.subpops == get_problem("B7").default_params.subpops
+
+
+def test_malformed_known_roots_fail_when_the_problem_is_built():
+    system = NonlinearSystem((lambda p: p[0] - 0.5, lambda p: p[1] - 0.5))
+    bounds = Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    # One coordinate for a 2-D box, one root given flat, three coordinates,
+    # a NaN, a root outside the box, no root at all, ragged rows, a word.
+    for roots in ([(0.5,)], [0.5, 0.5], [(0.5, 0.5, 0.5)], [(0.5, np.nan)], [(0.5, 1.5)],
+                  np.empty((0, 2)), [(0.5,), (0.5, 0.5)], [("root", 0.5)]):
+        with pytest.raises(ConfigurationError):
+            system_problem(system, bounds, roots)
+    for tolerance in (0.0, -0.05, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            system_problem(system, bounds, [(0.5, 0.5)], match_tolerance=tolerance)
+    corners = system_problem(system, bounds, [(-1.0, -1.0), (1.0, 1.0)])
+    assert corners.known_minimizers.shape == (2, 2) and corners.minimizer_count == 2

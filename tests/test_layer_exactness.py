@@ -11,7 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import examples
+from hypothesis import given
 from hypothesis import strategies as st
 
 from multide import (
@@ -293,7 +294,7 @@ class RandomBox:
         return float(np.sum(np.sin(3.0 * p) + 0.1 * p * p))
 
 
-@settings(max_examples=40, deadline=None)
+@examples(40)
 @given(data=st.data())
 def test_random_stacks_match_the_per_subpopulation_loop(data):
     d = data.draw(st.integers(1, 3))

@@ -113,6 +113,12 @@ def test_best_records_fields_are_the_arrays_it_was_given():
     assert best_records(np.empty((0, 2)), []).coords.shape == (0, 2)
 
 
+def test_best_records_of_one_dimension_share_one_dtype():
+    one, four = best_records(np.zeros((1, 2)), [0.0]), best_records(np.ones((4, 2)), np.ones(4))
+    assert one.dtype is four.dtype and type(one) is type(four) is np.recarray
+    assert best_records(np.zeros((1, 3)), [0.0]).dtype != one.dtype
+
+
 @pytest.mark.parametrize("coords, fitness", [
     (np.zeros(2), [0.0]), (np.zeros((2, 2)), [0.0]), (np.zeros((1, 2)), [[0.0]]),
 ])

@@ -513,3 +513,21 @@ def test_failed_generation_reports_the_previous_one_and_every_call(nsp, monkeypa
     digits = [[f"{v:.17g}" for v in (*b.coords, b.fitness)] for b in partial.final_bests]
     assert digits == [[f"{v:.17g}" for v in (*b.coords, b.fitness)] for b in one_gen.final_bests]
     assert np.array_equal(info.value.point, target)
+
+
+def test_dewi_equals_mde_itmf_at_default_settings():
+    """At the registry's switch tolerance DEwI's switch changes no outcome on B1-B10.
+
+    ``dewi`` and ``mde-itmf`` (``switch_tol=None``) give the same ``nfe``,
+    generations and final bests, bit for bit, at seeds 0-2, as README
+    states. A change to ``run_dewi`` that breaks this brings ROADMAP item
+    7's switch study: where DEwI departs from MDE-ITMF and at what cost.
+    """
+    for pid in [f"B{i}" for i in range(1, 11)]:
+        problem = get_problem(pid)
+        plain = replace(problem.default_params, switch_tol=None)
+        for seed in range(3):
+            dewi = run_dewi(problem.objective, problem.bounds, problem.default_params, seed)
+            mde = run_mde_itmf(problem.objective, problem.bounds, plain, seed)
+            assert (dewi.nfe, dewi.generations_used) == (mde.nfe, mde.generations_used)
+            assert dewi.final_bests.tobytes() == mde.final_bests.tobytes()

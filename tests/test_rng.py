@@ -233,25 +233,26 @@ def test_trial_draws_match_per_call_draws_on_crafted_words(seed, n, d, rejected,
 
 def test_trial_draws_rejections_refill_and_owed_half():
     stream, ref = crafted_pair(17, 0.25, 0.3)
-    spans, places = [], []
-    span = stream._span
+    takes, places = [], []
+    take = stream._take
 
-    def recorded_span(n, count, offset=0):
-        spans.append((n, count, offset))
-        return span(n, count, offset)
+    def recorded_take(n, count, offset=0):
+        values, halves = take(n, count, offset)
+        takes.append((n, count, offset, halves))
+        return values, halves
 
-    stream._span = recorded_span
+    stream._take = recorded_take
     # A quarter of the halves are rejected and 3 in 10 decode to 0, so
-    # generations go through _span for the window, its extensions past the
-    # 159 values of n = 30, the halves the donors took and the forced
-    # indices after them. The first generation starts on an owed half.
+    # generations retake the window past the 159 values of n = 30, recount
+    # the halves the donors took and read forced indices past rejected
+    # halves. The first generation starts on an owed half.
     replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 300)])
     assert stream._half == 1
     for _ in range(40):
         same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
         places.append(stream._pos)
-    assert any(n == 30 and count > 159 and not offset for n, count, offset in spans)
-    assert any(n == 3 and offset for n, count, offset in spans)
+    assert any(n == 30 and count > 159 and not offset for n, count, offset, _ in takes)
+    assert any(n == 3 and offset and halves > count for n, count, offset, halves in takes)
     assert any(b < a for a, b in zip(places, places[1:]))  # block refills
     replay(stream, ref, FIXED_CALLS)
 
