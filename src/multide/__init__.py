@@ -8,7 +8,7 @@ benchmark registry, and an experiment harness with CSV/JSON reporting.
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems, system_problem
 from .core import Bounds, DEParams, RunRecord, best_records, init_population
-from .deflation import NonlinearSystem, PenaltyParams, residual_objective
+from .deflation import NonlinearSystem, PenaltyParams, ResidualObjective
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
     ExperimentConfig,
@@ -17,7 +17,7 @@ from .harness import (
     run_experiment,
     run_sweep,
 )
-from .metrics import AggregateStats, aggregate, count_ngp, group_de_runs, match_minimizers
+from .metrics import AggregateStats, aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf, selection_step
 from .rng import RngStream
 
@@ -34,19 +34,18 @@ __all__ = [
     "MultiParams",
     "NonlinearSystem",
     "PenaltyParams",
+    "ResidualObjective",
     "RngStream",
     "RunRecord",
     "SweepConfig",
     "aggregate",
     "best_records",
-    "count_ngp",
     "emit_outputs",
     "get_problem",
     "group_de_runs",
     "init_population",
     "list_problems",
     "match_minimizers",
-    "residual_objective",
     "run_de",
     "run_dewi",
     "run_experiment",

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Bounds, DEParams
-from .deflation import NonlinearSystem, PenaltyParams, residual_objective
+from .deflation import NonlinearSystem, PenaltyParams, ResidualObjective
 from .errors import ConfigurationError
 from .multipop import MultiParams
 
@@ -188,7 +188,7 @@ def system_problem(
     return BenchmarkProblem(
         pid=pid,
         name=name,
-        objective=residual_objective(system),
+        objective=ResidualObjective(system),
         bounds=bounds,
         known_minimizers=known_roots,
         global_value=0.0,
@@ -322,4 +322,4 @@ def get_problem(key: str) -> BenchmarkProblem:
 
 def list_problems() -> list[BenchmarkProblem]:
     """All registered problems, in id order."""
-    return [_REGISTRY[f"B{i}"] for i in range(1, 11)]
+    return list(_REGISTRY.values())

@@ -10,25 +10,18 @@ The engines themselves, canonical ``run_de`` included, live in
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .rng import RngStream
+from .rng import RngStream, is_count
 
 # Below this normalized magnitude the spreading denominator is treated as
 # degenerate and the measure falls back to mean distance / domain diagonal.
 DEGENERATE_NORM = 1e-12
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is an integer (numpy's included) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -140,16 +133,12 @@ def best_records(coords, fitness) -> np.recarray:
     if coords.ndim != 2 or fitness.shape != coords.shape[:1]:
         raise ConfigurationError(f"bests need (k, d) coords and (k,) fitness, "
                                  f"got {coords.shape} and {fitness.shape}")
-    out = np.empty(len(fitness), _record_dtype(coords.shape[1]))
+    # Each array gets its own dtype, so renaming one's fields renames no other's. It is
+    # a record dtype up front: a recarray view of a plain one would build a second.
+    dtype = np.dtype((np.record, [("coords", float, coords.shape[1:]), ("fitness", float)]))
+    out = np.empty(len(fitness), dtype)
     out["coords"], out["fitness"] = coords, fitness
     return out.view(np.recarray)
-
-
-@functools.cache
-def _record_dtype(d: int) -> np.dtype:
-    # One per dimension, and a record dtype up front: viewing a plain
-    # structured array as a recarray builds a second one.
-    return np.dtype((np.record, [("coords", float, (d,)), ("fitness", float)]))
 
 
 def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:

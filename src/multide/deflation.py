@@ -89,31 +89,21 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
 
 
 class ResidualObjective:
-    """Sum of squared residuals of a nonlinear system; zero exactly at roots."""
+    """Sum of squared residuals of a nonlinear system; zero exactly at roots.
+
+    Only a ``vectorized`` system gives it a ``batch`` method; otherwise the
+    engines evaluate it row by row, as they do any plain callable.
+    """
 
     def __init__(self, system: NonlinearSystem):
         self.system = system
+        if system.vectorized:
+            self.batch = self._columns
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(sum(float(f(x)) ** 2 for f in self.system.residuals))
 
-    def batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        if self.system.vectorized:
-            cols = pts.T
-            total = np.zeros(len(pts))
-            for f in self.system.residuals:
-                r = np.asarray(f(cols), dtype=float)
-                total += r * r
-            return total
-        return np.array([self(p) for p in pts])
-
-
-def residual_objective(system: NonlinearSystem) -> ResidualObjective:
-    """Build the scalar objective whose global minima are the system's roots.
-
-    The engines penalize it like any other objective, so the penalized
-    system objective needs no extra code path.
-    """
-    return ResidualObjective(system)
+    def _columns(self, pts: np.ndarray) -> np.ndarray:
+        cols = np.asarray(pts, dtype=float).T
+        return sum(np.asarray(f(cols), dtype=float) ** 2 for f in self.system.residuals)

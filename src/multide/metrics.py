@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord
+from .core import RunRecord, best_records
 
 
 def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
@@ -24,11 +24,6 @@ def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
     diff = final_bests.coords[:, None, :] - minimizers  # (k, m, d)
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
     return set(np.flatnonzero((dist <= float(problem.match_tolerance)).any(axis=0)).tolist())
-
-
-def count_ngp(final_bests: np.recarray, problem) -> int:
-    """Number of distinct known global minimizers matched by a run."""
-    return len(match_minimizers(final_bests, problem))
 
 
 def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunRecord]:
@@ -56,7 +51,8 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
                 seed=chunk[0].seed,
                 elapsed_seconds=sum(r.elapsed_seconds for r in chunk),
                 nfe=sum(r.nfe for r in chunk),
-                final_bests=np.concatenate([r.final_bests for r in chunk]).view(np.recarray),
+                final_bests=best_records(np.concatenate([r.final_bests.coords for r in chunk]),
+                                         np.concatenate([r.final_bests.fitness for r in chunk])),
                 generations_used=[g for r in chunk for g in r.generations_used],
                 problem=chunk[0].problem,
                 matched_minimizers=None if None in matched else set().union(*matched),

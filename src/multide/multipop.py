@@ -117,8 +117,6 @@ def _run_engine(
     subpopulation. Treat them as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
-    if not is_count(seed) or seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     nfe = 0
     t0 = time.perf_counter()
     gens = [0] * nsp

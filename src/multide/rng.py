@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,6 +19,18 @@ TABLES = 4
 _WORD = np.dtype("<u8")
 _HALF = np.dtype("<u4")  # a word's low half comes first, as numpy draws them
 _UNIT = 2.0 ** -53
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _index(value, what: str) -> int:
+    """``value`` as an int, refusing anything but an integer >= 0."""
+    if not is_count(value) or value < 0:
+        raise ConfigurationError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def _shape(size):
@@ -83,8 +96,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+        self.seed = _index(seed, "seed")
+        self.spawn_key = tuple(_index(k, "spawn key entry") for k in spawn_key)
         self._bitgen = np.random.PCG64(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         )
@@ -226,8 +239,10 @@ class RngStream:
         """Derive ``n`` independent child streams.
 
         The mixing function is fixed: child ``j`` is the stream keyed by
-        ``spawn_key + (j,)`` under the same seed entropy.
+        ``spawn_key + (j,)`` under the same seed entropy. ``n``, like the
+        seed and each key entry, is an integer >= 0 (not a bool).
         """
+        n = _index(n, "split count")
         return [RngStream(self.seed, self.spawn_key + (j,)) for j in range(n)]
 
     def __repr__(self):

@@ -13,7 +13,6 @@ from conftest import compass_minimal, grid_polish_minimizers
 
 from multide import (
     RngStream,
-    count_ngp,
     get_problem,
     group_de_runs,
     match_minimizers,
@@ -82,7 +81,7 @@ def test_criterion_1_ngp_reproduction(b1, b1_mde, b1_dewi):
             records = b1_mde if pid == "B1" else mde_records(problem)
         else:
             records = b1_dewi if pid == "B1" else dewi_records(problem)
-        mean_ngp = float(np.mean([count_ngp(r.final_bests, problem) for r in records]))
+        mean_ngp = float(np.mean([len(match_minimizers(r.final_bests, problem)) for r in records]))
         need = 0.95 * problem.minimizer_count
         ok &= mean_ngp >= need
         lines.append(f"{algo}/{pid}={mean_ngp:.3f} (need {need:.2f})")
@@ -92,7 +91,7 @@ def test_criterion_1_ngp_reproduction(b1, b1_mde, b1_dewi):
 def test_criterion_2_superiority_over_sequential_de(b1, b1_mde, b1_de_groups):
     """Grouped sequential DE finds far fewer distinct minima than one run."""
     de_ngp = float(np.mean([len(g.matched_minimizers) for g in b1_de_groups]))
-    mde_ngp = float(np.mean([count_ngp(r.final_bests, b1) for r in b1_mde]))
+    mde_ngp = float(np.mean([len(match_minimizers(r.final_bests, b1)) for r in b1_mde]))
     ok = de_ngp <= 2.5 and mde_ngp >= 3.8 and (mde_ngp - de_ngp) >= 1.0
     assert verdict(
         "criterion 2", ok,

@@ -46,6 +46,7 @@ def test_registry_has_ten_problems_in_order():
     assert [p.pid for p in problems] == [f"B{i}" for i in range(1, 11)]
     assert len({p.pid for p in problems}) == 10
     assert len({p.name for p in problems}) == 10
+    assert all(p is get_problem(p.pid) for p in problems)
 
 
 def test_lookup_by_id_and_name():

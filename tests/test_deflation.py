@@ -1,5 +1,6 @@
 """Tests for the repulsion penalty and residual-sum objectives."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -12,10 +13,12 @@ from multide import (
     ConfigurationError,
     NonlinearSystem,
     PenaltyParams,
+    ResidualObjective,
     get_problem,
-    residual_objective,
+    run_dewi,
     selection_step,
 )
+from multide.benchmarks import DEFAULT_SYSTEM
 from multide.deflation import penalty_batch
 from multide.rng import RngStream
 
@@ -178,19 +181,19 @@ def test_penalty_batch_matches_scalar():
 
 def test_residual_objective_zero_at_root():
     system = NonlinearSystem((lambda p: p[0], lambda p: p[1]))
-    f = residual_objective(system)
+    f = ResidualObjective(system)
     assert f(np.array([0.0, 0.0])) == 0.0
 
 
 def test_residual_objective_direct_arithmetic():
     system = NonlinearSystem((lambda p: p[0], lambda p: p[1]))
-    f = residual_objective(system)
+    f = ResidualObjective(system)
     assert f(np.array([1.0, 2.0])) == 5.0
 
 
 def test_residual_objective_nonnegative():
     system = NonlinearSystem((lambda p: p[0] - p[1], lambda p: p[0] * p[1] - 3.0))
-    f = residual_objective(system)
+    f = ResidualObjective(system)
     rng = RngStream(2)
     for _ in range(100):
         assert f(rng.uniform(size=2) * 10 - 5) >= 0.0
@@ -210,6 +213,32 @@ def test_vectorized_batch_matches_scalar_for_default_system():
     batch = problem.objective.batch(pts)
     scalar = np.array([problem.objective(p) for p in pts])
     assert np.allclose(batch, scalar, rtol=1e-15, atol=0)
+
+
+def test_engine_evaluates_an_unvectorized_system_row_by_row():
+    """A system that is not vectorized has no ``batch``: the engine calls it once per row.
+
+    The digest was recorded while ``ResidualObjective`` still looped over
+    the rows itself, so evaluating through the engines' one row loop
+    changes no result.
+    """
+    rows = []
+    circle, hyperbola = DEFAULT_SYSTEM.residuals
+
+    def counted(p):
+        rows.append(np.shape(p))
+        return circle(p)
+
+    problem = get_problem("B7")
+    objective = ResidualObjective(NonlinearSystem((counted, hyperbola)))
+    assert not hasattr(objective, "batch")
+    record = run_dewi(objective, problem.bounds, problem.default_params, 0)
+    assert len(rows) == record.nfe and set(rows) == {(2,)}
+    bests = record.final_bests
+    text = (f"{record.nfe} {record.generations_used} {bests.coords.tolist()} "
+            f"{bests.fitness.tolist()}")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5b36f8541ac616a3ceff9bdb42aaf6d7aa6f954c2756f6bb99916d26a477e211")
 
 
 def test_nonlinear_system_needs_residuals():

@@ -11,7 +11,6 @@ from multide import (
     RunRecord,
     aggregate,
     best_records,
-    count_ngp,
     get_problem,
     group_de_runs,
     list_problems,
@@ -34,35 +33,35 @@ def record(seed, nfe, bests, et=0.5):
 
 def test_count_ngp_all_four_himmelblau():
     problem = get_problem("B1")
-    assert count_ngp(pts(*problem.known_minimizers), problem) == 4
+    assert len(match_minimizers(pts(*problem.known_minimizers), problem)) == 4
 
 
 def test_count_ngp_duplicates_count_once():
     problem = get_problem("B1")
-    assert count_ngp(pts((3.0, 2.0), (3.0, 2.0), (3.0, 2.0), (3.0, 2.0)), problem) == 1
+    assert len(match_minimizers(pts((3.0, 2.0), (3.0, 2.0), (3.0, 2.0), (3.0, 2.0)), problem)) == 1
 
 
 def test_count_ngp_near_match_and_miss():
     problem = get_problem("B1")
     bests = pts((3.02, 2.01), (5.9, 5.9))
-    assert count_ngp(bests, problem) == 1
+    assert len(match_minimizers(bests, problem)) == 1
     assert match_minimizers(bests, problem) == {0}
 
 
 def test_count_ngp_bounded_and_monotone():
     problem = get_problem("B1")
     coords = [(3.0, 2.0)]
-    assert count_ngp(pts(*coords), problem) == 1
+    assert len(match_minimizers(pts(*coords), problem)) == 1
     coords.append((-2.805118, 3.131313))
-    assert count_ngp(pts(*coords), problem) == 2
+    assert len(match_minimizers(pts(*coords), problem)) == 2
     coords.extend(problem.known_minimizers)
-    assert count_ngp(pts(*coords), problem) == problem.minimizer_count
+    assert len(match_minimizers(pts(*coords), problem)) == problem.minimizer_count
 
 
 def test_match_boundary_is_inclusive():
     problem = get_problem("B1")
     at_tol = pts((3.0 + problem.match_tolerance, 2.0))
-    assert count_ngp(at_tol, problem) == 1
+    assert len(match_minimizers(at_tol, problem)) == 1
 
 
 def reference_matches(coords, problem):
@@ -113,10 +112,18 @@ def test_best_records_fields_are_the_arrays_it_was_given():
     assert best_records(np.empty((0, 2)), []).coords.shape == (0, 2)
 
 
-def test_best_records_of_one_dimension_share_one_dtype():
-    one, four = best_records(np.zeros((1, 2)), [0.0]), best_records(np.ones((4, 2)), np.ones(4))
-    assert one.dtype is four.dtype and type(one) is type(four) is np.recarray
-    assert best_records(np.zeros((1, 3)), [0.0]).dtype != one.dtype
+def test_renaming_one_best_records_array_leaves_the_others():
+    earlier, renamed = pts((0.0, 0.0)), pts((1.0, 1.0), (2.0, 2.0))
+    (group,) = group_de_runs([record(0, 1, earlier), record(1, 1, renamed)], 2)
+    assert earlier.dtype == renamed.dtype and type(earlier) is type(renamed) is np.recarray
+    renamed.dtype.names = ("x", "y")
+    later = pts((3.0, 3.0))
+    for bests in (earlier, later, group.final_bests):
+        assert bests.dtype.names == ("coords", "fitness")
+        assert bests.coords.shape == (len(bests), 2) and bests.fitness.shape == (len(bests),)
+    group.final_bests.dtype.names = ("a", "b")
+    assert earlier.dtype.names == later.dtype.names == ("coords", "fitness")
+    assert best_records(np.zeros((1, 3)), [0.0]).dtype != later.dtype
 
 
 @pytest.mark.parametrize("coords, fitness", [
@@ -145,7 +152,7 @@ def test_group_of_identical_runs_has_ngp_one():
     problem = get_problem("B1")
     records = [record(seed=i, nfe=50, bests=pts((3.0, 2.0))) for i in range(4)]
     group = group_de_runs(records, 4)[0]
-    assert count_ngp(group.final_bests, problem) == 1
+    assert len(match_minimizers(group.final_bests, problem)) == 1
 
 
 def test_group_matches_are_the_union_of_its_runs_matches():

@@ -2,18 +2,22 @@
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import multide
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The one-point operators that duplicated the engines' batch operators, the
 # observer-only views of the engine state and the anchor wrapper, and the
 # helpers that only tests called (the start-anchor snapshot, a subpopulation's
-# spreading, and a wrapper around dataclasses.replace), and the point type that
-# held each final best before final bests became one record array.
+# spreading, and a wrapper around dataclasses.replace), the point type that
+# held each final best before final bests became one record array, and the
+# aliases for len(match_minimizers(...)) and ResidualObjective(system).
 REMOVED = ("AnchorSet", "Point", "PopulationTensor", "SubpopState", "best_of_subpop",
-           "crossover", "donor_indices", "indicator", "mutate", "penalized_objective",
-           "penalty_term", "select_greedy", "snapshot_anchors", "spreading_measure",
-           "subpop_spreading", "without_switch_tol")
+           "count_ngp", "crossover", "donor_indices", "indicator", "mutate",
+           "penalized_objective", "penalty_term", "residual_objective", "select_greedy",
+           "snapshot_anchors", "spreading_measure", "subpop_spreading", "without_switch_tol")
 
 
 def test_every_exported_name_resolves_once():
@@ -27,6 +31,8 @@ def test_scalar_operators_are_gone():
     assert [name for name in REMOVED if hasattr(multide.multipop, name)] == []
     assert not hasattr(multide.RngStream, "choice")
     assert not hasattr(multide.deflation, "AnchorSet")
+    assert not hasattr(multide.deflation, "residual_objective")
+    assert not hasattr(multide.metrics, "count_ngp")
 
 
 def test_second_copies_are_gone():
@@ -51,3 +57,10 @@ def test_selection_step_takes_no_use_penalty_flag():
     assert "use_penalty" not in names
     assert names[:7] == ["coords", "fitness", "trials", "own_index", "anchors", "penalty",
                          "bounds"]
+
+
+def test_readme_library_api_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, f"{README.name} (Library API)", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "4"

@@ -137,6 +137,26 @@ def test_unsupported_ranges_are_refused():
         stream.uniform(size=(-1, 2))
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, False, -1, None], ids=repr)
+def test_seeds_keys_and_split_counts_must_be_integers_from_zero(bad):
+    # Each of these once ran some other stream, or split into a wrong count, silently.
+    with pytest.raises(ConfigurationError):
+        RngStream(bad)
+    with pytest.raises(ConfigurationError):
+        RngStream(0, (1, bad))
+    with pytest.raises(ConfigurationError):
+        RngStream(0).split(bad)
+
+
+def test_numpy_integers_seed_key_and_split():
+    stream = RngStream(np.uint32(7), (np.int64(2),))
+    assert (stream.seed, stream.spawn_key) == (7, (2,)) and type(stream.seed) is int
+    assert [c.spawn_key for c in RngStream(7).split(np.int8(2))] == [(0,), (1,)]
+    assert RngStream(7).split(0) == []
+    with pytest.raises(ValueError):  # ConfigurationError subclasses it, as numpy raised before
+        RngStream(-1)
+
+
 # ------------------------------------------------------- one generation's draws
 
 def reference_trial_draws(integers, uniform, n, d):
