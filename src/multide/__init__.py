@@ -8,7 +8,7 @@ benchmark registry, and an experiment harness with CSV/JSON reporting.
 
 from .benchmarks import BenchmarkProblem, get_problem, list_problems, system_problem
 from .core import Bounds, DEParams, RunRecord, best_records, init_population
-from .deflation import NonlinearSystem, PenaltyParams, ResidualObjective
+from .deflation import PenaltyParams, ResidualObjective
 from .errors import ConfigurationError, EvaluationError
 from .harness import (
     ExperimentConfig,
@@ -32,7 +32,6 @@ __all__ = [
     "EvaluationError",
     "ExperimentConfig",
     "MultiParams",
-    "NonlinearSystem",
     "PenaltyParams",
     "ResidualObjective",
     "RngStream",

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Bounds, DEParams
-from .deflation import NonlinearSystem, PenaltyParams, ResidualObjective
+from .deflation import PenaltyParams, ResidualObjective
 from .errors import ConfigurationError
 from .multipop import MultiParams
 
@@ -92,7 +92,7 @@ def _hyperbola_residual(p):
     return p[0] * p[1] - 0.1
 
 
-DEFAULT_SYSTEM = NonlinearSystem((_circle_residual, _hyperbola_residual), vectorized=True)
+DEFAULT_SYSTEM = ResidualObjective((_circle_residual, _hyperbola_residual), vectorized=True)
 
 # Roots of {x^2 + y^2 = 0.5, xy = 0.1}: x^2 solves the quartic
 # t^2 - 0.5 t + 0.01 = 0 in t = x^2, giving the pair (a, b) below with
@@ -134,6 +134,7 @@ class BenchmarkProblem:
             raise ConfigurationError(f"known minimizers must lie inside the bounds, got {m.tolist()}")
         if not 0.0 < self.match_tolerance < math.inf:
             raise ConfigurationError("match_tolerance must be positive and finite")
+        m.flags.writeable = False  # registry problems are shared by every run in the process
 
     @property
     def minimizer_count(self) -> int:
@@ -165,7 +166,7 @@ def _problem(pid, name, fxy, formula, lo, hi, minimizers, global_value, params):
 
 
 def system_problem(
-    system: NonlinearSystem,
+    system: ResidualObjective,
     bounds: Bounds,
     known_roots,
     *,
@@ -175,7 +176,7 @@ def system_problem(
     match_tolerance: float = 0.05,
     formula: str = "sum of squared residuals",
 ) -> BenchmarkProblem:
-    """Build a problem from a user-supplied nonlinear system.
+    """Build a problem whose objective is a user-supplied nonlinear system itself.
 
     This is the override path for the system-of-equations slot: the
     default system there is a stand-in with the documented root structure,
@@ -188,7 +189,7 @@ def system_problem(
     return BenchmarkProblem(
         pid=pid,
         name=name,
-        objective=ResidualObjective(system),
+        objective=system,
         bounds=bounds,
         known_minimizers=known_roots,
         global_value=0.0,

@@ -33,7 +33,7 @@ def _parse_params(items) -> dict:
         if not sep:
             raise ConfigurationError(f"--param expects key=value, got {item!r}")
         try:
-            overrides[key.strip().lower()] = float(value)  # range-checked by ExperimentConfig
+            overrides[key.strip()] = float(value)  # range-checked by ExperimentConfig
         except ValueError:
             raise ConfigurationError(f"--param {key.strip()}: {value!r} is not a number") from None
     return overrides

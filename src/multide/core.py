@@ -43,6 +43,8 @@ class Bounds:
         object.__setattr__(self, "span", self.upper - self.lower)  # side lengths U - L
         if not np.all(np.isfinite(self.span)):
             raise ConfigurationError("bounds must be finite, with finite side lengths")
+        for limits in (self.lower, self.upper, self.span):
+            limits.flags.writeable = False  # frozen all the way down
 
     @property
     def dim(self) -> int:

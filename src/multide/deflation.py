@@ -37,24 +37,6 @@ class PenaltyParams:
             raise ConfigurationError("penalty radius must be positive")
 
 
-@dataclass
-class NonlinearSystem:
-    """A system of scalar residual functions over the search domain.
-
-    Each residual takes the coordinate vector. When ``vectorized`` is true
-    the residuals must also accept a (d, n) array of column points and
-    return n values, which lets engines evaluate trial batches in one call.
-    """
-
-    residuals: tuple
-    vectorized: bool = False
-
-    def __post_init__(self):
-        self.residuals = tuple(self.residuals)
-        if len(self.residuals) < 1:
-            raise ConfigurationError("a nonlinear system needs at least one residual")
-
-
 def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
                   params: PenaltyParams) -> np.ndarray:
     """Repulsion penalty at each row of ``pts`` from every foreign anchor.
@@ -89,21 +71,26 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
 
 
 class ResidualObjective:
-    """Sum of squared residuals of a nonlinear system; zero exactly at roots.
+    """A nonlinear system as its sum of squared residuals; zero exactly at roots.
 
-    Only a ``vectorized`` system gives it a ``batch`` method; otherwise the
-    engines evaluate it row by row, as they do any plain callable.
+    Each residual takes the coordinate vector. When ``vectorized`` is true
+    the residuals must also accept a (d, n) array of column points and
+    return n values; only then is there a ``batch`` method, so engines
+    evaluate trial batches in one call. Otherwise the engines evaluate it
+    row by row, as they do any plain callable.
     """
 
-    def __init__(self, system: NonlinearSystem):
-        self.system = system
-        if system.vectorized:
+    def __init__(self, residuals, vectorized: bool = False):
+        self.residuals = tuple(residuals)
+        if not self.residuals:
+            raise ConfigurationError("a nonlinear system needs at least one residual")
+        if vectorized:
             self.batch = self._columns
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        return float(sum(float(f(x)) ** 2 for f in self.system.residuals))
+        return float(sum(float(f(x)) ** 2 for f in self.residuals))
 
     def _columns(self, pts: np.ndarray) -> np.ndarray:
         cols = np.asarray(pts, dtype=float).T
-        return sum(np.asarray(f(cols), dtype=float) ** 2 for f in self.system.residuals)
+        return sum(np.asarray(f(cols), dtype=float) ** 2 for f in self.residuals)

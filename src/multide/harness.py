@@ -319,10 +319,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Rebuild a config from its JSON form (accepts a whole report too).
 
-    Keys that name no :class:`ExperimentConfig` field are refused.
+    A report is unwrapped to its config, a sweep report to its base
+    experiment, and its ``out_dir`` is dropped: a report says what ran, not
+    where to write. Keys that name no :class:`ExperimentConfig` field are refused.
     """
-    if "config" in data and isinstance(data["config"], dict):
-        data = data["config"]
+    if isinstance(data.get("config"), dict):
+        base = data["config"].get("base")
+        data = {**(base if isinstance(base, dict) else data["config"]), "out_dir": None}
     known = [f.name for f in fields(ExperimentConfig)]
     unknown = sorted(set(data) - set(known))
     if unknown:

@@ -1,10 +1,12 @@
 """Registry correctness: domains, minimizers, parameter rows, and the oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import compass_minimal, grid_polish_minimizers
 
-from multide import Bounds, ConfigurationError, NonlinearSystem, get_problem, list_problems, system_problem
+from multide import Bounds, ConfigurationError, ResidualObjective, get_problem, list_problems, system_problem
 
 EXPECTED_COUNTS = {
     "B1": 4, "B2": 2, "B3": 2, "B4": 4, "B5": 2,
@@ -160,7 +162,7 @@ def test_oracle_rediscovers_stored_minimizers(pid):
 
 
 def test_system_problem_override():
-    system = NonlinearSystem((lambda p: p[0] - 0.25, lambda p: p[1] + 0.5))
+    system = ResidualObjective((lambda p: p[0] - 0.25, lambda p: p[1] + 0.5))
     problem = system_problem(
         system,
         Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
@@ -168,13 +170,27 @@ def test_system_problem_override():
         pid="S1",
         name="shifted point",
     )
+    assert problem.objective is system
     assert problem.objective(np.array([0.25, -0.5])) == 0.0
     assert problem.minimizer_count == 1
     assert problem.default_params.subpops == get_problem("B7").default_params.subpops
 
 
+def test_registry_arrays_are_read_only():
+    for problem in list_problems():
+        bounds = problem.bounds
+        for array in (bounds.lower, bounds.upper, bounds.span, problem.known_minimizers):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert bounds.contains_all(problem.known_minimizers).all()
+    b1 = get_problem("B1").bounds
+    assert b1.lower.tolist() == [-6.0, -6.0] and b1.span.tolist() == [12.0, 12.0]
+    wider = replace(b1, upper=b1.upper + 1.0)
+    assert wider.span.tolist() == [13.0, 13.0] and b1.span.tolist() == [12.0, 12.0]
+
+
 def test_malformed_known_roots_fail_when_the_problem_is_built():
-    system = NonlinearSystem((lambda p: p[0] - 0.5, lambda p: p[1] - 0.5))
+    system = ResidualObjective((lambda p: p[0] - 0.5, lambda p: p[1] - 0.5))
     bounds = Bounds(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     # One coordinate for a 2-D box, one root given flat, three coordinates,
     # a NaN, a root outside the box, no root at all, ragged rows, a word.

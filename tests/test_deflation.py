@@ -11,7 +11,6 @@ from conftest import CountingObjective, sphere, trial_values
 from multide import (
     Bounds,
     ConfigurationError,
-    NonlinearSystem,
     PenaltyParams,
     ResidualObjective,
     get_problem,
@@ -180,20 +179,17 @@ def test_penalty_batch_matches_scalar():
 # ------------------------------------------------------------ residual sums
 
 def test_residual_objective_zero_at_root():
-    system = NonlinearSystem((lambda p: p[0], lambda p: p[1]))
-    f = ResidualObjective(system)
+    f = ResidualObjective((lambda p: p[0], lambda p: p[1]))
     assert f(np.array([0.0, 0.0])) == 0.0
 
 
 def test_residual_objective_direct_arithmetic():
-    system = NonlinearSystem((lambda p: p[0], lambda p: p[1]))
-    f = ResidualObjective(system)
+    f = ResidualObjective((lambda p: p[0], lambda p: p[1]))
     assert f(np.array([1.0, 2.0])) == 5.0
 
 
 def test_residual_objective_nonnegative():
-    system = NonlinearSystem((lambda p: p[0] - p[1], lambda p: p[0] * p[1] - 3.0))
-    f = ResidualObjective(system)
+    f = ResidualObjective((lambda p: p[0] - p[1], lambda p: p[0] * p[1] - 3.0))
     rng = RngStream(2)
     for _ in range(100):
         assert f(rng.uniform(size=2) * 10 - 5) >= 0.0
@@ -208,6 +204,7 @@ def test_default_system_roots_have_tiny_residuals():
 
 def test_vectorized_batch_matches_scalar_for_default_system():
     problem = get_problem("B7")
+    assert problem.objective is DEFAULT_SYSTEM
     rng = RngStream(3)
     pts = rng.uniform(size=(25, 2)) * 2 - 1
     batch = problem.objective.batch(pts)
@@ -230,7 +227,7 @@ def test_engine_evaluates_an_unvectorized_system_row_by_row():
         return circle(p)
 
     problem = get_problem("B7")
-    objective = ResidualObjective(NonlinearSystem((counted, hyperbola)))
+    objective = ResidualObjective((counted, hyperbola))
     assert not hasattr(objective, "batch")
     record = run_dewi(objective, problem.bounds, problem.default_params, 0)
     assert len(rows) == record.nfe and set(rows) == {(2,)}
@@ -242,5 +239,8 @@ def test_engine_evaluates_an_unvectorized_system_row_by_row():
 
 
 def test_nonlinear_system_needs_residuals():
-    with pytest.raises(ConfigurationError):
-        NonlinearSystem(())
+    for residuals in ((), []):
+        with pytest.raises(ConfigurationError, match="at least one residual"):
+            ResidualObjective(residuals)
+        with pytest.raises(ConfigurationError, match="at least one residual"):
+            ResidualObjective(residuals, vectorized=True)

@@ -225,6 +225,14 @@ def test_config_round_trips_through_dict():
     assert asdict(config_from_dict(wrapped)) == asdict(config)
 
 
+def test_a_report_gives_its_experiment_but_not_its_output_directory():
+    config = small_config(out_dir="results")
+    assert config_from_dict(asdict(config)).out_dir == "results"
+    assert config_from_dict({"config": asdict(config)}) == replace(config, out_dir=None)
+    sweep = SweepConfig(base=config, parameter="np", values=[8, 12])
+    assert config_from_dict({"config": asdict(sweep), "rows": []}) == replace(config, out_dir=None)
+
+
 # -------------------------------------------------------------- experiments
 
 def test_experiment_shapes_and_grouping():
@@ -649,6 +657,78 @@ def test_cli_merges_file_and_flag_overrides(tmp_path):
         config = json.load(fh)["config"]
     assert config["overrides"] == {"np": 8.0, "f": 0.6}
     assert config["problems"] == ["B3"] and config["runs"] == 2 and config["seed"] == 5
+
+
+def test_cli_rerunning_a_report_leaves_its_files_alone(tmp_path, capsys):
+    res = tmp_path / "res"
+    assert cli_main(["run", "--problem", "B3", "--algo", "mde-itmf", "--runs", "2",
+                     "--out", str(res)]) == 0
+    before = {path.name: path.read_bytes() for path in res.iterdir()}
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(res / "report.json"), "--param", "np=40"]) == 0
+    assert {path.name: path.read_bytes() for path in res.iterdir()} == before
+    assert "wrote" not in capsys.readouterr().out
+    # --out still names where the replay goes
+    assert cli_main(["run", "--config", str(res / "report.json"), "--param", "np=40",
+                     "--out", str(tmp_path / "replay")]) == 0
+    with open(tmp_path / "replay" / "report.json") as fh:
+        assert json.load(fh)["config"]["overrides"] == {"np": 40.0}
+    assert {path.name: path.read_bytes() for path in res.iterdir()} == before
+
+
+def test_cli_writes_to_a_config_files_out_dir_unless_out_is_given(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"problems": ["B3"], "algorithms": ["mde-itmf"], "runs": 2,
+                                  "out_dir": str(tmp_path / "planned")}))
+    assert cli_main(["run", "--config", str(config)]) == 0
+    assert (tmp_path / "planned" / "report.json").exists()
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "flag")]) == 0
+    with open(tmp_path / "flag" / "report.json") as fh:
+        assert json.load(fh)["config"]["out_dir"] == str(tmp_path / "flag")
+    capsys.readouterr()
+
+
+def test_cli_takes_a_sweep_report_as_config(tmp_path, capsys):
+    sw = tmp_path / "sw"
+    assert cli_main(["sweep", "--problem", "B3", "--algo", "mde-itmf", "--runs", "2",
+                     "--seed", "4", "--sweep-param", "np", "--values", "8,12",
+                     "--out", str(sw)]) == 0
+    before = {path.name: path.read_bytes() for path in sw.iterdir()}
+    assert cli_main(["run", "--config", str(sw / "report.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run" / "report.json") as fh:
+        config = json.load(fh)["config"]
+    assert (config["problems"], config["algorithms"]) == (["B3"], ["mde-itmf"])
+    assert (config["runs"], config["seed"], config["overrides"]) == (2, 4, {})
+    assert cli_main(["sweep", "--config", str(sw / "report.json"), "--sweep-param", "f",
+                     "--values", "0.5", "--out", str(tmp_path / "again")]) == 0
+    rows = read_rows(tmp_path / "again" / "sweep.csv")
+    assert len(rows) - 1 == 3 and {row[:2] for row in map(tuple, rows[1:])} == {("f", "0.5")}
+    assert {path.name: path.read_bytes() for path in sw.iterdir()} == before
+    capsys.readouterr()
+
+
+# README lists the override keys in lowercase; every way of naming one takes them as listed.
+UPPERCASE_KEYS = [
+    (["run", "--param", "NP=20"], None),
+    (["sweep", "--sweep-param", "NP", "--values", "20"], None),
+    (["run"], {"overrides": {"NP": 20}}),
+]
+
+
+@pytest.mark.parametrize("argv, settings", UPPERCASE_KEYS, ids=["param", "sweep-param", "config"])
+def test_cli_override_keys_are_the_listed_lowercase_names(argv, settings, tmp_path, capsys,
+                                                          monkeypatch):
+    runs = spy_on_runs(monkeypatch)
+    if settings is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        argv = argv + ["--config", str(config)]
+    code = cli_main(argv + ["--problem", "B3", "--algo", "de", "--runs", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "'NP'" in captured.err
+    assert captured.out == "" and runs == []
 
 
 def test_cli_checks_ranges_after_the_flags_join_the_config_file(tmp_path, capsys):

@@ -13,9 +13,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # helpers that only tests called (the start-anchor snapshot, a subpopulation's
 # spreading, and a wrapper around dataclasses.replace), the point type that
 # held each final best before final bests became one record array, and the
-# aliases for len(match_minimizers(...)) and ResidualObjective(system).
-REMOVED = ("AnchorSet", "Point", "PopulationTensor", "SubpopState", "best_of_subpop",
-           "count_ngp", "crossover", "donor_indices", "indicator", "mutate",
+# aliases for len(match_minimizers(...)) and ResidualObjective(system), and
+# the residual holder that ResidualObjective now is itself.
+REMOVED = ("AnchorSet", "NonlinearSystem", "Point", "PopulationTensor", "SubpopState",
+           "best_of_subpop", "count_ngp", "crossover", "donor_indices", "indicator", "mutate",
            "penalized_objective", "penalty_term", "residual_objective", "select_greedy",
            "snapshot_anchors", "spreading_measure", "subpop_spreading", "without_switch_tol")
 
@@ -32,6 +33,7 @@ def test_scalar_operators_are_gone():
     assert not hasattr(multide.RngStream, "choice")
     assert not hasattr(multide.deflation, "AnchorSet")
     assert not hasattr(multide.deflation, "residual_objective")
+    assert not hasattr(multide.deflation, "NonlinearSystem")
     assert not hasattr(multide.metrics, "count_ngp")
 
 
