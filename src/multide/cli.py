@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Optional
@@ -50,11 +51,14 @@ def _build_config(args, defaults: dict, fixed: Optional[dict] = None) -> Experim
     """Settings by rising precedence: ``defaults``, the ``--config`` file, flags, ``fixed``."""
     config = ExperimentConfig(**{"problems": [p.pid for p in list_problems()], **defaults})
     if args.config:
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config) as fh:
                 data = json.load(fh)
-            except ValueError as err:  # a syntax error or undecodable text
-                raise ConfigurationError(f"config file {args.config} is not JSON: {err}") from None
+        except OSError as err:  # missing, a directory, unreadable
+            raise ConfigurationError(
+                f"cannot read config file {args.config}: {err.strerror}") from None
+        except ValueError as err:  # a syntax error or undecodable text
+            raise ConfigurationError(f"config file {args.config} is not JSON: {err}") from None
         if not isinstance(data, dict):
             raise ConfigurationError(f"config file {args.config} must hold one JSON object")
         config = config_from_dict({**asdict(config), **data})
@@ -87,28 +91,32 @@ def _print_experiment(report):
               f"seed={failure['seed']}: {failure['error']}")
 
 
-def _finish(report, out_dir) -> int:
-    if out_dir:
-        for path in emit_outputs(report, out_dir):
-            print(f"wrote {path}")
+def _finish(report, out_dir, show) -> int:
+    """Write the output files, then ``show()`` the summary, so a closed stdout loses no file."""
+    paths = emit_outputs(report, out_dir) if out_dir else []
+    show()
+    for path in paths:
+        print(f"wrote {path}")
     return 0 if report.ok else 1
 
 
 def _cmd_run(args) -> int:
     config = _build_config(args, {"runs": 100})
     report = run_experiment(config)
-    _print_experiment(report)
-    return _finish(report, config.out_dir)
+    return _finish(report, config.out_dir, lambda: _print_experiment(report))
 
 
 def _cmd_sweep(args) -> int:
     sweep = SweepConfig(base=_build_config(args, {"runs": 30}), parameter=args.sweep_param,
                         values=_parse_values(args.values))
     report = run_sweep(sweep)
-    for value, exp in report.rows:
-        print(f"--- {sweep.parameter} = {value}")
-        _print_experiment(exp)
-    return _finish(report, sweep.base.out_dir)
+
+    def show():
+        for value, exp in report.rows:
+            print(f"--- {sweep.parameter} = {value}")
+            _print_experiment(exp)
+
+    return _finish(report, sweep.base.out_dir, show)
 
 
 def _cmd_list(args) -> int:
@@ -127,14 +135,17 @@ def _cmd_list(args) -> int:
 def _cmd_trace(args) -> int:
     config = _build_config(args, TRACE_DEFAULTS, {"runs": 1, "trace": True, "parallel": False})
     report = run_experiment(config)
-    for cell in report.cells:
-        for record in cell.records:
-            b = record.final_bests
-            bests = "; ".join(f"({x:.6g}, {y:.6g}) f={f:.6g}"
-                              for (x, y, *_), f in zip(b.coords.tolist(), b.fitness.tolist()))
-            print(f"{cell.problem} {cell.algorithm} seed={record.seed} "
-                  f"nfe={record.nfe} generations={record.generations_used} bests: {bests}")
-    return _finish(report, config.out_dir)
+
+    def show():
+        for cell in report.cells:
+            for record in cell.records:
+                b = record.final_bests
+                bests = "; ".join(f"({x:.6g}, {y:.6g}) f={f:.6g}"
+                                  for (x, y, *_), f in zip(b.coords.tolist(), b.fitness.tolist()))
+                print(f"{cell.problem} {cell.algorithm} seed={record.seed} "
+                      f"nfe={record.nfe} generations={record.generations_used} bests: {bests}")
+
+    return _finish(report, config.out_dir, show)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -188,7 +199,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away; the files are written. Send what is still
+        # buffered to devnull, so the exit flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

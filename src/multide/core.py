@@ -55,12 +55,13 @@ class Bounds:
         return float(np.linalg.norm(self.span))
 
     def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(self.contains_all(np.asarray(x, dtype=float)[None])[0])
 
     def contains_all(self, pts: np.ndarray) -> np.ndarray:
         """Row-wise containment mask for an (n, d) array of points."""
         pts = np.asarray(pts, dtype=float)
+        if pts.shape[1:] != self.lower.shape:
+            raise ConfigurationError(f"points must be (n, {self.dim}) rows, got shape {pts.shape}")
         return np.logical_and.reduce((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 

@@ -56,8 +56,6 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     if not 0 <= own_index < len(anchors):
         raise ConfigurationError("own_index must name a row of the anchor array")
     foreign = np.concatenate((anchors[:own_index], anchors[own_index + 1:]))
-    if len(foreign) == 0:
-        return np.zeros(len(pts))
     # (n, K, d) in C order: every distance sums its d squared terms along one
     # contiguous row, whatever the layout of ``pts`` or of the anchors, so a
     # row's penalty does not depend on the rows stacked beside it.

@@ -16,12 +16,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import RunRecord, best_records
+from .errors import ConfigurationError
 
 
 def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
     """Indices of the known minimizers ``final_bests`` match, from one (k, m) distance matrix."""
     minimizers = np.asarray(problem.known_minimizers, dtype=float)
-    diff = final_bests.coords[:, None, :] - minimizers  # (k, m, d)
+    coords = final_bests.coords
+    if coords.shape[1:] != minimizers.shape[1:]:
+        raise ConfigurationError(f"bests must be (k, {minimizers.shape[1]}) points, "
+                                 f"got shape {coords.shape}")
+    diff = coords[:, None, :] - minimizers  # (k, m, d)
     dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
     return set(np.flatnonzero((dist <= float(problem.match_tolerance)).any(axis=0)).tolist())
 

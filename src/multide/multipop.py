@@ -113,8 +113,8 @@ def _run_engine(
     was handed, the failing call's included.
     ``observer(gen, pop, fit, frozen)`` is called after every generation
     with the engine's own state: ``pop`` shaped (nsp, pop_size, d),
-    ``fit`` the (nsp, pop_size) base values and one frozen flag per
-    subpopulation. Treat them as read-only.
+    ``fit`` the (nsp, pop_size) base values and a new list of one frozen
+    flag per subpopulation. Treat the arrays as read-only.
     """
     de, penalty, switch_tol, nsp = params.de, params.penalty, params.switch_tol, params.subpops
     nfe = 0
@@ -151,7 +151,6 @@ def _run_engine(
         # anchors[j] is a copy of subpopulation j's best row (ties go to the
         # lowest index), rewritten whenever fit[j] changes.
         anchors = pop[np.arange(nsp), fit.argmin(axis=1)]
-        frozen = [False] * nsp
         live = list(range(nsp))  # the subpopulations not frozen yet
 
         for gen in range(1, de.max_generations + 1):
@@ -172,9 +171,7 @@ def _run_engine(
                         values[rows] = evaluate_batch(objective, flat[rows])
                 stepped = zip(trials, values.reshape(-1, n))
             for j, spread in zip(live, spreads):
-                if spread < de.spread_tol:
-                    frozen[j] = True
-                else:
+                if spread >= de.spread_tol:
                     penalized = penalty is not None and (switch_tol is None or spread >= switch_tol)
                     coords, values_j = next(stepped)
                     pop[j], fit[j] = selection_step(
@@ -188,7 +185,7 @@ def _run_engine(
                     trace.append((gen, j, *anchors[j].tolist(), best_f, spread))
             live = steps
             if observer is not None:
-                observer(gen, pop, fit, frozen)
+                observer(gen, pop, fit, [j not in live for j in range(nsp)])
 
         return record(None if trace is None else np.array(trace).reshape(-1, bounds.dim + 4))
     except EvaluationError as err:

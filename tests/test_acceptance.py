@@ -11,19 +11,11 @@ import numpy as np
 import pytest
 from conftest import compass_minimal, grid_polish_minimizers
 
-from multide import (
-    RngStream,
-    get_problem,
-    group_de_runs,
-    match_minimizers,
-    run_de,
-    run_dewi,
-    run_mde_itmf,
-)
+from multide import RngStream, get_problem, run_de
 from multide.cli import main as cli_main
 from multide.core import _spreading, generate_trials
 from multide.deflation import PenaltyParams, penalty_batch
-from multide.harness import ExperimentConfig, SweepConfig, run_sweep
+from multide.harness import ENGINES, ExperimentConfig, SweepConfig, run_experiment, run_sweep
 
 RUNS = 30
 
@@ -33,15 +25,12 @@ def verdict(name, ok, detail):
     return ok
 
 
-def mde_records(problem, runs=RUNS):
-    params = replace(problem.default_params, switch_tol=None)
-    return [run_mde_itmf(problem.objective, problem.bounds, params, seed)
-            for seed in range(runs)]
-
-
-def dewi_records(problem, runs=RUNS):
-    return [run_dewi(problem.objective, problem.bounds, problem.default_params, seed)
-            for seed in range(runs)]
+def cells(algorithm, pids):
+    """One algorithm's cells at seeds 0 to RUNS - 1, scored, as ``multide run`` makes them."""
+    report = run_experiment(ExperimentConfig(problems=list(pids), algorithms=[algorithm],
+                                             runs=RUNS, seed=0))
+    assert report.ok, report.failures
+    return {cell.problem: cell for cell in report.cells}
 
 
 @pytest.fixture(scope="session")
@@ -50,48 +39,32 @@ def b1():
 
 
 @pytest.fixture(scope="session")
-def b1_mde(b1):
-    return mde_records(b1)
+def mde_cells():
+    return cells("mde-itmf", ("B1", "B2", "B3", "B7", "B10"))
 
 
 @pytest.fixture(scope="session")
-def b1_dewi(b1):
-    return dewi_records(b1)
+def dewi_cells():
+    return cells("dewi", ("B1", "B2", "B3", "B4", "B5", "B7", "B9", "B10"))
 
 
-@pytest.fixture(scope="session")
-def b1_de_groups(b1):
-    records = [run_de(b1.objective, b1.bounds, b1.default_params.de, seed)
-               for seed in range(RUNS * b1.default_params.subpops)]
-    groups = group_de_runs(records, b1.default_params.subpops)
-    for g in groups:
-        g.matched_minimizers = match_minimizers(g.final_bests, b1)
-    return groups
-
-
-def test_criterion_1_ngp_reproduction(b1, b1_mde, b1_dewi):
+def test_criterion_1_ngp_reproduction(mde_cells, dewi_cells):
     """Mean NGP at desk scale reaches 95% of the minimizer count per cell."""
     lines = []
     ok = True
-    cells = [("mde-itmf", pid) for pid in ("B1", "B2", "B3", "B7", "B10")]
-    cells += [("dewi", pid) for pid in ("B1", "B2", "B3", "B4", "B5", "B7", "B9", "B10")]
-    for algo, pid in cells:
-        problem = get_problem(pid)
-        if algo == "mde-itmf":
-            records = b1_mde if pid == "B1" else mde_records(problem)
-        else:
-            records = b1_dewi if pid == "B1" else dewi_records(problem)
-        mean_ngp = float(np.mean([len(match_minimizers(r.final_bests, problem)) for r in records]))
-        need = 0.95 * problem.minimizer_count
-        ok &= mean_ngp >= need
-        lines.append(f"{algo}/{pid}={mean_ngp:.3f} (need {need:.2f})")
+    for algo, by_problem in (("mde-itmf", mde_cells), ("dewi", dewi_cells)):
+        for pid, cell in by_problem.items():
+            mean_ngp = cell.aggregates["ngp"].mean
+            need = 0.95 * get_problem(pid).minimizer_count
+            ok &= mean_ngp >= need
+            lines.append(f"{algo}/{pid}={mean_ngp:.3f} (need {need:.2f})")
     assert verdict("criterion 1", ok, "; ".join(lines))
 
 
-def test_criterion_2_superiority_over_sequential_de(b1, b1_mde, b1_de_groups):
+def test_criterion_2_superiority_over_sequential_de(mde_cells):
     """Grouped sequential DE finds far fewer distinct minima than one run."""
-    de_ngp = float(np.mean([len(g.matched_minimizers) for g in b1_de_groups]))
-    mde_ngp = float(np.mean([len(match_minimizers(r.final_bests, b1)) for r in b1_mde]))
+    de_ngp = cells("de", ("B1",))["B1"].aggregates["ngp"].mean  # over the harness's DE groups
+    mde_ngp = mde_cells["B1"].aggregates["ngp"].mean
     ok = de_ngp <= 2.5 and mde_ngp >= 3.8 and (mde_ngp - de_ngp) >= 1.0
     assert verdict(
         "criterion 2", ok,
@@ -108,10 +81,10 @@ def test_criterion_2_superiority_over_sequential_de(b1, b1_mde, b1_de_groups):
     "halved accounting the reference runs also needed ~1.5x more generations than "
     "these operators take, so the band floor is out of reach without inflating NFE",
 )
-def test_criterion_3_nfe_reference_band(b1_mde, b1_dewi):
+def test_criterion_3_nfe_reference_band(mde_cells, dewi_cells):
     """Mean NFE on B1 inside [0.5x, 2x] of the reference counts 19315 / 19259."""
-    mde_nfe = float(np.mean([r.nfe for r in b1_mde]))
-    dewi_nfe = float(np.mean([r.nfe for r in b1_dewi]))
+    mde_nfe = mde_cells["B1"].aggregates["nfe"].mean
+    dewi_nfe = dewi_cells["B1"].aggregates["nfe"].mean
     ok_mde = 0.5 * 19315.22 <= mde_nfe <= 2 * 19315.22
     ok_dewi = 0.5 * 19259.56 <= dewi_nfe <= 2 * 19259.56
     verdict(
@@ -169,8 +142,8 @@ def test_criterion_5_operator_properties(b1):
         for coords in pop:
             contained &= bool(b1.bounds.contains_all(coords).all())
 
-    run_mde_itmf(b1.objective, b1.bounds, replace(b1.default_params, switch_tol=None),
-                 1, observer=watch)
+    run_mde_itmf, mde_params = ENGINES["mde-itmf"]
+    run_mde_itmf(b1.objective, b1.bounds, mde_params(b1.default_params), 1, observer=watch)
 
     best_history = []
     run_de(b1.objective, b1.bounds, b1.default_params.de, 1,
@@ -199,7 +172,7 @@ def test_criterion_5_operator_properties(b1):
 
     mp.selection_step = checking
     try:
-        run_mde_itmf(b1.objective, b1.bounds, replace(b1.default_params, switch_tol=None), 2)
+        run_mde_itmf(b1.objective, b1.bounds, mde_params(b1.default_params), 2)
     finally:
         mp.selection_step = original
 
@@ -219,7 +192,7 @@ def test_criterion_5_operator_properties(b1):
     collapsed = np.full((8, 2), 0.4)
     zero_spread = _spreading(collapsed[None], collapsed[:1], b1.bounds).tolist() == [0.0]
 
-    single = replace(b1.default_params, switch_tol=None, subpops=1)
+    single = mde_params(replace(b1.default_params, subpops=1))
     equal = True
     for seed in (0, 1):
         a = run_de(b1.objective, b1.bounds, b1.default_params.de, seed)
@@ -287,7 +260,7 @@ def test_criterion_7_population_size_sweep():
         ngp[value] = cell.aggregates["ngp"].mean
         nfe[value] = cell.aggregates["nfe"].mean
     rising = [v for v in values if v >= 10]
-    rho = float(spearmanr(rising, [nfe[v] for v in rising]).statistic)
+    rho = float(spearmanr(rising, [nfe[v] for v in rising])[0])
     ok = ngp[30] > ngp[8] and rho >= 0.8
     assert verdict(
         "criterion 7", ok,

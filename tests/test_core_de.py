@@ -63,6 +63,17 @@ def test_bounds_validation():
     assert b.contains([0.0, 1.0]) and not b.contains([0.0, 2.5])
 
 
+@pytest.mark.parametrize("points", [[0.5], [[0.5]], [[0.5], [0.2]], [0.1, 0.2, 0.3], 0.5,
+                                    [[[0.5, 0.5]]]], ids=repr)
+def test_bounds_refuse_points_of_another_width(points):
+    # Broadcasting against the 2-D box would answer each of these.
+    b = Bounds([-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ConfigurationError, match=r"points must be \(n, 2\) rows"):
+        b.contains_all(points)
+    with pytest.raises(ConfigurationError, match=r"points must be \(n, 2\) rows"):
+        b.contains(points)
+
+
 def test_bounds_span_is_computed_once():
     b = Bounds(np.array([-1.0, 0.1]), np.array([0.3, 2.0]))
     assert b.span is b.span

@@ -4,12 +4,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multide
 from multide import (
     ConfigurationError,
     EvaluationError,
@@ -823,6 +828,8 @@ def test_cli_sweep_refuses_a_bad_later_value_before_any_run(tmp_path, capsys, mo
 # fractional seed or a boolean run count, or ran a cell twice. A sweep runs
 # its config's runs per value. A string is the file's raw text, a dict is
 # written as JSON.
+# A --config path that names no file, and one that names a directory.
+MISSING_FILE, A_DIRECTORY = "missing file", "a directory"
 MALFORMED_CONFIGS = [
     ("run", {"seed": "5"}),
     ("run", {"runs": 2.5}),
@@ -841,6 +848,8 @@ MALFORMED_CONFIGS = [
     ("sweep", "{bad"),
     ("run", {"problems": ["B3", "six-hump camel"]}),
     ("run", {"algorithms": ["de", "de"]}),
+    ("run", MISSING_FILE),
+    ("sweep", A_DIRECTORY),
 ]
 
 
@@ -848,7 +857,10 @@ MALFORMED_CONFIGS = [
                          ids=lambda case: case if isinstance(case, str) else json.dumps(case))
 def test_cli_refuses_malformed_runs_and_seed_in_config(command, settings, tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
+    if settings == A_DIRECTORY:
+        config.mkdir()
+    elif settings != MISSING_FILE:
+        config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     out = tmp_path / "out"
     extra = ["--sweep-param", "np", "--values", "8"] if command == "sweep" else []
     code = cli_main([command, "--config", str(config), "--problem", "B3", "--algo", "de",
@@ -856,8 +868,34 @@ def test_cli_refuses_malformed_runs_and_seed_in_config(command, settings, tmp_pa
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    if settings in (MISSING_FILE, A_DIRECTORY):
+        assert captured.err.startswith(f"error: cannot read config file {config}: ")
     assert captured.out == ""  # nothing ran, so no table was printed
     assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_into_a_closed_pipe_writes_its_files_and_exits_1(unbuffered, tmp_path):
+    # The reader of stdout is gone before the command starts, as when
+    # ``head`` has already exited in ``multide run ... | head -1``.
+    src = str(Path(multide.__file__).resolve().parents[1])
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "out"
+    for argv in (["run", "--problem", "B2", "--runs", "2", "--out", str(out)], ["list"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "multide.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b"")
+    assert sorted(path.name for path in out.iterdir()) == ["aggregates.csv", "report.json",
+                                                          "runs.csv"]
 
 
 def test_cli_sweep_collects_no_traces(tmp_path, monkeypatch):

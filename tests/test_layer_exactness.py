@@ -23,12 +23,10 @@ from multide import (
     RngStream,
     get_problem,
     init_population,
-    run_de,
-    run_dewi,
-    run_mde_itmf,
 )
 from multide.core import _spreading, evaluate_batch, generate_trials
 from multide.deflation import penalty_batch
+from multide.harness import ENGINES
 
 
 def reference_generate_trials(coords, F, CR, rng):
@@ -207,34 +205,22 @@ def reference_run(objective, bounds, params, seed):
     return outcome, modes
 
 
-ENGINES = {"de": run_de, "mde-itmf": run_mde_itmf, "dewi": run_dewi}
-
-
-def engine_run(algorithm, objective, bounds, params, seed):
-    """The engine's record in the reference's terms."""
-    run = ENGINES[algorithm]
-    record = run(objective, bounds, params.de if algorithm == "de" else params, seed,
-                 collect_trace=True)
-    return {
+def check_against_reference(problem, algorithm, seed, objective=None, **changes):
+    """Run ``algorithm`` as the harness does and compare it with the reference loop."""
+    engine, engine_params = ENGINES[algorithm]
+    params = engine_params(replace(problem.default_params, **changes))
+    objective = problem.objective if objective is None else objective
+    record = engine(objective, problem.bounds, params, seed, collect_trace=True)
+    got = {
         "bests": [(b.coords.tolist(), b.fitness) for b in record.final_bests],
         "nfe": record.nfe,
         "gens": record.generations_used,
         "trace": record.trace.tobytes(),
     }
-
-
-def engine_params(problem, algorithm, **changes):
-    params = replace(problem.default_params, **changes)
-    if algorithm == "de":
-        return MultiParams(de=params.de)
-    return replace(params, switch_tol=None) if algorithm == "mde-itmf" else params
-
-
-def check_against_reference(problem, algorithm, seed, objective=None, **changes):
-    params = engine_params(problem, algorithm, **changes)
-    objective = problem.objective if objective is None else objective
+    if isinstance(params, DEParams):  # canonical DE: one subpopulation, no penalty
+        params = MultiParams(de=params)
     want, modes = reference_run(objective, problem.bounds, params, seed)
-    assert engine_run(algorithm, objective, problem.bounds, params, seed) == want
+    assert got == want
     return want, modes
 
 

@@ -64,6 +64,14 @@ def test_match_boundary_is_inclusive():
     assert len(match_minimizers(at_tol, problem)) == 1
 
 
+@pytest.mark.parametrize("coords", [[[0.0]], [[0.0, 0.0, 0.0]], np.empty((0, 1))], ids=repr)
+def test_match_refuses_bests_of_another_width(coords):
+    # Broadcasting would match a (1, 1) best at 0.0 to B2's minimizer (0, 0).
+    coords = np.asarray(coords, dtype=float)
+    with pytest.raises(ConfigurationError, match=r"bests must be \(k, 2\) points"):
+        match_minimizers(best_records(coords, np.zeros(len(coords))), get_problem("B2"))
+
+
 def reference_matches(coords, problem):
     """Per-best matching: one distance row per best, as a loop over the bests."""
     matched = set()

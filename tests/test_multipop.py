@@ -24,6 +24,7 @@ from multide import (
     selection_step,
 )
 from multide.core import _spreading
+from multide.harness import ENGINES
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
@@ -109,8 +110,10 @@ def test_finished_record_bests_are_the_last_anchor_rows():
     def watch(gen, pop, fit, frozen):
         last.update(pop=pop.copy(), fit=fit.copy())
 
-    for run, params in ((run_mde_itmf, B1_MDE), (run_dewi, B1.default_params)):
-        record = run(B1.objective, B1.bounds, params, 3, observer=watch)
+    for algorithm in ("mde-itmf", "dewi"):
+        engine, engine_params = ENGINES[algorithm]
+        params = engine_params(B1.default_params)
+        record = engine(B1.objective, B1.bounds, params, 3, observer=watch)
         anchors = last["pop"][np.arange(NSP), last["fit"].argmin(axis=1)]
         assert np.array_equal([p.coords for p in record.final_bests], anchors)
         assert [p.fitness for p in record.final_bests] == last["fit"].min(axis=1).tolist()
@@ -220,9 +223,9 @@ def test_selection_step_out_of_bounds_trials_never_evaluated():
         seen.append(np.array(p))
         return B1.objective(p)
 
-    for run in (run_mde_itmf, run_dewi):
-        params = B1.default_params if run is run_dewi else B1_MDE
-        record = run(recording, B1.bounds, params, 3)
+    for algorithm in ("mde-itmf", "dewi"):
+        engine, engine_params = ENGINES[algorithm]
+        record = engine(recording, B1.bounds, engine_params(B1.default_params), 3)
         assert len(seen) == record.nfe
         assert all(B1.bounds.contains(p) for p in seen)
         seen.clear()
@@ -298,12 +301,9 @@ def test_engine_parameter_bundle_contracts():
 @pytest.mark.parametrize("seed", [3.7, True, -1, RngStream(5, (3,))], ids=repr)
 def test_engines_refuse_a_seed_that_is_not_a_whole_number(seed):
     problem = get_problem("B3")
-    params = problem.default_params
-    for engine, engine_params in ((run_de, params.de),
-                                  (run_mde_itmf, replace(params, switch_tol=None)),
-                                  (run_dewi, params)):
+    for engine, engine_params in ENGINES.values():
         with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
-            engine(problem.objective, problem.bounds, engine_params, seed)
+            engine(problem.objective, problem.bounds, engine_params(problem.default_params), seed)
 
 
 def test_numpy_integer_seed_runs_as_the_same_int():

@@ -10,7 +10,8 @@ from conftest import CountingObjective, examples
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multide import Bounds, DEParams, MultiParams, PenaltyParams, run_de, run_dewi, run_mde_itmf
+from multide import Bounds, DEParams, MultiParams, PenaltyParams
+from multide.harness import ENGINES
 
 PROPERTY_SETTINGS = examples(60)
 
@@ -55,11 +56,8 @@ def engine_cases(draw, algorithms=("de", "mde-itmf", "dewi")):
 
 def _run(case, objective, **kw):
     algorithm, bounds, params, seed = case
-    if algorithm == "de":
-        return run_de(objective, bounds, params.de, seed, **kw)
-    if algorithm == "mde-itmf":
-        return run_mde_itmf(objective, bounds, params, seed, **kw)
-    return run_dewi(objective, bounds, params, seed, **kw)
+    engine, engine_params = ENGINES[algorithm]
+    return engine(objective, bounds, engine_params(params), seed, **kw)
 
 
 @PROPERTY_SETTINGS
