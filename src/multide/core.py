@@ -182,8 +182,8 @@ def init_population(bounds: Bounds, count: int, rng: RngStream) -> np.ndarray:
     Each coordinate is L_k + h (U_k - L_k) with a fresh uniform h per
     coordinate.
     """
-    if count < 1:
-        raise ConfigurationError("population count must be >= 1")
+    if not is_count(count) or count < 1:
+        raise ConfigurationError(f"population count must be an integer >= 1, got {count!r}")
     h = rng.uniform(size=(count, bounds.dim))
     return bounds.lower + h * bounds.span
 

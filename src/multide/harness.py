@@ -94,6 +94,8 @@ class ExperimentConfig:
         _check_type("trace", self.trace, bool, "true or false")
         _check_type("overrides", self.overrides, dict, "an object of parameter overrides")
         _check_type("out_dir", self.out_dir, (str, type(None)), "a path or null")
+        if self.out_dir == "":
+            raise ConfigurationError("out_dir must be a path or null, got an empty string")
         if not self.problems:
             raise ConfigurationError("config needs at least one problem")
         if not self.algorithms:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord, best_records
+from .core import RunRecord, best_records, is_count
 from .errors import ConfigurationError
 
 
@@ -40,8 +40,8 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
     multipopulation run. Its ``matched_minimizers`` is the union of the
     runs' sets, ``None`` unless every run has been scored.
     """
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+    if not is_count(group_size) or group_size < 1:
+        raise ConfigurationError(f"group_size must be an integer >= 1, got {group_size!r}")
     if len(records) % group_size != 0:
         raise ValueError(
             f"cannot group {len(records)} records into groups of {group_size}"

@@ -74,10 +74,18 @@ def selection_step(
     (nsp, d) array, see :func:`penalty_batch`) is given, with parents
     reusing their cached base fitness, and on the base values otherwise.
     Ties go to the trial. Returns new coordinates and base-fitness arrays;
-    the inputs are left untouched.
+    the inputs are left untouched. ``trials`` must have the (n, d) shape of
+    ``coords``, and ``fitness`` and ``trial_fitness`` must be (n,): other
+    shapes are refused, not broadcast.
     """
     if anchors is not None and penalty is None:
         raise ConfigurationError("penalized selection needs penalty parameters")
+    rows = coords.shape[:1]
+    if (coords.ndim != 2 or trials.shape != coords.shape
+            or fitness.shape != rows or trial_fitness.shape != rows):
+        raise ConfigurationError(
+            f"selection needs (n, d) coords and trials and (n,) fitness and trial fitness, got "
+            f"{coords.shape}, {trials.shape}, {fitness.shape} and {trial_fitness.shape}")
     trial_score, parent_score = trial_fitness, fitness
     if anchors is not None:
         # Penalty rows are independent, so one call scores trials and parents.

@@ -12,9 +12,6 @@ from .errors import ConfigurationError
 # PCG64 words pulled per refill: a refill is rare next to the draws it
 # serves, and a stream's buffers stay at a few tens of KB.
 BLOCK = 1024
-# Integer ranges per block that get a table of decoded values; the engines
-# draw from two (population size and dimension).
-TABLES = 4
 
 _WORD = np.dtype("<u8")
 _HALF = np.dtype("<u4")  # a word's low half comes first, as numpy draws them
@@ -87,12 +84,11 @@ class RngStream:
     streams are private children from ``split``. No option selects numpy's
     own generator instead.
 
-    Each block decodes its uniforms once, and its integers once for each of
-    the first :data:`TABLES` ranges drawn from it, so a call is one slice
-    copy and a ``trial_draws`` call a few slices. Further ranges in the
-    same block decode only the halves they draw, which keeps work and
-    memory per call in line with its size when a caller changes the range
-    on every call.
+    Each block decodes its uniforms once, and its integers once for each
+    range drawn from it, so a call is one slice copy and a ``trial_draws``
+    call a few slices. An engine stream draws from two ranges, ``n`` and
+    ``d``; a caller that changes the range on every call pays one
+    whole-block decode per new range and block.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -104,7 +100,7 @@ class RngStream:
         # Each block word is decoded up front: ``_unit`` holds its uniform
         # and ``_halves`` its two uint32 halves, low first. ``_tables`` maps a
         # range ``n`` to its ``_decode`` of the whole block, built on first
-        # use for at most :data:`TABLES` ranges. Word 0 is a carry slot.
+        # use. Word 0 is a carry slot.
         # ``_pos`` is the next fresh word; when ``_half`` is 1 the high half
         # of word ``_pos - 1`` is a uint32 still owed to the next ``integers``
         # call.
@@ -160,10 +156,11 @@ class RngStream:
         indices, and ``uniform(size=(n, d))``. Both arrays may be views of the
         block: do not write to them.
 
-        The rounds run in plain Python over one window of decoded values; a
-        window the rounds outrun is taken again, twice as long. The forced
-        indices are read past the halves the donors took, so the stream
-        moves once, before the uniforms.
+        The redraws run in plain Python as one queue over a window of decoded
+        values, taken again twice as long when the queue outruns it: a row
+        that collides again rejoins at the end, after the rest of its round.
+        The forced indices are read past the halves the donors took, so the
+        stream moves once, before the uniforms.
         """
         if n < 4:
             raise ConfigurationError("mutation needs a population of at least 4")
@@ -172,20 +169,17 @@ class RngStream:
         window = window.tolist()
         r = window[:3 * n]
         it = iter(r)
-        rows = [i for i, a, b, c in zip(range(n), it, it, it)
-                if a == i or b == i or c == i or a == b or a == c or b == c]
+        queue = [i for i, a, b, c in zip(range(n), it, it, it)
+                 if a == i or b == i or c == i or a == b or a == c or b == c]
         used = 3 * n
-        while rows:
-            end = used + 3 * len(rows)
-            if end > len(window):
-                window, halves = self._take(n, 2 * end)
+        for i in queue:
+            if used + 3 > len(window):
+                window, halves = self._take(n, 2 * used + 6)
                 window = window.tolist()
-            it, again = iter(window[used:end]), []
-            for i, a, b, c in zip(rows, it, it, it):
-                r[3 * i:3 * i + 3] = a, b, c
-                if a == i or b == i or c == i or a == b or a == c or b == c:
-                    again.append(i)
-            rows, used = again, end
+            a, b, c = r[3 * i:3 * i + 3] = window[used:used + 3]
+            used += 3
+            if a == i or b == i or c == i or a == b or a == c or b == c:
+                queue.append(i)
         if halves > len(window):  # a half was rejected: count those the values took
             used = self._take(n, used)[1]
         if d > 1:
@@ -221,13 +215,9 @@ class RngStream:
         while True:
             self._reserve((offset + used - self._half + 1) // 2)
             start = 2 * self._pos - self._half + offset
-            table = self._tables.get(n)
-            if table is None and len(self._tables) < TABLES:
-                table = self._tables[n] = _decode(self._halves, n)
-            elif table is None:  # no table left for this block: decode only the halves drawn
-                table = _decode(self._halves[start:start + used], n)
-                start = 0
-            values, rejecting = table
+            if n not in self._tables:
+                self._tables[n] = _decode(self._halves, n)
+            values, rejecting = self._tables[n]
             values = values[start:start + used]
             if rejecting:
                 values = values[values >= 0]

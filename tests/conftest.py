@@ -1,4 +1,4 @@
-"""Shared test helpers: scripted RNG, evaluation counters, minimizer oracle, hypothesis settings."""
+"""Shared test helpers: scripted RNG, per-call draws, evaluation counters, minimizer oracle, hypothesis settings."""
 
 import os
 
@@ -36,6 +36,24 @@ class FakeRng:
         donors, forced, uniforms = self._generations.pop(0)
         return (np.ravel(donors).tolist(), np.asarray(forced).reshape(n),
                 np.asarray(uniforms, dtype=float).reshape(n, d))
+
+
+def reference_trial_draws(integers, uniform, n, d):
+    """One generation's draws as one call per draw: donors and their redraw rounds, forced indices, uniforms.
+
+    ``integers(low, high, size)`` and ``uniform(size)`` are numpy's
+    ``Generator.integers`` and ``.random`` or ``RngStream``'s own. This is
+    the order ``RngStream.trial_draws`` must reproduce: each round redraws
+    the colliding rows, ascending, in one ``integers`` call.
+    """
+    own = np.arange(n)
+    r = integers(0, n, (n, 3))
+    while True:
+        bad = ((r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
+               | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2]))
+        if not bad.any():
+            return r.ravel().tolist(), integers(0, d, n), uniform((n, d))
+        r[bad] = integers(0, n, (int(bad.sum()), 3))
 
 
 def trial_values(trials, bounds, objective):

@@ -146,8 +146,11 @@ def test_init_population_seed_reproducibility():
 
 
 def test_init_population_rejects_bad_count():
-    with pytest.raises(ConfigurationError):
-        init_population(UNIT, 0, RngStream(0))
+    # 2.5, 3.0 and True once raised a raw TypeError from the draw.
+    for count in (0, -1, 2.5, 3.0, True, "3", None):
+        with pytest.raises(ConfigurationError, match="population count"):
+            init_population(UNIT, count, RngStream(0))
+    assert init_population(UNIT, np.int64(3), RngStream(0)).shape == (3, 2)
 
 
 # ------------------------------------------------- mutation and crossover

@@ -693,6 +693,23 @@ def test_cli_writes_to_a_config_files_out_dir_unless_out_is_given(tmp_path, caps
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("form", ["--out", "config"])
+def test_cli_refuses_an_empty_output_directory(form, tmp_path, capsys, monkeypatch):
+    # Both forms printed the table, wrote no file and exited 0.
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": ""} if form == "config" else {}))
+    argv = ["run", "--config", str(config), "--problem", "B3", "--algo", "de", "--runs", "2"]
+    code = cli_main(argv + (["--out", ""] if form == "--out" else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: out_dir must be a path or null, got an empty string\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    with pytest.raises(ConfigurationError, match="empty string"):
+        small_config(out_dir="")
+
+
 def test_cli_takes_a_sweep_report_as_config(tmp_path, capsys):
     sw = tmp_path / "sw"
     assert cli_main(["sweep", "--problem", "B3", "--algo", "mde-itmf", "--runs", "2",

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import examples
+from conftest import examples, reference_trial_draws
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,20 +31,11 @@ from multide.harness import ENGINES
 
 def reference_generate_trials(coords, F, CR, rng):
     n, d = coords.shape
-    own = np.arange(n)
-    r = rng.integers(0, n, size=(n, 3))
-    while True:
-        bad = (
-            (r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
-            | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2])
-        )
-        if not bad.any():
-            break
-        r[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
+    r, rnbr, u = reference_trial_draws(rng.integers, rng.uniform, n, d)
+    r = np.reshape(r, (n, 3))
     donors = coords[r[:, 0]] + F * (coords[r[:, 1]] - coords[r[:, 2]])
-    rnbr = rng.integers(0, d, size=n)
-    take = rng.uniform(size=(n, d)) <= CR
-    take[own, rnbr] = True
+    take = u <= CR
+    take[np.arange(n), rnbr] = True
     return np.where(take, donors, coords)
 
 

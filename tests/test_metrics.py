@@ -185,6 +185,15 @@ def test_group_de_runs_rejects_indivisible_count():
         group_de_runs(records, 4)
 
 
+@pytest.mark.parametrize("size", [True, 2.0, 0, -2, None], ids=repr)
+def test_group_de_runs_refuses_a_size_that_is_not_a_count(size):
+    # True grouped by 1, 2.0 raised a raw TypeError and 0 a plain ValueError.
+    records = [record(seed=i, nfe=1, bests=pts((0.0, 0.0))) for i in range(4)]
+    with pytest.raises(ConfigurationError, match="group_size"):
+        group_de_runs(records, size)
+    assert len(group_de_runs(records, np.int64(2))) == 2
+
+
 # ------------------------------------------------------------- aggregation
 
 def test_aggregate_constant_values():

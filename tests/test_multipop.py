@@ -252,6 +252,30 @@ def test_selection_step_needs_penalty_params_for_penalized_mode():
                        trial_values(trials, BOX, sphere))
 
 
+SHAPE_MISMATCHES = {
+    # One trial value against four parents gave every winner that value.
+    "one trial value": lambda c, f, t, v: (c, f, t, v[:1]),
+    # One trial row replaced every parent that lost.
+    "one trial row": lambda c, f, t, v: (c, f, t[:1], v),
+    "trials of another width": lambda c, f, t, v: (c, f, t[:, :1], v),
+    "fitness as a column": lambda c, f, t, v: (c, f[:, None], t, v),
+    "trial values as a column": lambda c, f, t, v: (c, f, t, v[:, None]),
+    "one point as coords": lambda c, f, t, v: (c[0], f[:2], t[0], v[:2]),
+}
+
+
+@pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
+@pytest.mark.parametrize("mismatch", list(SHAPE_MISMATCHES))
+def test_selection_step_refuses_mismatched_shapes(mismatch, penalized):
+    coords, fitness, trials, anchors = random_scenario(2, pop_size=4)
+    values = trial_values(trials, BOX, sphere)
+    coords, fitness, trials, values = SHAPE_MISMATCHES[mismatch](coords, fitness, trials, values)
+    penalty = PenaltyParams(magnitude=100.0, radius=1.0)
+    with pytest.raises(ConfigurationError, match="selection needs"):
+        selection_step(coords, fitness, trials, 0, anchors if penalized else None,
+                       penalty if penalized else None, BOX, values)
+
+
 # ------------------------------------------------------------------ engines
 
 def test_multiparams_validation():

@@ -47,6 +47,8 @@ def test_second_copies_are_gone():
     # The engine counts its own evaluations, and a failed generation is not replayed.
     assert not hasattr(multide.multipop, "_CountingObjective")
     assert not hasattr(multide.EvaluationError("x"), "values")
+    # Every range drawn from a block gets a table: no cap, no second decode path.
+    assert not hasattr(multide.rng, "TABLES")
 
 
 def test_engines_take_no_anchor_mode():

@@ -11,12 +11,12 @@ paths.
 
 import numpy as np
 import pytest
-from conftest import examples
+from conftest import examples, reference_trial_draws
 from hypothesis import given
 from hypothesis import strategies as st
 
 from multide import ConfigurationError, RngStream
-from multide.rng import BLOCK, TABLES
+from multide.rng import BLOCK
 
 # 2**31 + 1 rejects about half of all uint32 draws. At 3 * 2**30 a quarter
 # of the draws land exactly on the rejection threshold, which pins the
@@ -93,13 +93,12 @@ def test_refill_while_a_half_word_is_owed():
                          ("integers", 0, 30, 1), ("integers", 0, 3, BLOCK)])
 
 
-def test_more_ranges_than_tables_in_one_block_match_numpy():
+def test_many_ranges_in_one_block_match_numpy():
     stream, ref = RngStream(13, (4,)), twin(13, (4,))
-    # Shuffle-like draws change the range on every call; past TABLES
-    # ranges a block decodes each call's halves alone, rejections included.
-    ranges = list(range(2, 3 * TABLES)) + [2**31 + 1, 3 * 2**30, 2**32] * 20
+    # Shuffle-like draws change the range on every call, and each new range
+    # decodes a table of the whole block, rejections included.
+    ranges = list(range(2, 12)) + [2**31 + 1, 3 * 2**30, 2**32] * 20
     replay(stream, ref, [("integers", 0, n, 3) for n in ranges])
-    assert len(stream._tables) <= TABLES
     replay(stream, ref, [("uniform", 0, 0, 5), ("integers", 1, 2**31 + 1, 7),
                          ("integers", 0, 2, 1), ("integers", 0, 30, (4, 3))])
 
@@ -159,21 +158,9 @@ def test_numpy_integers_seed_key_and_split():
 
 # ------------------------------------------------------- one generation's draws
 
-def reference_trial_draws(integers, uniform, n, d):
-    """``trial_draws`` as one call per draw: donors and their redraw rounds, forced indices, uniforms."""
-    own = np.arange(n)
-    r = integers(0, n, (n, 3))
-    while True:
-        bad = ((r[:, 0] == own) | (r[:, 1] == own) | (r[:, 2] == own)
-               | (r[:, 0] == r[:, 1]) | (r[:, 0] == r[:, 2]) | (r[:, 1] == r[:, 2]))
-        if not bad.any():
-            return r.ravel().tolist(), integers(0, d, n), uniform((n, d))
-        r[bad] = integers(0, n, (int(bad.sum()), 3))
-
-
 def per_call_draws(ref, n, d):
     """The reference draws from ``ref``, a numpy ``Generator`` or a :class:`PerCall`."""
-    return reference_trial_draws(lambda lo, hi, size: ref.integers(lo, hi, size=size), ref.random, n, d)
+    return reference_trial_draws(ref.integers, ref.random, n, d)
 
 
 def same_draws(ours, theirs):
@@ -238,12 +225,12 @@ def crafted_pair(seed, rejected, zeros):
 @examples(40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
        rejected=st.sampled_from([0.0, 0.01, 0.25]), zeros=st.sampled_from([0.0, 0.05, 0.3]),
-       ranges=st.lists(st.integers(2, 70), max_size=TABLES + 1),
+       ranges=st.lists(st.integers(2, 70), max_size=5),
        probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=15))
 def test_trial_draws_match_per_call_draws_on_crafted_words(seed, n, d, rejected, zeros, ranges, probes):
     # Against the per-call draws of a twin stream on the same words, which
-    # the tests above check against numpy. Other ranges drawn first may
-    # leave the block no table for n or d.
+    # the tests above check against numpy. Other ranges drawn first give
+    # the block tables before those of n and d.
     stream, ref = crafted_pair(seed, rejected, zeros)
     replay(stream, ref, [("integers", 0, m, 1) for m in ranges])
     for integer_probe, uniform_probe in probes:
@@ -277,9 +264,9 @@ def test_trial_draws_rejections_refill_and_owed_half():
     replay(stream, ref, FIXED_CALLS)
 
 
-def test_trial_draws_without_a_table_for_the_block():
+def test_trial_draws_after_other_ranges_add_their_tables_to_the_block():
     stream, ref = RngStream(23), twin(23)
     replay(stream, ref, [("integers", 0, m, 1) for m in (5, 6, 7, 9)])
     same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
-    assert sorted(stream._tables) == [5, 6, 7, 9]  # 30 and 3 were decoded alone
+    assert sorted(stream._tables) == [3, 5, 6, 7, 9, 30]  # every range drawn has a table
     replay(stream, ref, FIXED_CALLS)
