@@ -43,9 +43,7 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
     if not is_count(group_size) or group_size < 1:
         raise ConfigurationError(f"group_size must be an integer >= 1, got {group_size!r}")
     if len(records) % group_size != 0:
-        raise ValueError(
-            f"cannot group {len(records)} records into groups of {group_size}"
-        )
+        raise ConfigurationError(f"cannot group {len(records)} records into groups of {group_size}")
     groups = []
     for start in range(0, len(records), group_size):
         chunk = records[start:start + group_size]
@@ -87,7 +85,7 @@ def aggregate(values: Sequence[float]) -> AggregateStats:
     refused so a lone number is never dressed up as a distribution.
     """
     if len(values) < 2:
-        raise ValueError("aggregate needs at least two values")
+        raise ConfigurationError("aggregate needs at least two values")
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     stddev = float(math.sqrt(float(((arr - mean) ** 2).mean())))

@@ -76,7 +76,9 @@ def selection_step(
     Ties go to the trial. Returns new coordinates and base-fitness arrays;
     the inputs are left untouched. ``trials`` must have the (n, d) shape of
     ``coords``, and ``fitness`` and ``trial_fitness`` must be (n,): other
-    shapes are refused, not broadcast.
+    shapes are refused, not broadcast. ``bounds`` is not read, since
+    ``trial_fitness`` already marks the trials outside it; it stays only
+    because perfbench's ``--trace 1`` tracer reads it as ``args[6]``.
     """
     if anchors is not None and penalty is None:
         raise ConfigurationError("penalized selection needs penalty parameters")

@@ -20,7 +20,8 @@ _UNIT = 2.0 ** -53
 
 def is_count(value) -> bool:
     """Whether ``value`` is an integer (numpy's included) and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # A plain int skips the ABC check, several times dearer and run on every trial_draws call
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _index(value, what: str) -> int:
@@ -100,25 +101,22 @@ class RngStream:
         # Each block word is decoded up front: ``_unit`` holds its uniform
         # and ``_halves`` its two uint32 halves, low first. ``_tables`` maps a
         # range ``n`` to its ``_decode`` of the whole block, built on first
-        # use. Word 0 is a carry slot.
-        # ``_pos`` is the next fresh word; when ``_half`` is 1 the high half
-        # of word ``_pos - 1`` is a uint32 still owed to the next ``integers``
-        # call.
-        self._unit = np.zeros(1)
-        self._halves = np.zeros(2, dtype=_HALF)
+        # use. ``_at`` is the next uint32 in ``_halves``; when it is odd, that
+        # high half is still owed to the next integer draw.
+        self._unit = np.empty(0)
+        self._halves = np.empty(0, dtype=_HALF)
         self._tables = {}
-        self._pos = 1
-        self._half = 0
+        self._at = 0
 
     def _reserve(self, count: int) -> None:
-        """Make sure ``count`` fresh words follow ``_pos``, carrying the owed half."""
-        pos = self._pos
-        if pos + count > len(self._unit):
-            raw = self._bitgen.random_raw(max(BLOCK, count)).astype(_WORD, copy=False)
-            self._unit = np.concatenate((self._unit[pos - 1:], (raw >> 11) * _UNIT))
-            self._halves = np.concatenate((self._halves[2 * pos - 2:], raw.view(_HALF)))
+        """Make sure ``count`` halves follow ``_at``; a refill keeps the words from ``_at``'s on."""
+        if self._at + count > len(self._halves):
+            keep = self._at // 2
+            raw = self._bitgen.random_raw(max(BLOCK, (count + 1) // 2)).astype(_WORD, copy=False)
+            self._unit = np.concatenate((self._unit[keep:], (raw >> 11) * _UNIT))
+            self._halves = np.concatenate((self._halves[2 * keep:], raw.view(_HALF)))
             self._tables = {}
-            self._pos = 1
+            self._at -= 2 * keep
 
     def uniform(self, size=None):
         """Uniform draws in [0, 1), as numpy's ``random(size)``."""
@@ -136,17 +134,13 @@ class RngStream:
         if n > 1 << 32:
             raise ConfigurationError(f"integers supports at most 2**32 values, got {n}")
         shape, count = _shape(size)
-        if n == 1:
-            out = np.full(count, low, dtype=np.int64)
-        else:
-            values, used = self._take(n, count)
-            end = 2 * self._pos - self._half + used
-            self._pos, self._half = (end + 1) // 2, end % 2
-            out = values + low
+        values, used = self._take(n, count)
+        self._at += used
+        out = values + low
         return out[0] if shape is None else out.reshape(shape)
 
     def trial_draws(self, n: int, d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """One generation of DE/rand/1/bin draws for ``n >= 4`` rows in ``d`` dimensions.
+        """One generation of DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
 
         Returns what these calls would, and leaves the stream where they
         would: ``integers(0, n, size=(n, 3))`` as a flat list of donor
@@ -160,10 +154,14 @@ class RngStream:
         values, taken again twice as long when the queue outruns it: a row
         that collides again rejoins at the end, after the rest of its round.
         The forced indices are read past the halves the donors took, so the
-        stream moves once, before the uniforms.
+        stream moves once, before the uniforms. Any other ``n`` or ``d`` (a
+        float, a bool, a smaller value) raises :class:`ConfigurationError`.
         """
+        if not is_count(n) or not is_count(d) or d < 1:
+            raise ConfigurationError(f"trial_draws needs integers n and d >= 1, got {n!r}, {d!r}")
         if n < 4:
             raise ConfigurationError("mutation needs a population of at least 4")
+        n, d = int(n), int(d)
         # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
         window, halves = self._take(n, 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12)
         window = window.tolist()
@@ -182,13 +180,8 @@ class RngStream:
                 queue.append(i)
         if halves > len(window):  # a half was rejected: count those the values took
             used = self._take(n, used)[1]
-        if d > 1:
-            forced, halves = self._take(d, n, used)
-            used += halves
-        else:
-            forced = np.zeros(n, dtype=np.int64)
-        end = 2 * self._pos - self._half + used
-        self._pos, self._half = (end + 1) // 2, end % 2
+        forced, halves = self._take(d, n, used)
+        self._at += used + halves
         return r, forced, self._units(n * d).reshape(n, d)
 
     def _units(self, count: int) -> np.ndarray:
@@ -196,25 +189,29 @@ class RngStream:
 
         An owed half moves to the last word taken.
         """
-        self._reserve(count)
-        pos = self._pos
-        end = self._pos = pos + count
-        if self._half:
-            self._halves[2 * end - 1] = self._halves[2 * pos - 1]
+        self._reserve(2 * count + self._at % 2)
+        at = self._at
+        start = (at + 1) // 2
+        self._at = 2 * (start + count) - at % 2
+        if at % 2:
+            self._halves[self._at] = self._halves[at]
             for values, _ in self._tables.values():
-                values[2 * end - 1] = values[2 * pos - 1]
-        return self._unit[pos:end]
+                values[self._at] = values[at]
+        return self._unit[start:start + count]
 
     def _take(self, n: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
         """The next ``count`` accepted values of range ``n``, ``offset`` halves past the stream's place.
 
         Also returns the number of halves they span, rejected ones included.
-        Nothing is consumed. The values may be a view of a table.
+        Nothing is consumed. The values may be a view of a table. A
+        single-value range draws nothing: its values are 0 and span no half.
         """
+        if n == 1:
+            return np.zeros(count, dtype=np.int64), 0
         used = count
         while True:
-            self._reserve((offset + used - self._half + 1) // 2)
-            start = 2 * self._pos - self._half + offset
+            self._reserve(offset + used)
+            start = self._at + offset
             if n not in self._tables:
                 self._tables[n] = _decode(self._halves, n)
             values, rejecting = self._tables[n]

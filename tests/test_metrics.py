@@ -181,7 +181,7 @@ def test_group_matches_are_the_union_of_its_runs_matches():
 
 def test_group_de_runs_rejects_indivisible_count():
     records = [record(seed=i, nfe=1, bests=pts((0.0, 0.0))) for i in range(10)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="cannot group 10 records"):
         group_de_runs(records, 4)
 
 
@@ -217,7 +217,7 @@ def test_aggregate_zero_mean_has_no_cv():
 
 
 def test_aggregate_refuses_single_value():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="at least two values"):
         aggregate([3.14])
 
 

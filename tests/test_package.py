@@ -49,6 +49,9 @@ def test_second_copies_are_gone():
     assert not hasattr(multide.EvaluationError("x"), "values")
     # Every range drawn from a block gets a table: no cap, no second decode path.
     assert not hasattr(multide.rng, "TABLES")
+    # A stream's place is one index into its block's uint32 halves.
+    stream = multide.RngStream(0)
+    assert not hasattr(stream, "_pos") and not hasattr(stream, "_half")
 
 
 def test_engines_take_no_anchor_mode():

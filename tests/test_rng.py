@@ -254,10 +254,10 @@ def test_trial_draws_rejections_refill_and_owed_half():
     # the halves the donors took and read forced indices past rejected
     # halves. The first generation starts on an owed half.
     replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 300)])
-    assert stream._half == 1
+    assert stream._at % 2 == 1
     for _ in range(40):
         same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
-        places.append(stream._pos)
+        places.append(stream._at)
     assert any(n == 30 and count > 159 and not offset for n, count, offset, _ in takes)
     assert any(n == 3 and offset and halves > count for n, count, offset, halves in takes)
     assert any(b < a for a, b in zip(places, places[1:]))  # block refills
@@ -270,3 +270,17 @@ def test_trial_draws_after_other_ranges_add_their_tables_to_the_block():
     same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
     assert sorted(stream._tables) == [3, 5, 6, 7, 9, 30]  # every range drawn has a table
     replay(stream, ref, FIXED_CALLS)
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (6, 0), (6, -1), (6.0, 2), (6, 2.5), (True, 2),
+                                  (6, True)], ids=repr)
+def test_trial_draws_refuses_what_per_call_draws_refuse(n, d):
+    # (6, -1) returned a (6, 0) uniforms array and left the stream behind the
+    # words its donors took, (6, 0) returned values where numpy's
+    # integers(0, 0) raises, and 6.0 or 2.5 ended in a raw TypeError. A
+    # numpy int32 d overflowed in the decoder; numpy integers now work.
+    stream, ref = RngStream(3), twin(3)
+    with pytest.raises(ConfigurationError):
+        stream.trial_draws(n, d)
+    replay(stream, ref, FIXED_CALLS)  # the refused call drew nothing
+    same_draws(stream.trial_draws(np.int64(6), np.int32(2)), per_call_draws(ref, 6, 2))
