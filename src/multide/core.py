@@ -11,6 +11,7 @@ The engines themselves, canonical ``run_de`` included, live in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +23,13 @@ from .rng import RngStream, is_count
 # Below this normalized magnitude the spreading denominator is treated as
 # degenerate and the measure falls back to mean distance / domain diagonal.
 DEGENERATE_NORM = 1e-12
+
+
+def check_numbers(**values) -> None:
+    """Refuse, by name, any value that is not a real number (numpy's included) or is a bool."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ConfigurationError(f"{name}: {value!r} is not a number")
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,7 @@ class DEParams:
         if not is_count(self.pop_size) or self.pop_size < 4:
             raise ConfigurationError(
                 "pop_size must be an integer >= 4 (mutation needs three distinct donors)")
+        check_numbers(F=self.F, CR=self.CR, spread_tol=self.spread_tol)
         if not 0.0 <= self.F <= 1.0:
             raise ConfigurationError("F must lie in [0, 1]")
         if not 0.0 <= self.CR <= 1.0:
@@ -184,7 +193,7 @@ def init_population(bounds: Bounds, count: int, rng: RngStream) -> np.ndarray:
     """
     if not is_count(count) or count < 1:
         raise ConfigurationError(f"population count must be an integer >= 1, got {count!r}")
-    h = rng.uniform(size=(count, bounds.dim))
+    h = rng.uniform(count * bounds.dim).reshape(count, bounds.dim)
     return bounds.lower + h * bounds.span
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_numbers, is_count
 from .errors import ConfigurationError
 
 
@@ -30,6 +31,7 @@ class PenaltyParams:
     radius: float
 
     def __post_init__(self):
+        check_numbers(magnitude=self.magnitude, radius=self.radius)
         # An infinite magnitude would score every point outside all radii inf * 0 = NaN.
         if not 0.0 < self.magnitude < np.inf:
             raise ConfigurationError("penalty magnitude must be positive and finite")
@@ -53,8 +55,9 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2 or anchors.shape[1] != pts.shape[1]:
         raise ConfigurationError("anchors must be an (nsp, d) array matching the points' dimension")
-    if not 0 <= own_index < len(anchors):
-        raise ConfigurationError("own_index must name a row of the anchor array")
+    if not is_count(own_index) or not 0 <= own_index < len(anchors):
+        raise ConfigurationError(
+            f"own_index must be an integer naming an anchor row, got {own_index!r}")
     foreign = np.concatenate((anchors[:own_index], anchors[own_index + 1:]))
     # (n, K, d) in C order: every distance sums its d squared terms along one
     # contiguous row, whatever the layout of ``pts`` or of the anchors, so a

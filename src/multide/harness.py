@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import get_problem
-from .core import is_count
+from .core import check_numbers, is_count
 from .errors import ConfigurationError, EvaluationError
 from .metrics import aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf
@@ -171,8 +170,7 @@ def _override_value(key: str, value) -> float:
         raise ConfigurationError(
             f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
         )
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigurationError(f"parameter {key}: {value!r} is not a number")
+    check_numbers(**{f"parameter {key}": value})
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range; its repr may exceed str's limit
@@ -201,8 +199,13 @@ def apply_overrides(params: MultiParams, overrides: dict) -> MultiParams:
 
 
 def _resolve(config: ExperimentConfig) -> list:
-    """Each configured problem with its parameters, overrides applied and range-checked."""
-    return [(problem, apply_overrides(problem.default_params, config.overrides))
+    """Each configured problem with its parameters, overrides applied and range-checked.
+
+    A row's ``switch_tol`` binds only ``dewi``, so it is dropped before the
+    overrides when ``dewi`` is not configured.
+    """
+    drop = {} if "dewi" in config.algorithms else {"switch_tol": None}
+    return [(problem, apply_overrides(replace(problem.default_params, **drop), config.overrides))
             for problem in map(get_problem, config.problems)]
 
 
@@ -325,6 +328,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     experiment, and its ``out_dir`` is dropped: a report says what ran, not
     where to write. Keys that name no :class:`ExperimentConfig` field are refused.
     """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"a config must be a JSON object, got {type(data).__name__}")
     if isinstance(data.get("config"), dict):
         base = data["config"].get("base")
         data = {**(base if isinstance(base, dict) else data["config"]), "out_dir": None}

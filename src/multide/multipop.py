@@ -25,6 +25,7 @@ from .core import (
     RunRecord,
     _spreading,
     best_records,
+    check_numbers,
     evaluate_batch,
     generate_trials,
     init_population,
@@ -52,8 +53,10 @@ class MultiParams:
     def __post_init__(self):
         if not is_count(self.subpops) or self.subpops < 1:
             raise ConfigurationError("subpops must be an integer >= 1")
-        if self.switch_tol is not None and not self.switch_tol > self.de.spread_tol:
-            raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
+        if self.switch_tol is not None:
+            check_numbers(switch_tol=self.switch_tol)
+            if not self.switch_tol > self.de.spread_tol:
+                raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
 
 
 def selection_step(

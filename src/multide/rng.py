@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -29,19 +28,6 @@ def _index(value, what: str) -> int:
     if not is_count(value) or value < 0:
         raise ConfigurationError(f"{what} must be an integer >= 0, got {value!r}")
     return int(value)
-
-
-def _shape(size):
-    """``size`` as a shape tuple (``None`` for a scalar) and its element count."""
-    if size is None:
-        return None, 1
-    if isinstance(size, (int, np.integer)):
-        size = (int(size),)
-    elif type(size) is not tuple:
-        size = tuple(size)
-    if size and min(size) < 0:
-        raise ValueError("negative dimensions are not allowed")
-    return size, math.prod(size)
 
 
 def _decode(halves: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -72,13 +58,13 @@ class RngStream:
     ``SeedSequence(entropy=seed, spawn_key=spawn_key)`` returns for the
     same calls.
     ``uniform`` is ``(w >> 11) * 2**-53`` of one fresh word per value.
-    ``integers`` is Lemire's ``(x * n) >> 32`` with ``n = high - low`` on
-    uint32 halves ``x``, low half first (an odd high half waits for the
-    next ``integers`` call), skipping ``x`` while the low 32 bits of
-    ``x * n`` are below ``(2**32 - n) % n``. It supports 1 to ``2**32``
-    values (``n == 1`` draws nothing); a wider range raises
-    :class:`ConfigurationError` and an empty one ``ValueError``. Arrays
-    returned by ``uniform`` and ``integers`` belong to the caller.
+    ``integers`` is Lemire's ``(x * n) >> 32`` on uint32 halves ``x``, low
+    half first (an odd high half waits for the next ``integers`` call),
+    skipping ``x`` while the low 32 bits of ``x * n`` are below
+    ``(2**32 - n) % n``, for 1 to ``2**32`` values (``n == 1`` draws
+    nothing). Both take a count and return an array the caller owns; a
+    count or range that is not an integer (a bool included), or out of
+    range, raises :class:`ConfigurationError`.
     ``trial_draws`` gives one generation of DE/rand/1/bin draws in one
     call, exactly as its sequence of ``integers`` and ``uniform`` calls
     would. Words pulled past the last draw are never seen, since engine
@@ -118,37 +104,29 @@ class RngStream:
             self._tables = {}
             self._at -= 2 * keep
 
-    def uniform(self, size=None):
-        """Uniform draws in [0, 1), as numpy's ``random(size)``."""
-        shape, count = _shape(size)
-        out = self._units(count)
-        return float(out[0]) if shape is None else out.reshape(shape).copy()
+    def uniform(self, count: int) -> np.ndarray:
+        """``count`` uniform draws in [0, 1), as numpy's ``random(count)``."""
+        return self._units(_index(count, "uniform count")).copy()
 
-    def integers(self, low, high=None, size=None):
-        """Integer draws in [low, high), as numpy's ``integers(low, high, size)``."""
-        if high is None:
-            low, high = 0, low
-        low, n = int(low), int(high) - int(low)
-        if n < 1:
-            raise ValueError("low >= high")
-        if n > 1 << 32:
-            raise ConfigurationError(f"integers supports at most 2**32 values, got {n}")
-        shape, count = _shape(size)
-        values, used = self._take(n, count)
+    def integers(self, n: int, count: int) -> np.ndarray:
+        """``count`` integer draws in [0, n), as numpy's ``integers(0, n, size=count)``."""
+        n = _index(n, "integers range")
+        if not 1 <= n <= 1 << 32:
+            raise ConfigurationError(f"integers supports 1 to 2**32 values, got {n}")
+        values, used = self._take(n, _index(count, "integers count"))
         self._at += used
-        out = values + low
-        return out[0] if shape is None else out.reshape(shape)
+        return values.copy()
 
     def trial_draws(self, n: int, d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """One generation of DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
 
         Returns what these calls would, and leaves the stream where they
-        would: ``integers(0, n, size=(n, 3))`` as a flat list of donor
-        indices, each redrawn by one ``integers(0, n, size=(m, 3))`` per round
-        over the ``m`` rows, ascending, whose triple repeats an index or holds
-        the row's own; then ``integers(0, d, size=n)``, the forced crossover
-        indices, and ``uniform(size=(n, d))``. Both arrays may be views of the
-        block: do not write to them.
+        would: ``integers(n, 3 * n)`` as a flat list of donor indices, each
+        row's triple redrawn by one ``integers(n, 3 * m)`` per round over the
+        ``m`` rows, ascending, whose triple repeats an index or holds the
+        row's own; then ``integers(d, n)``, the forced crossover indices, and
+        ``uniform(n * d)`` as an ``(n, d)`` array. Both arrays may be views of
+        the block: do not write to them.
 
         The redraws run in plain Python as one queue over a window of decoded
         values, taken again twice as long when the queue outruns it: a row

@@ -1,4 +1,4 @@
-"""Shared test helpers: scripted RNG, per-call draws, evaluation counters, minimizer oracle, hypothesis settings."""
+"""Shared test helpers: scripted RNG, numpy twins of streams, per-call draws, evaluation counters, minimizer oracle, hypothesis settings."""
 
 import os
 
@@ -27,9 +27,8 @@ class FakeRng:
         self._uniforms = list(uniforms or [])
         self._generations = list(generations or [])
 
-    def uniform(self, size=None):
-        value = np.asarray(self._uniforms.pop(0), dtype=float)
-        return float(value) if size is None else value.reshape(size)
+    def uniform(self, count):
+        return np.asarray(self._uniforms.pop(0), dtype=float).reshape(count)
 
     def trial_draws(self, n, d):
         """The next queued (donors, forced, uniforms) generation: a script holds no redraws."""
@@ -38,11 +37,16 @@ class FakeRng:
                 np.asarray(uniforms, dtype=float).reshape(n, d))
 
 
+def twin(seed, spawn_key=()):
+    """The numpy ``Generator`` whose draws ``RngStream(seed, spawn_key)`` decodes."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
+
+
 def reference_trial_draws(integers, uniform, n, d):
     """One generation's draws as one call per draw: donors and their redraw rounds, forced indices, uniforms.
 
     ``integers(low, high, size)`` and ``uniform(size)`` are numpy's
-    ``Generator.integers`` and ``.random`` or ``RngStream``'s own. This is
+    ``Generator.integers`` and ``.random``, or calls of those forms. This is
     the order ``RngStream.trial_draws`` must reproduce: each round redraws
     the colliding rows, ascending, in one ``integers`` call.
     """

@@ -130,7 +130,7 @@ def test_criterion_5_operator_properties(b1):
     rng = RngStream(99)
     distinct_rows = np.repeat(np.arange(10.0)[:, None], 2, axis=1)
     guarantee = all(
-        (generate_trials(distinct_rows[None], 0.0, float(rng.uniform()), [rng])[0] != distinct_rows)
+        (generate_trials(distinct_rows[None], 0.0, rng.uniform(1).item(), [rng])[0] != distinct_rows)
         .any(axis=1).all()
         for _ in range(10_000)
     )

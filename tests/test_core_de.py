@@ -38,16 +38,16 @@ def spread_of(pop, best, bounds):
 def test_rng_same_seed_same_draws():
     a = RngStream(42)
     b = RngStream(42)
-    assert np.array_equal(a.uniform(size=16), b.uniform(size=16))
-    assert np.array_equal(a.integers(0, 100, size=8), b.integers(0, 100, size=8))
+    assert np.array_equal(a.uniform(16), b.uniform(16))
+    assert np.array_equal(a.integers(100, 8), b.integers(100, 8))
 
 
 def test_rng_split_is_deterministic_and_independent():
     kids1 = RngStream(7).split(3)
     kids2 = RngStream(7).split(3)
     for c1, c2 in zip(kids1, kids2):
-        assert np.array_equal(c1.uniform(size=8), c2.uniform(size=8))
-    draws = [tuple(c.uniform(size=4)) for c in RngStream(7).split(3)]
+        assert np.array_equal(c1.uniform(8), c2.uniform(8))
+    draws = [tuple(c.uniform(4)) for c in RngStream(7).split(3)]
     assert len(set(draws)) == 3
 
 
@@ -267,7 +267,7 @@ def test_crossover_always_inherits_from_donor():
     rng = RngStream(4)
     pop = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     for _ in range(5000):
-        cr = float(rng.uniform())
+        cr = rng.uniform(1).item()
         trials = trials_of(pop, 0.0, cr, rng)
         assert (trials != pop).any(axis=1).all()
 
@@ -352,8 +352,7 @@ def test_spreading_hand_computed_example():
 
 
 def test_spreading_permutation_invariant():
-    rng = RngStream(5)
-    pop = rng.uniform(size=(8, 2))
+    pop = np.random.default_rng(5).random((8, 2))
     best = pop[3]
     base = spread_of(pop, best, UNIT)
     perm = pop[[5, 1, 7, 3, 0, 6, 2, 4]]
@@ -369,9 +368,9 @@ def test_spreading_degenerate_denominator_uses_domain_diagonal():
 
 
 def test_spreading_nonnegative_random_populations():
-    rng = RngStream(9)
+    rng = np.random.default_rng(9)
     for _ in range(100):
-        pop = rng.uniform(size=(10, 2))
+        pop = rng.random((10, 2))
         best = pop[np.argmin([sphere(c) for c in pop])]
         assert spread_of(pop, best, UNIT) >= 0.0
 

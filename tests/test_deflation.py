@@ -19,7 +19,6 @@ from multide import (
 )
 from multide.benchmarks import DEFAULT_SYSTEM
 from multide.deflation import penalty_batch
-from multide.rng import RngStream
 
 
 def anchors_of(*vectors):
@@ -93,11 +92,11 @@ def test_penalty_discontinuity_at_radius():
 
 
 def test_penalized_dominates_base_with_equality_iff_far():
-    rng = RngStream(12)
+    rng = np.random.default_rng(12)
     params = PenaltyParams(magnitude=50.0, radius=0.8)
     for _ in range(200):
-        anchors = anchors_of(rng.uniform(size=2) * 4 - 2, rng.uniform(size=2) * 4 - 2)
-        x = rng.uniform(size=2) * 4 - 2
+        anchors = anchors_of(rng.random(2) * 4 - 2, rng.random(2) * 4 - 2)
+        x = rng.random(2) * 4 - 2
         base = sphere(x)
         pen = base + penalty_at(x, 0, anchors, params)
         assert pen >= base
@@ -166,10 +165,9 @@ def test_penalty_batch_refuses_malformed_anchor_arrays():
 
 
 def test_penalty_batch_matches_scalar():
-    rng = RngStream(21)
     params = PenaltyParams(magnitude=7.0, radius=1.3)
     anchors = anchors_of([0.5, 0.5], [-0.5, 0.25], [0.0, -1.0])
-    pts = rng.uniform(size=(40, 2)) * 4 - 2
+    pts = np.random.default_rng(21).random((40, 2)) * 4 - 2
     batch = penalty_batch(pts, 1, anchors, params)
     scalar = np.array([penalty_at(p, 1, anchors, params) for p in pts])
     assert np.array_equal(batch, scalar)
@@ -190,9 +188,9 @@ def test_residual_objective_direct_arithmetic():
 
 def test_residual_objective_nonnegative():
     f = ResidualObjective((lambda p: p[0] - p[1], lambda p: p[0] * p[1] - 3.0))
-    rng = RngStream(2)
+    rng = np.random.default_rng(2)
     for _ in range(100):
-        assert f(rng.uniform(size=2) * 10 - 5) >= 0.0
+        assert f(rng.random(2) * 10 - 5) >= 0.0
 
 
 def test_default_system_roots_have_tiny_residuals():
@@ -205,8 +203,7 @@ def test_default_system_roots_have_tiny_residuals():
 def test_vectorized_batch_matches_scalar_for_default_system():
     problem = get_problem("B7")
     assert problem.objective is DEFAULT_SYSTEM
-    rng = RngStream(3)
-    pts = rng.uniform(size=(25, 2)) * 2 - 1
+    pts = np.random.default_rng(3).random((25, 2)) * 2 - 1
     batch = problem.objective.batch(pts)
     scalar = np.array([problem.objective(p) for p in pts])
     assert np.allclose(batch, scalar, rtol=1e-15, atol=0)

@@ -238,6 +238,13 @@ def test_a_report_gives_its_experiment_but_not_its_output_directory():
     assert config_from_dict({"config": asdict(sweep), "rows": []}) == replace(config, out_dir=None)
 
 
+@pytest.mark.parametrize("data", [[], None, "B1", 3], ids=repr)
+def test_config_from_dict_refuses_what_is_not_an_object(data):
+    # [] and None once ended in a raw AttributeError on ``.get``.
+    with pytest.raises(ConfigurationError, match=f"got {type(data).__name__}$"):
+        config_from_dict(data)
+
+
 # -------------------------------------------------------------- experiments
 
 def test_experiment_shapes_and_grouping():
@@ -826,6 +833,31 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: spread_tol must be positive and finite\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "B2", "--algo", "de", "--runs", "2", "--param", "eps=1e-3"],
+    ["sweep", "--problem", "B2", "--algo", "mde-itmf", "--runs", "2", "--sweep-param", "eps",
+     "--values", "1e-4,1e-3"],
+], ids=["de", "mde-itmf"])
+def test_cli_eps_above_the_rows_switch_tol_without_dewi(argv, tmp_path, capsys):
+    # B2's row carries switch_tol=5e-4 for dewi, which neither of these reads;
+    # an eps above it once exited 2 on the switch tolerance.
+    assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("algos", [["--algo", "dewi"], ["--algo", "de", "--algo", "dewi"], []],
+                         ids=["dewi", "de,dewi", "default"])
+def test_cli_eps_above_switch_tol_is_refused_when_dewi_runs(algos, tmp_path, capsys, monkeypatch):
+    runs = spy_on_runs(monkeypatch)
+    out = tmp_path / "out"
+    code = cli_main(["run", "--problem", "B2", *algos, "--runs", "2", "--param", "eps=1e-3",
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: switch_tol must be greater than the spreading tolerance\n")
+    assert runs == [] and not out.exists()
 
 
 def test_cli_sweep_refuses_a_bad_later_value_before_any_run(tmp_path, capsys, monkeypatch):

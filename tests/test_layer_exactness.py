@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import examples, reference_trial_draws
+from conftest import examples, reference_trial_draws, twin
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -22,7 +22,6 @@ from multide import (
     PenaltyParams,
     RngStream,
     get_problem,
-    init_population,
 )
 from multide.core import _spreading, evaluate_batch, generate_trials
 from multide.deflation import penalty_batch
@@ -31,7 +30,7 @@ from multide.harness import ENGINES
 
 def reference_generate_trials(coords, F, CR, rng):
     n, d = coords.shape
-    r, rnbr, u = reference_trial_draws(rng.integers, rng.uniform, n, d)
+    r, rnbr, u = reference_trial_draws(rng.integers, rng.random, n, d)
     r = np.reshape(r, (n, 3))
     donors = coords[r[:, 0]] + F * (coords[r[:, 1]] - coords[r[:, 2]])
     take = u <= CR
@@ -71,22 +70,22 @@ def same_bits(a, b):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_generate_trials_matches_reference_draw_for_draw(n, d):
     for seed in range(150):
-        coords = RngStream(10_000 + seed).uniform(size=(n, d)) * 4.0 - 2.0
-        a, b = RngStream(seed), RngStream(seed)
+        coords = np.random.default_rng(10_000 + seed).random((n, d)) * 4.0 - 2.0
+        a, b = RngStream(seed), np.random.default_rng(seed)
         got = generate_trials(coords[None], 0.7, 0.4, [a])[0]
         want = reference_generate_trials(coords, 0.7, 0.4, b)
         assert same_bits(got, want)
         # both consumed exactly the same draws
-        assert a.uniform() == b.uniform()
+        assert a.uniform(1) == b.random(1)
 
 
 @pytest.mark.parametrize("nsp", [1, 2, 3, 5, 9])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
 def test_penalty_batch_matches_reference_bit_for_bit(nsp, d):
-    rng = RngStream(nsp * 10 + d)
+    rng = np.random.default_rng(nsp * 10 + d)
     for trial in range(20):
-        anchors = (rng.uniform(size=(d, nsp)) * 2.0 - 1.0).T
-        pts = rng.uniform(size=(1 + trial % 7, d)) * 2.0 - 1.0
+        anchors = (rng.random((d, nsp)) * 2.0 - 1.0).T
+        pts = rng.random((1 + trial % 7, d)) * 2.0 - 1.0
         for radius in (1e-9, 0.3, 0.8, 5.0):  # none, some and all anchors active
             params = PenaltyParams(magnitude=2.0e3, radius=radius)
             for own in range(nsp):
@@ -96,12 +95,12 @@ def test_penalty_batch_matches_reference_bit_for_bit(nsp, d):
 
 def test_penalty_batch_rows_do_not_depend_on_batch_size():
     # selection scores trials and parents in one stacked call
-    rng = RngStream(5)
+    rng = np.random.default_rng(5)
     params = PenaltyParams(magnitude=2.0e3, radius=0.8)
     for d in (2, 3, 9):
-        anchors = (rng.uniform(size=(d, 4)) * d).T
-        a = rng.uniform(size=(6, d))
-        b = rng.uniform(size=(6, d))
+        anchors = (rng.random((d, 4)) * d).T
+        a = rng.random((6, d))
+        b = rng.random((6, d))
         for own in range(4):
             both = penalty_batch(np.concatenate((a, b)), own, anchors, params)
             assert same_bits(both[:6], reference_penalty_batch(a, own, anchors, params))
@@ -114,9 +113,9 @@ def test_spreading_matches_reference_bit_for_bit(d):
     # dimension, as the reference does on a Fortran-ordered population;
     # numpy sums a contiguous row of 8 or more terms in another order.
     bounds = Bounds(np.full(d, -3.0), np.linspace(1.0, 4.0, d))
-    rng = RngStream(d)
+    rng = np.random.default_rng(d)
     for n in (4, 9, 30):
-        coords = bounds.lower + rng.uniform(size=(n, d)) * bounds.span
+        coords = bounds.lower + rng.random((n, d)) * bounds.span
         for best in (coords[0], np.zeros(d)):  # regular and degenerate denominator
             want = reference_spreading(np.asfortranarray(coords), best, bounds)
             assert _spreading(coords[None], best[None], bounds).tolist() == [want]
@@ -162,8 +161,8 @@ def reference_run(objective, bounds, params, seed):
             return batch(pts) if batch is not None else [objective(p) for p in pts]
 
     counting = Counting()
-    streams = RngStream(seed).split(nsp)
-    pop = [init_population(bounds, de.pop_size, s) for s in streams]
+    streams = [twin(seed, (j,)) for j in range(nsp)]
+    pop = [bounds.lower + s.random((de.pop_size, bounds.dim)) * bounds.span for s in streams]
     fit = [evaluate_batch(counting, p) for p in pop]
     anchors = np.array([p[f.argmin()] for p, f in zip(pop, fit)])
     frozen, gens, trace, modes = [False] * nsp, [0] * nsp, [], []

@@ -24,6 +24,7 @@ from multide import (
     selection_step,
 )
 from multide.core import _spreading
+from multide.deflation import penalty_batch
 from multide.harness import ENGINES
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
@@ -151,11 +152,11 @@ def test_trace_rows_track_each_subpops_best_and_spreading():
 # ------------------------------------------------------------ selection step
 
 def random_scenario(seed, pop_size=8):
-    rng = RngStream(seed)
-    coords = rng.uniform(size=(pop_size, 2)) * 3 - 1.5
+    rng = np.random.default_rng(seed)
+    coords = rng.random((pop_size, 2)) * 3 - 1.5
     fitness = np.array([sphere(c) for c in coords])
-    trials = rng.uniform(size=(pop_size, 2)) * 5 - 2.5  # some rows out of bounds
-    anchors = np.stack([rng.uniform(size=2), rng.uniform(size=2)])
+    trials = rng.random((pop_size, 2)) * 5 - 2.5  # some rows out of bounds
+    anchors = np.stack([rng.random(2), rng.random(2)])
     return coords, fitness, trials, anchors
 
 
@@ -306,6 +307,35 @@ def test_parameter_bundles_refuse_nan():
         PenaltyParams(magnitude=1.0, radius=nan)
     with pytest.raises(ConfigurationError):
         MultiParams(de=de, switch_tol=nan)
+
+
+BUNDLE_FIELDS = {
+    "F": lambda v: DEParams(pop_size=10, F=v, CR=0.5),
+    "CR": lambda v: DEParams(pop_size=10, F=0.5, CR=v),
+    "spread_tol": lambda v: DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=v),
+    "magnitude": lambda v: PenaltyParams(magnitude=v, radius=1.0),
+    "radius": lambda v: PenaltyParams(magnitude=1.0, radius=v),
+    "switch_tol": lambda v: MultiParams(de=DEParams(pop_size=10, F=0.5, CR=0.5), switch_tol=v),
+    "own_index": lambda v: penalty_batch(np.zeros((2, 2)), v, np.ones((3, 2)),
+                                         PenaltyParams(magnitude=1.0, radius=1.0)),
+}
+
+
+# A string, None or a list once ended in a raw TypeError, and a bool was taken as 0 or 1.
+# (None is switch_tol's "unset".)
+@pytest.mark.parametrize("field, value", [
+    *[(field, value) for field in BUNDLE_FIELDS for value in ("1", True, None, [1])
+      if (field, value) != ("switch_tol", None)],
+    ("own_index", 1.5), ("own_index", np.float64(1.0)),
+], ids=repr)
+def test_parameter_bundles_refuse_bools_and_non_numbers(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        BUNDLE_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("field", list(BUNDLE_FIELDS))
+def test_parameter_bundles_take_numpy_numbers(field):
+    BUNDLE_FIELDS[field](np.int64(1) if field == "own_index" else np.float32(0.5))
 
 
 def test_engine_parameter_bundle_contracts():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import multide
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # The one-point operators that duplicated the engines' batch operators, the
 # observer-only views of the engine state and the anchor wrapper, and the
@@ -52,6 +54,29 @@ def test_second_copies_are_gone():
     # A stream's place is one index into its block's uint32 halves.
     stream = multide.RngStream(0)
     assert not hasattr(stream, "_pos") and not hasattr(stream, "_half")
+
+
+def test_stream_draws_take_counts():
+    # The scalar and shaped draws, uniform(size=None) and integers(low, high=None,
+    # size=None), and the helper that turned their sizes into shapes are gone.
+    assert not hasattr(multide.rng, "_shape")
+    for method, names in (("uniform", ["self", "count"]), ("integers", ["self", "n", "count"])):
+        params = inspect.signature(getattr(multide.RngStream, method)).parameters.values()
+        assert [p.name for p in params] == names
+        assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_slow_profile_runs_every_property_test_file():
+    # Read as text: CI installs no YAML parser.
+    uses = sorted(f"tests/{path.name}" for path in (ROOT / "tests").glob("*.py")
+                  if path.name != "conftest.py"
+                  and re.search(r"\bexamples\(", path.read_text(encoding="utf-8")))
+    assert "tests/test_rng.py" in uses
+    for source in (ROOT / ".github" / "workflows" / "tier1.yml", README):
+        commands = [line for line in source.read_text(encoding="utf-8").splitlines()
+                    if "MULTIDE_HYPOTHESIS=slow" in line and "pytest" in line]
+        assert len(commands) == 1, source.name
+        assert sorted(set(re.findall(r"tests/\w+\.py", commands[0]))) == uses, source.name
 
 
 def test_engines_take_no_anchor_mode():

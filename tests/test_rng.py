@@ -11,7 +11,7 @@ paths.
 
 import numpy as np
 import pytest
-from conftest import examples, reference_trial_draws
+from conftest import examples, reference_trial_draws, twin
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -24,10 +24,6 @@ from multide.rng import BLOCK
 RANGES = [1, 2, 3, 30, 2**31 + 1, 3 * 2**30, 2**32]
 
 
-def twin(seed, spawn_key=()):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
-
-
 def same(ours, theirs):
     assert type(ours) is type(theirs)
     if isinstance(theirs, np.ndarray):
@@ -36,24 +32,22 @@ def same(ours, theirs):
 
 
 def replay(stream, ref, calls):
-    """Make each call on both streams and compare the results."""
-    for kind, low, n, size in calls:
+    """Make each ``(kind, n, count)`` call on both streams and compare the results."""
+    for kind, n, count in calls:
         if kind == "uniform":
-            same(stream.uniform(size), ref.random(size))
+            same(stream.uniform(count), ref.random(count))
         else:
-            same(stream.integers(low, low + n, size), ref.integers(low, low + n, size=size))
+            same(stream.integers(n, count), ref.integers(0, n, size=count))
 
 
-sizes = st.one_of(
-    st.none(),
+counts = st.one_of(
     st.integers(0, 41),  # odd and even counts
-    st.tuples(st.integers(0, 12), st.integers(1, 3)),
     st.integers(BLOCK // 2, 2 * BLOCK),  # crosses block refills
 )
 calls = st.lists(
     st.one_of(
-        st.tuples(st.just("uniform"), st.just(0), st.just(0), sizes),
-        st.tuples(st.just("integers"), st.integers(-5, 5), st.sampled_from(RANGES), sizes),
+        st.tuples(st.just("uniform"), st.just(0), counts),
+        st.tuples(st.just("integers"), st.sampled_from(RANGES), counts),
     ),
     min_size=1,
     max_size=25,
@@ -68,11 +62,10 @@ def test_interleaved_calls_match_numpy(seed, spawn_key, calls):
     replay(RngStream(seed, spawn_key), twin(seed, spawn_key), calls)
 
 
-FIXED_CALLS = [("integers", 0, 30, (31, 3)), ("uniform", 0, 0, (30, 2)),
-               ("integers", 0, 2, 31), ("integers", 0, 2**31 + 1, 9),
-               ("uniform", 0, 0, None), ("integers", 0, 30, None),
-               ("uniform", 0, 0, 3 * BLOCK), ("integers", 3, 2**32, (5, 3)),
-               ("integers", 0, 3 * 2**30, 11)]
+FIXED_CALLS = [("integers", 30, 93), ("uniform", 0, 60), ("integers", 2, 31),
+               ("integers", 2**31 + 1, 9), ("uniform", 0, 1), ("integers", 30, 1),
+               ("uniform", 0, 3 * BLOCK), ("integers", 2**32 - 3, 15),
+               ("integers", 3 * 2**30, 11)]
 
 
 def test_unkeyed_seed_and_split_children_match_numpy():
@@ -87,10 +80,10 @@ def test_refill_while_a_half_word_is_owed():
     # Three uint32 halves leave the third word's high half owed; the
     # uniforms then use up the block, so the next integer draw starts with
     # the owed half and continues in a fresh block.
-    replay(stream, ref, [("integers", 0, 30, 3), ("uniform", 0, 0, BLOCK - 2),
-                         ("integers", 0, 30, 5), ("uniform", 0, 0, 4)])
-    replay(stream, ref, [("integers", 0, 2**31 + 1, 2 * BLOCK + 1), ("uniform", 0, 0, 7),
-                         ("integers", 0, 30, 1), ("integers", 0, 3, BLOCK)])
+    replay(stream, ref, [("integers", 30, 3), ("uniform", 0, BLOCK - 2),
+                         ("integers", 30, 5), ("uniform", 0, 4)])
+    replay(stream, ref, [("integers", 2**31 + 1, 2 * BLOCK + 1), ("uniform", 0, 7),
+                         ("integers", 30, 1), ("integers", 3, BLOCK)])
 
 
 def test_many_ranges_in_one_block_match_numpy():
@@ -98,42 +91,47 @@ def test_many_ranges_in_one_block_match_numpy():
     # Shuffle-like draws change the range on every call, and each new range
     # decodes a table of the whole block, rejections included.
     ranges = list(range(2, 12)) + [2**31 + 1, 3 * 2**30, 2**32] * 20
-    replay(stream, ref, [("integers", 0, n, 3) for n in ranges])
-    replay(stream, ref, [("uniform", 0, 0, 5), ("integers", 1, 2**31 + 1, 7),
-                         ("integers", 0, 2, 1), ("integers", 0, 30, (4, 3))])
+    replay(stream, ref, [("integers", n, 3) for n in ranges])
+    replay(stream, ref, [("uniform", 0, 5), ("integers", 2**31, 7),
+                         ("integers", 2, 1), ("integers", 30, 12)])
 
 
 def test_mutating_returned_arrays_leaves_later_draws_alone():
     stream, ref = RngStream(5, (1, 0)), twin(5, (1, 0))
     for _ in range(40):
         for n in (30, 2, 2**31 + 1):
-            drawn = stream.integers(0, n, size=(3, 3))
-            same(drawn, ref.integers(0, n, size=(3, 3)))
+            drawn = stream.integers(n, 9)
+            same(drawn, ref.integers(0, n, size=9))
             drawn[...] = -1
-        drawn = stream.uniform(size=7)
+        drawn = stream.uniform(7)
         same(drawn, ref.random(7))
         drawn[...] = 2.0
-    same(stream.integers(0, 30, size=50), ref.integers(0, 30, size=50))
+    same(stream.integers(30, 50), ref.integers(0, 30, size=50))
 
 
 def test_single_value_range_draws_nothing():
     stream = RngStream(9)
-    same(stream.integers(5, 6, size=4), np.array([5, 5, 5, 5]))
-    same(stream.integers(5, 6), np.int64(5))
-    same(stream.uniform(), twin(9).random())
+    drawn = stream.integers(1, 4)
+    same(drawn, np.zeros(4, dtype=np.int64))
+    drawn[...] = 5  # the caller's own array
+    same(stream.integers(1, 4), np.zeros(4, dtype=np.int64))
+    same(stream.uniform(1), twin(9).random(1))
 
 
 def test_unsupported_ranges_are_refused():
-    stream = RngStream(0)
-    with pytest.raises(ConfigurationError):
-        stream.integers(0, 2**32 + 1)
-    with pytest.raises(ConfigurationError):
-        stream.integers(-(2**40), 2**40, size=3)
-    for low, high in ((3, 3), (4, 2)):
-        with pytest.raises(ValueError):
-            stream.integers(low, high, size=3)
-    with pytest.raises(ValueError):
-        stream.uniform(size=(-1, 2))
+    # A range outside 1 to 2**32, or a range or count that is not an integer
+    # >= 0 (a bool included), is refused and draws nothing.
+    bad_counts = (-1, 3.0, True, None, (2, 3))
+    calls = [("integers", (n, 3)) for n in (2**32 + 1, 2**41, 0, -2, 30.0, True, None)]
+    calls += [("integers", (30, count)) for count in bad_counts]
+    calls += [("uniform", (count,)) for count in bad_counts]
+    stream, ref = RngStream(0), twin(0)
+    for method, args in calls:
+        with pytest.raises(ConfigurationError):
+            getattr(stream, method)(*args)
+        replay(stream, ref, [("integers", 30, 1), ("uniform", 0, 1)])
+    same(stream.integers(np.int32(30), np.uint8(3)), ref.integers(0, 30, size=3))
+    same(stream.uniform(np.int64(3)), ref.random(3))
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, False, -1, None], ids=repr)
@@ -181,10 +179,10 @@ def test_trial_draws_match_per_call_reference(seed, n, d, before, probes):
     # leave a half owed, none lets generations follow each other directly)
     # show the stream ends where the per-call draws leave numpy's.
     stream, ref = RngStream(seed), twin(seed)
-    replay(stream, ref, [(kind, 0, 30, size) for kind, size in before])
+    replay(stream, ref, [(kind, 30, count) for kind, count in before])
     for integer_probe, uniform_probe in probes:
         same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
-        replay(stream, ref, [("integers", 0, n, integer_probe), ("uniform", 0, 0, uniform_probe)])
+        replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
 class CraftedBits:
@@ -208,10 +206,16 @@ class CraftedBits:
 
 
 class PerCall:
-    """An RngStream under numpy's ``Generator`` names, drawn one call per draw."""
+    """An RngStream under numpy's ``Generator`` names and forms, drawn one call per draw."""
 
     def __init__(self, stream):
-        self.integers, self.random = stream.integers, stream.uniform
+        self.stream = stream
+
+    def integers(self, low, high, size):
+        return low + self.stream.integers(high - low, int(np.prod(size))).reshape(size)
+
+    def random(self, size):
+        return self.stream.uniform(int(np.prod(size))).reshape(size)
 
 
 def crafted_pair(seed, rejected, zeros):
@@ -232,10 +236,10 @@ def test_trial_draws_match_per_call_draws_on_crafted_words(seed, n, d, rejected,
     # the tests above check against numpy. Other ranges drawn first give
     # the block tables before those of n and d.
     stream, ref = crafted_pair(seed, rejected, zeros)
-    replay(stream, ref, [("integers", 0, m, 1) for m in ranges])
+    replay(stream, ref, [("integers", m, 1) for m in ranges])
     for integer_probe, uniform_probe in probes:
         same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
-        replay(stream, ref, [("integers", 0, n, integer_probe), ("uniform", 0, 0, uniform_probe)])
+        replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
 def test_trial_draws_rejections_refill_and_owed_half():
@@ -253,7 +257,7 @@ def test_trial_draws_rejections_refill_and_owed_half():
     # generations retake the window past the 159 values of n = 30, recount
     # the halves the donors took and read forced indices past rejected
     # halves. The first generation starts on an owed half.
-    replay(stream, ref, [("integers", 0, 30, 1), ("uniform", 0, 0, BLOCK - 300)])
+    replay(stream, ref, [("integers", 30, 1), ("uniform", 0, BLOCK - 300)])
     assert stream._at % 2 == 1
     for _ in range(40):
         same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
@@ -266,7 +270,7 @@ def test_trial_draws_rejections_refill_and_owed_half():
 
 def test_trial_draws_after_other_ranges_add_their_tables_to_the_block():
     stream, ref = RngStream(23), twin(23)
-    replay(stream, ref, [("integers", 0, m, 1) for m in (5, 6, 7, 9)])
+    replay(stream, ref, [("integers", m, 1) for m in (5, 6, 7, 9)])
     same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
     assert sorted(stream._tables) == [3, 5, 6, 7, 9, 30]  # every range drawn has a table
     replay(stream, ref, FIXED_CALLS)
