@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .rng import RngStream, is_count
+from .rng import RngStream, _index
 
 # Below this normalized magnitude the spreading denominator is treated as
 # degenerate and the measure falls back to mean distance / domain diagonal.
@@ -30,6 +30,14 @@ def check_numbers(**values) -> None:
     for name, value in values.items():
         if not isinstance(value, numbers.Real) or isinstance(value, bool):
             raise ConfigurationError(f"{name}: {value!r} is not a number")
+
+
+def as_rows(pts, dim: int) -> np.ndarray:
+    """``pts`` as a float (n, ``dim``) array; any other shape raises :class:`ConfigurationError`."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[1:] != (dim,):
+        raise ConfigurationError(f"points must be (n, {dim}) rows, got shape {pts.shape}")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -67,9 +75,7 @@ class Bounds:
 
     def contains_all(self, pts: np.ndarray) -> np.ndarray:
         """Row-wise containment mask for an (n, d) array of points."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.shape[1:] != self.lower.shape:
-            raise ConfigurationError(f"points must be (n, {self.dim}) rows, got shape {pts.shape}")
+        pts = as_rows(pts, self.dim)
         return np.logical_and.reduce((pts >= self.lower) & (pts <= self.upper), axis=1)
 
 
@@ -88,16 +94,13 @@ class DEParams:
     spread_tol: float = 5e-5
 
     def __post_init__(self):
-        if not is_count(self.pop_size) or self.pop_size < 4:
-            raise ConfigurationError(
-                "pop_size must be an integer >= 4 (mutation needs three distinct donors)")
+        _index(self.pop_size, "pop_size", 4)  # mutation needs three donors besides the row
         check_numbers(F=self.F, CR=self.CR, spread_tol=self.spread_tol)
         if not 0.0 <= self.F <= 1.0:
             raise ConfigurationError("F must lie in [0, 1]")
         if not 0.0 <= self.CR <= 1.0:
             raise ConfigurationError("CR must lie in [0, 1]")
-        if not is_count(self.max_generations) or self.max_generations < 1:
-            raise ConfigurationError("max_generations must be an integer >= 1")
+        _index(self.max_generations, "max_generations", 1)
         if not 0.0 < self.spread_tol < math.inf:
             raise ConfigurationError("spread_tol must be positive and finite")
 
@@ -158,12 +161,16 @@ def evaluate_batch(objective, pts: np.ndarray) -> np.ndarray:
 
     Uses the objective's vectorized ``batch`` method when it has one,
     otherwise falls back to one call per row. Raises
-    :class:`ConfigurationError` unless there is exactly one value per row,
-    so a wrongly shaped ``batch`` is never broadcast into the fitness, and
+    :class:`ConfigurationError` unless ``pts`` is 2-D and there is exactly
+    one value per row, so a single point is never evaluated coordinate by
+    coordinate and a wrongly shaped ``batch`` is never broadcast into the
+    fitness, and
     :class:`EvaluationError` carrying the first offending point if any
     value comes back NaN or infinite.
     """
     pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2:
+        raise ConfigurationError(f"points must be (n, d) rows, got shape {pts.shape}")
     batch = getattr(objective, "batch", None)
     if batch is not None:
         values = np.asarray(batch(pts), dtype=float)
@@ -191,8 +198,7 @@ def init_population(bounds: Bounds, count: int, rng: RngStream) -> np.ndarray:
     Each coordinate is L_k + h (U_k - L_k) with a fresh uniform h per
     coordinate.
     """
-    if not is_count(count) or count < 1:
-        raise ConfigurationError(f"population count must be an integer >= 1, got {count!r}")
+    _index(count, "population count", 1)
     h = rng.uniform(count * bounds.dim).reshape(count, bounds.dim)
     return bounds.lower + h * bounds.span
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_numbers, is_count
+from .core import as_rows, check_numbers
 from .errors import ConfigurationError
+from .rng import is_count
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,10 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     stacking two point sets and splitting the result gives each set's
     penalties bit for bit.
     """
-    pts = np.asarray(pts, dtype=float)
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2 or anchors.shape[1] != pts.shape[1]:
+    if anchors.ndim != 2:
         raise ConfigurationError("anchors must be an (nsp, d) array matching the points' dimension")
+    pts = as_rows(pts, anchors.shape[1])
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
             f"own_index must be an integer naming an anchor row, got {own_index!r}")

@@ -21,10 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import get_problem
-from .core import check_numbers, is_count
+from .core import check_numbers
 from .errors import ConfigurationError, EvaluationError
 from .metrics import aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf
+from .rng import _index
 
 # Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
 ENGINES = {
@@ -109,12 +110,8 @@ class ExperimentConfig:
             repeated = sorted({n for n in names if names.count(n) > 1})
             if repeated:
                 raise ConfigurationError(f"{key} listed more than once: {', '.join(repeated)}")
-        self.runs = _whole("runs", self.runs)
-        self.seed = _whole("seed", self.seed)
-        if self.runs < 1:
-            raise ConfigurationError("runs must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
+        self.runs = _whole("runs", self.runs, 1)
+        self.seed = _whole("seed", self.seed, 0)
         self.overrides = {k: _override_value(k, v) for k, v in self.overrides.items()}
 
 
@@ -155,13 +152,11 @@ def _check_type(key: str, value, types, expected: str):
         raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
-def _whole(key: str, value) -> int:
-    """``value`` as an int; refuses bools, strings and non-integral numbers."""
+def _whole(key: str, value, low: int) -> int:
+    """``value`` as :func:`multide.rng._index` takes it, an integral float such as 2.0 included."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if is_count(value):
-        return int(value)
-    raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    return _index(value, key, low)
 
 
 def _override_value(key: str, value) -> float:

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord, best_records, is_count
+from .core import RunRecord, best_records
 from .errors import ConfigurationError
+from .rng import _index
 
 
 def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
@@ -40,8 +41,7 @@ def group_de_runs(records: Sequence[RunRecord], group_size: int) -> list[RunReco
     multipopulation run. Its ``matched_minimizers`` is the union of the
     runs' sets, ``None`` unless every run has been scored.
     """
-    if not is_count(group_size) or group_size < 1:
-        raise ConfigurationError(f"group_size must be an integer >= 1, got {group_size!r}")
+    _index(group_size, "group_size", 1)
     if len(records) % group_size != 0:
         raise ConfigurationError(f"cannot group {len(records)} records into groups of {group_size}")
     groups = []

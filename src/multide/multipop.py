@@ -29,11 +29,10 @@ from .core import (
     evaluate_batch,
     generate_trials,
     init_population,
-    is_count,
 )
 from .deflation import PenaltyParams, penalty_batch
 from .errors import ConfigurationError, EvaluationError
-from .rng import RngStream
+from .rng import RngStream, _index
 
 
 @dataclass(frozen=True)
@@ -51,8 +50,7 @@ class MultiParams:
     switch_tol: Optional[float] = None
 
     def __post_init__(self):
-        if not is_count(self.subpops) or self.subpops < 1:
-            raise ConfigurationError("subpops must be an integer >= 1")
+        _index(self.subpops, "subpops", 1)
         if self.switch_tol is not None:
             check_numbers(switch_tol=self.switch_tol)
             if not self.switch_tol > self.de.spread_tol:

@@ -19,14 +19,16 @@ _UNIT = 2.0 ** -53
 
 def is_count(value) -> bool:
     """Whether ``value`` is an integer (numpy's included) and not a bool."""
-    # A plain int skips the ABC check, several times dearer and run on every trial_draws call
+    # A plain int skips the ABC check, several times dearer and run on every penalty_batch call
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int, refusing anything but an integer >= 0."""
-    if not is_count(value) or value < 0:
-        raise ConfigurationError(f"{what} must be an integer >= 0, got {value!r}")
+def _index(value, what: str, low: int = 0) -> int:
+    """``value`` as an int, refusing a bool and anything but an integer >= ``low``."""
+    if type(value) is int and value >= low:  # first, as trial_draws runs it every generation
+        return value
+    if not is_count(value) or value < low:
+        raise ConfigurationError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
 
 
@@ -135,11 +137,7 @@ class RngStream:
         stream moves once, before the uniforms. Any other ``n`` or ``d`` (a
         float, a bool, a smaller value) raises :class:`ConfigurationError`.
         """
-        if not is_count(n) or not is_count(d) or d < 1:
-            raise ConfigurationError(f"trial_draws needs integers n and d >= 1, got {n!r}, {d!r}")
-        if n < 4:
-            raise ConfigurationError("mutation needs a population of at least 4")
-        n, d = int(n), int(d)
+        n, d = _index(n, "trial_draws n", 4), _index(d, "trial_draws d", 1)
         # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
         window, halves = self._take(n, 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12)
         window = window.tolist()

@@ -458,3 +458,12 @@ def test_wrongly_shaped_batch_is_a_configuration_error(shape):
         evaluate_batch(Misshaped(), np.zeros((3, 2)))
     with pytest.raises(ConfigurationError, match="shaped"):
         run_de(Misshaped(), problem.bounds, problem.default_params.de, 0)
+
+
+def test_evaluate_batch_refuses_points_that_are_not_rows():
+    # A plain callable took each coordinate of [3.0, 2.0], or each row of a (2, 3, 2)
+    # stack, as a point; a batch method ended in a raw IndexError.
+    for objective in (lambda x: float(np.sum(x)), get_problem("B1").objective):
+        for bad in ([3.0, 2.0], np.zeros((2, 3, 2)), 1.0):
+            with pytest.raises(ConfigurationError, match=r"points must be \(n, d\) rows"):
+                evaluate_batch(objective, bad)

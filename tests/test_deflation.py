@@ -164,6 +164,14 @@ def test_penalty_batch_refuses_malformed_anchor_arrays():
     assert penalty_batch(pts, len(anchors) - 1, anchors, params).shape == (3,)
 
 
+def test_penalty_batch_refuses_points_that_are_not_rows():
+    # A 1-D point ended in a raw IndexError, and a (2, 2, 2) stack came back as a (2, 2) array.
+    params = PenaltyParams(magnitude=10.0, radius=1.0)
+    for bad in (np.array([0.1, 0.2]), np.zeros((2, 2, 2)), np.zeros((3, 1))):
+        with pytest.raises(ConfigurationError, match=r"points must be \(n, 2\) rows"):
+            penalty_batch(bad, 0, np.zeros((2, 2)), params)
+
+
 def test_penalty_batch_matches_scalar():
     params = PenaltyParams(magnitude=7.0, radius=1.3)
     anchors = anchors_of([0.5, 0.5], [-0.5, 0.25], [0.0, -1.0])

@@ -1,5 +1,6 @@
 """Tests for the multipopulation engines and their selection step."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from multide import (
     RngStream,
     best_records,
     get_problem,
+    group_de_runs,
     init_population,
     match_minimizers,
     run_de,
@@ -25,7 +27,7 @@ from multide import (
 )
 from multide.core import _spreading
 from multide.deflation import penalty_batch
-from multide.harness import ENGINES
+from multide.harness import ENGINES, ExperimentConfig, config_from_dict
 
 BOX = Bounds(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
 
@@ -336,6 +338,34 @@ def test_parameter_bundles_refuse_bools_and_non_numbers(field, value):
 @pytest.mark.parametrize("field", list(BUNDLE_FIELDS))
 def test_parameter_bundles_take_numpy_numbers(field):
     BUNDLE_FIELDS[field](np.int64(1) if field == "own_index" else np.float32(0.5))
+
+
+DE = DEParams(pop_size=10, F=0.5, CR=0.5)
+
+# Every size, count and seed, as its refusal names it -> (lowest value, a call taking it).
+COUNT_INPUTS = {
+    "pop_size": (4, lambda v: DEParams(pop_size=v, F=0.5, CR=0.5)),
+    "max_generations": (1, lambda v: replace(DE, max_generations=v)),
+    "subpops": (1, lambda v: MultiParams(de=DE, subpops=v)),
+    "population count": (1, lambda v: init_population(BOX, v, RngStream(0))),
+    "group_size": (1, lambda v: group_de_runs([], v)),
+    "trial_draws n": (4, lambda v: RngStream(0).trial_draws(v, 2)),
+    "trial_draws d": (1, lambda v: RngStream(0).trial_draws(6, v)),
+    "runs": (1, lambda v: ExperimentConfig(problems=["B1"], runs=v)),
+    "seed": (0, lambda v: ExperimentConfig(problems=["B1"], seed=v)),
+}
+
+
+@pytest.mark.parametrize("what", list(COUNT_INPUTS))
+def test_every_count_input_takes_one_integer_rule(what):
+    low, call = COUNT_INPUTS[what]
+    for bad in (True, 2.5, "3", None, low - 1):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{what} must be an integer >= {low}, got {bad!r}")):
+            call(bad)
+    call(np.int64(low))
+    # A config file's JSON number 2.0 is still the whole number 2.
+    assert config_from_dict({"problems": ["B1"], "runs": 2.0, "seed": 3.0}).runs == 2
 
 
 def test_engine_parameter_bundle_contracts():

@@ -1,5 +1,6 @@
 """The public surface of the package: what ``multide`` exports."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -77,6 +78,43 @@ def test_slow_profile_runs_every_property_test_file():
                     if "MULTIDE_HYPOTHESIS=slow" in line and "pytest" in line]
         assert len(commands) == 1, source.name
         assert sorted(set(re.findall(r"tests/\w+\.py", commands[0]))) == uses, source.name
+
+
+def _raises(node, function=None):
+    """Each ``raise`` under ``node``, with the name of the function it is in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _raises(child, child.name if named else function)
+
+
+def test_the_package_raises_only_its_own_errors():
+    # Bad input fails as ConfigurationError or EvaluationError. The one bare
+    # raise passes a failed run's EvaluationError on with its partial record.
+    stray = []
+    for path in sorted((ROOT / "src" / "multide").glob("*.py")):
+        for function, node in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if exc is None:
+                ok = function == "_run_engine"
+            else:
+                ok = isinstance(exc, ast.Name) and exc.id in ("ConfigurationError", "EvaluationError")
+            if not ok:
+                stray.append(f"{path.name}:{node.lineno} in {function}")
+    assert stray == []
+
+
+def test_lowest_ci_job_tests_the_declared_minimums():
+    # Read as text: CI's Python 3.10 has no tomllib and installs no YAML parser.
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    lowest = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    lowest = lowest.split("include:", 1)[1].split("- python:")[1]
+    python = re.search(r'requires-python = ">=([\d.]+)"', project)[1]
+    assert re.search(r'^ *"([\d.]+)"', lowest)[1] == python
+    for package in ("numpy", "scipy"):
+        minimum = re.search(rf'"{package}>=([\d.]+)"', project)[1]
+        assert f'{package}: "{package}=={minimum}.*"' in lowest, package
 
 
 def test_engines_take_no_anchor_mode():
