@@ -45,31 +45,73 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     """Repulsion penalty at each row of ``pts`` from every foreign anchor.
 
     ``anchors`` is an (nsp, d) array whose row j is subpopulation j's
-    current best. A row's penalty sums ``magnitude * exp(-delta)`` over the
-    anchors at distance ``delta <= radius``. The caller's own anchor (row
-    ``own_index``) is excluded by index, so two subpopulations that happen
-    to share a best point still repel each other. Rows are independent:
-    stacking two point sets and splitting the result gives each set's
-    penalties bit for bit.
+    current best, with d >= 1. A row's penalty sums ``magnitude * exp(-delta)``
+    over the anchors at distance ``delta <= radius``. The caller's own anchor
+    (row ``own_index``) is excluded by index, so two subpopulations that
+    happen to share a best point still repel each other.
+
+    The work is laid out anchor by row, one row per anchor and one column
+    per point, built one dimension at a time; the own row's distance is set
+    to +inf, so its term is exactly 0. Each distance's d squares and each
+    point's K = nsp - 1 foreign terms are summed in the order numpy's
+    ``add.reduce`` sums that many contiguous numbers (:func:`_sum_rows`), so
+    the result has the same bits as the (n, K, d) formula
+    ``sqrt((diff * diff).sum(axis=2))`` then ``(exp(-delta) * active).sum(axis=1)``.
+    Rows are independent of their neighbours: stacking two point sets and
+    splitting the result gives each set's penalties bit for bit.
     """
     anchors = np.asarray(anchors, dtype=float)
-    if anchors.ndim != 2:
+    if anchors.ndim != 2 or not anchors.shape[1]:
         raise ConfigurationError("anchors must be an (nsp, d) array matching the points' dimension")
     pts = as_rows(pts, anchors.shape[1])
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
             f"own_index must be an integer naming an anchor row, got {own_index!r}")
-    foreign = np.concatenate((anchors[:own_index], anchors[own_index + 1:]))
-    # (n, K, d) in C order: every distance sums its d squared terms along one
-    # contiguous row, whatever the layout of ``pts`` or of the anchors, so a
-    # row's penalty does not depend on the rows stacked beside it.
-    diff = np.subtract(pts[:, None, :], foreign, order="C")
-    delta = np.sqrt(np.add.reduce(diff * diff, axis=2))     # (n, K)
+    squares = []
+    for k in range(anchors.shape[1]):
+        diff = anchors[:, k, None] - pts[:, k]    # (nsp, n)
+        diff *= diff
+        squares.append(diff)
+    delta = _sum_rows(squares)
+    delta[own_index] = np.inf
+    np.sqrt(delta, out=delta)
     active = delta <= params.radius
     if not np.count_nonzero(active):
-        # What the formula below gives, since every term is multiplied by 0.
+        # What the lines below give, since every term is multiplied by 0.
         return np.zeros(len(pts))
-    return params.magnitude * np.add.reduce(np.exp(-delta) * active, axis=1)
+    np.negative(delta, out=delta)
+    np.exp(delta, out=delta)
+    delta *= active
+    # Below 8 rows an axis-0 reduce adds them one by one too, in one call,
+    # and the own row's 0 changes no sum; from 8 up that row must go.
+    terms = (np.add.reduce(delta, axis=0) if len(delta) < 8
+             else _sum_rows(np.delete(delta, own_index, axis=0)))
+    return params.magnitude * terms
+
+
+def _sum_rows(rows):
+    """Sum of ``rows`` (m equal-shaped arrays, overwritten) in numpy's order.
+
+    That is the order in which ``np.add.reduce`` sums a contiguous run of m
+    non-negative numbers: one by one below 8; from 8 to 128 in 8 running sums
+    (term i goes to sum i % 8) folded pairwise, then the leftover m % 8 terms
+    one by one; above 128, each half cut at a multiple of 8 that way.
+    """
+    m = len(rows)
+    if m > 128:
+        half = m // 2 - m // 2 % 8
+        return _sum_rows(rows[:half]) + _sum_rows(rows[half:])
+    if m < 8:
+        total, rest = rows[0], rows[1:]
+    else:
+        acc, tail = rows[:8], m - m % 8
+        for i in range(8, tail):
+            acc[i % 8] += rows[i]
+        total = acc[0] + acc[1] + (acc[2] + acc[3]) + (acc[4] + acc[5] + (acc[6] + acc[7]))
+        rest = rows[tail:]
+    for row in rest:
+        total += row
+    return total
 
 
 class ResidualObjective:

@@ -70,7 +70,8 @@ def selection_step(
     """One-to-one selection over a whole subpopulation.
 
     ``trial_fitness`` holds the trials' base values, with +inf for the
-    trials outside ``bounds``: those lose without ever being evaluated.
+    trials outside ``bounds``: those lose without ever being evaluated,
+    even to a parent whose penalized score overflows to +inf.
     The comparison is made on base + repulsion penalty when ``anchors`` (an
     (nsp, d) array, see :func:`penalty_batch`) is given, with parents
     reusing their cached base fitness, and on the base values otherwise.
@@ -89,14 +90,17 @@ def selection_step(
         raise ConfigurationError(
             f"selection needs (n, d) coords and trials and (n,) fitness and trial fitness, got "
             f"{coords.shape}, {trials.shape}, {fitness.shape} and {trial_fitness.shape}")
-    trial_score, parent_score = trial_fitness, fitness
-    if anchors is not None:
+    if anchors is None:
+        wins = trial_fitness <= fitness
+    else:
         # Penalty rows are independent, so one call scores trials and parents.
         pen = penalty_batch(np.concatenate((trials, coords)), own_index, anchors, penalty)
         m = len(trials)
-        trial_score = trial_fitness + pen[:m]
-        parent_score = fitness + pen[m:]
-    wins = trial_score <= parent_score
+        wins = trial_fitness + pen[:m] <= fitness + pen[m:]
+        # A parent's penalized score can overflow to +inf; a trial outside
+        # the bounds (+inf, the only non-finite value the engine passes)
+        # must lose all the same, not tie.
+        wins &= np.isfinite(trial_fitness)
     return np.where(wins[:, None], trials, coords), np.where(wins, trial_fitness, fitness)
 
 

@@ -164,6 +164,13 @@ def test_penalty_batch_refuses_malformed_anchor_arrays():
     assert penalty_batch(pts, len(anchors) - 1, anchors, params).shape == (3,)
 
 
+def test_penalty_batch_refuses_anchors_without_coordinates():
+    # Zero-width points have no distance terms to sum.
+    params = PenaltyParams(magnitude=10.0, radius=1.0)
+    with pytest.raises(ConfigurationError, match="anchors must be"):
+        penalty_batch(np.zeros((3, 0)), 0, np.zeros((2, 0)), params)
+
+
 def test_penalty_batch_refuses_points_that_are_not_rows():
     # A 1-D point ended in a raw IndexError, and a (2, 2, 2) stack came back as a (2, 2) array.
     params = PenaltyParams(magnitude=10.0, radius=1.0)

@@ -93,6 +93,25 @@ def test_penalty_batch_matches_reference_bit_for_bit(nsp, d):
                 assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 
+# numpy sums a contiguous run of fewer than 8 terms one by one and longer
+# runs pairwise in 8 running sums: 7, 8, 16 and 17 terms (d squares, or
+# nsp - 1 foreign anchors) sit on either side of a change of order.
+@pytest.mark.parametrize("nsp", [8, 9, 10, 17])
+@pytest.mark.parametrize("d", [7, 8, 16, 17])
+def test_penalty_batch_matches_reference_where_the_summation_order_changes(nsp, d):
+    rng = np.random.default_rng(nsp * 100 + d)
+    for rows in (1, 6, 11):
+        anchors = rng.random((nsp, d)) * 2.0 - 1.0
+        pts = rng.random((rows, d)) * 2.0 - 1.0
+        dist = np.sqrt(np.sum((pts[:, None, :] - anchors[None]) ** 2, axis=2))
+        # none, some and all anchors active
+        for radius in (1e-9, float(np.median(dist)), 2.0 * float(dist.max())):
+            params = PenaltyParams(magnitude=2.0e3, radius=radius)
+            for own in range(nsp):
+                got = penalty_batch(pts, own, anchors, params)
+                assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
+
+
 def test_penalty_batch_rows_do_not_depend_on_batch_size():
     # selection scores trials and parents in one stacked call
     rng = np.random.default_rng(5)
@@ -105,6 +124,24 @@ def test_penalty_batch_rows_do_not_depend_on_batch_size():
             both = penalty_batch(np.concatenate((a, b)), own, anchors, params)
             assert same_bits(both[:6], reference_penalty_batch(a, own, anchors, params))
             assert same_bits(both[6:], reference_penalty_batch(b, own, anchors, params))
+
+
+@examples(60)
+@given(data=st.data())
+def test_random_penalty_batches_match_reference_bit_for_bit(data):
+    d, nsp = data.draw(st.integers(1, 18)), data.draw(st.integers(1, 18))
+    own = data.draw(st.integers(0, nsp - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    anchors = rng.random((nsp, d)) * 4.0 - 2.0
+    pts = rng.random((data.draw(st.integers(0, 64)), d)) * 4.0 - 2.0
+    if len(pts) and data.draw(st.booleans()):
+        pts[0] = anchors[data.draw(st.integers(0, nsp - 1))]  # a zero distance
+    dist = np.sqrt(np.sum((pts[:, None, :] - anchors[None]) ** 2, axis=2)).ravel()
+    share = data.draw(st.sampled_from([0.0, 0.5, 1.0]))  # of the distances within the radius
+    radius = float(np.quantile(dist, share)) if share and dist.size else 0.0
+    params = PenaltyParams(magnitude=data.draw(st.floats(1e-3, 1e6)), radius=max(radius, 1e-300))
+    got = penalty_batch(pts, own, anchors, params)
+    assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
@@ -227,6 +264,13 @@ def test_five_subpopulations_match_the_per_subpopulation_loop(pid):
         want, _ = check_against_reference(get_problem(pid), "mde-itmf", seed, subpops=5)
         # the subpopulations freeze at different generations
         assert len(set(want["gens"])) > 1
+
+
+def test_nine_subpopulations_match_the_per_subpopulation_loop():
+    # 8 foreign anchors: every penalized selection sums its anchor terms
+    # pairwise. Selection rarely turns on the last bit of a penalty, so the
+    # penalty tests above, not this run, pin that order.
+    check_against_reference(get_problem("B1"), "mde-itmf", 3, subpops=9)
 
 
 def test_degenerate_spreading_denominator_matches_the_per_subpopulation_loop():

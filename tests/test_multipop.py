@@ -248,6 +248,21 @@ def test_selection_step_penalized_score_never_worsens():
         assert np.all(new_score <= old_score + 1e-12)
 
 
+def test_selection_step_out_of_bounds_trial_loses_to_an_overflowing_parent():
+    # Three foreign anchors on the parent lift its penalized score to +inf.
+    # The out-of-bounds trial's +inf mark tied with it and won; an in-bounds
+    # trial still wins that tie.
+    penalty = PenaltyParams(magnitude=1e308, radius=1.0)
+    anchors = np.zeros((4, 2))
+    coords, fitness = np.zeros((2, 2)), np.zeros(2)
+    trials = np.array([[99.0, 99.0], [0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        new_coords, new_fitness = selection_step(
+            coords, fitness, trials, 0, anchors, penalty, BOX, np.array([np.inf, 1.0]))
+    assert new_coords.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert new_fitness.tolist() == [0.0, 1.0]
+
+
 def test_selection_step_needs_penalty_params_for_penalized_mode():
     coords, fitness, trials, anchors = random_scenario(1)
     with pytest.raises(ConfigurationError):

@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import multide
@@ -65,6 +68,18 @@ def test_stream_draws_take_counts():
         params = inspect.signature(getattr(multide.RngStream, method)).parameters.values()
         assert [p.name for p in params] == names
         assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # Import time is part of every process's start-up: no scipy, no hypothesis.
+    code = ("import sys; before = set(sys.modules); import multide; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "multide" in loaded
+    assert sorted(loaded - {"multide", "numpy"} - sys.stdlib_module_names) == []
 
 
 def test_slow_profile_runs_every_property_test_file():
