@@ -112,6 +112,21 @@ def test_penalty_batch_matches_reference_where_the_summation_order_changes(nsp, 
                 assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 
+# Above 128 terms numpy cuts the run in two at a multiple of 8 and sums
+# each part its own way: 130 and 139 terms cut once, 259 and 260 twice.
+@pytest.mark.parametrize(("nsp", "d"), [(3, 130), (3, 260), (140, 2), (260, 2)])
+def test_penalty_batch_matches_reference_above_128_terms(nsp, d):
+    rng = np.random.default_rng(nsp * 1000 + d)
+    anchors = rng.random((nsp, d)) * 2.0 - 1.0
+    pts = rng.random((5, d)) * 2.0 - 1.0
+    dist = np.sqrt(np.sum((pts[:, None, :] - anchors[None]) ** 2, axis=2))
+    for radius in (float(np.median(dist)), 2.0 * float(dist.max())):  # some and all active
+        params = PenaltyParams(magnitude=2.0e3, radius=radius)
+        for own in (0, nsp // 2, nsp - 1):
+            got = penalty_batch(pts, own, anchors, params)
+            assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
+
+
 def test_penalty_batch_rows_do_not_depend_on_batch_size():
     # selection scores trials and parents in one stacked call
     rng = np.random.default_rng(5)

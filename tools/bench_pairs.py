@@ -6,12 +6,13 @@ Run from the root of a source checkout, with two checkouts to compare
     python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --name penalty_layout --out BENCH_penalty_layout.json
 
-For every workload it runs the checkouts' own, unchanged
-``perfbench/run.py --seed S --seconds T --trace 0`` in alternating pairs
-(odd pairs parent first, even pairs change first), then ``--trace 1`` pairs
-for the per-layer figures. It also times ``python -X importtime -c "import
-multide"`` in alternating pairs. Every figure comes with the parent's own
-spread (``setup_s`` included), so a move smaller than that reads as noise.
+For every workload in BENCHMARK.json it runs the checkouts' own, unchanged
+``perfbench/run.py --seed 7 --seconds R --trace 0`` (R: BENCHMARK.json's
+``run_seconds``) in 10 alternating pairs (odd pairs parent first, even pairs
+change first), then ``--seconds 4 --trace 1`` in 3 pairs for the per-layer
+figures. It also times ``python -X importtime -c "import multide"`` in 15
+alternating pairs. Every figure comes with the parent's own spread
+(``setup_s`` included), so a move smaller than that reads as noise.
 The verdict rule is the one BENCHMARK.json's bounds imply; see VERDICT_RULE.
 """
 
@@ -28,6 +29,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+SEED = 7
+PAIRS = 10                           # the fewest pairs a gain may be claimed on
+TRACE_SECONDS, TRACE_PAIRS = 4, 3
+IMPORT_PAIRS = 15
 
 LAYER_FIGURES = (
     "deflation.penalty_batch.us_per_call",
@@ -43,10 +48,10 @@ VERDICT_RULE = (
     "bound and not every change run reads better than every parent run; within bound: the rest")
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seconds: int, trace: int) -> dict:
     """One ``perfbench/run.py`` process: its metric values, fingerprints and info."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -83,6 +88,17 @@ def alternate(pairs: int, run) -> dict[str, list]:
     return out
 
 
+def figure(runs: dict[str, list], name: str) -> dict[str, list] | None:
+    """Each side's values of metric ``name`` in run order, ``None`` where a run failed.
+
+    ``None`` as a whole when either side has no value at all.
+    """
+    values = {side: [r.get("metrics", {}).get(name) for r in runs[side]] for side in SIDES}
+    if all(any(v is not None for v in vs) for vs in values.values()):
+        return values
+    return None
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -90,11 +106,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: list[float], change: list[float], better: str, bound: float | None) -> dict:
-    """Medians, the parent's spread, paired wins and (with a bound) the verdict."""
+def compare(parent: list, change: list, better: str, bound: float | None) -> dict:
+    """Medians, the parent's spread, paired wins and (with a bound) the verdict.
+
+    ``parent[i]`` and ``change[i]`` are pair i's runs; a pair where either
+    side has no value (``None``: the run failed) counts for neither side.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change)
+               if p is not None and c is not None)
+    parent = [v for v in parent if v is not None]
+    change = [v for v in change if v is not None]
     q1, p_med, q3 = quartiles(parent)
     c_med = statistics.median(change)
-    sign = 1.0 if better == "higher" else -1.0
     rel = (c_med - p_med) / p_med if p_med else 0.0
     out = {
         "parent_median": round(p_med, 6),
@@ -102,7 +126,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float 
         "change_vs_parent": round(rel, 4),
         "parent_min_q1_q3_max": [round(v, 6) for v in (min(parent), q1, q3, max(parent))],
         "parent_iqr_over_median": round((q3 - q1) / p_med, 4) if p_med else 0.0,
-        "pairs_change_better": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "pairs_change_better": wins,
         "runs_per_side": [len(parent), len(change)],
     }
     if bound is not None:
@@ -129,8 +153,9 @@ def machine() -> str:
                 break
     except OSError:
         pass
-    return (f"{model}{os.cpu_count()} cores (nproc {os.cpu_count()}), {platform.machine()}, "
-            f"Python {platform.python_version()}, numpy {numpy.__version__}, shared with other jobs")
+    return (f"{model}{os.cpu_count()} cores, {len(os.sched_getaffinity(0))} usable by this "
+            f"process, {platform.machine()}, Python {platform.python_version()}, "
+            f"numpy {numpy.__version__}")
 
 
 def main(argv=None) -> int:
@@ -141,16 +166,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<name>.json to write")
     parser.add_argument("--what", default="", help="one paragraph: what the change is")
     parser.add_argument("--claim", default=None, help="the claimed gain, if any")
-    parser.add_argument("--workloads", nargs="+", default=["grid", "crowded", "scalar", "trace-out"])
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--trace-seconds", type=float, default=4.0)
-    parser.add_argument("--trace-pairs", type=int, default=3)
-    parser.add_argument("--import-pairs", type=int, default=15)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     layers = {m["name"]: m for m in spec["per_layer"]}
 
@@ -158,10 +177,10 @@ def main(argv=None) -> int:
         "name": args.name,
         "what": args.what,
         "claim": args.claim,
-        "command": (f"python3 tools/bench_pairs.py: perfbench/run.py --workload W --seed {args.seed} "
-                    f"--seconds {args.seconds:g} --trace 0 in each checkout, {args.pairs} pairs per "
-                    f"workload, then --seconds {args.trace_seconds:g} --trace 1 in "
-                    f"{args.trace_pairs} pairs; odd pairs parent first, even pairs change first"),
+        "command": (f"python3 tools/bench_pairs.py: perfbench/run.py --workload W --seed {SEED} "
+                    f"--seconds {seconds} --trace 0 in each checkout, {PAIRS} pairs per "
+                    f"workload, then --seconds {TRACE_SECONDS} --trace 1 in {TRACE_PAIRS} "
+                    f"pairs; odd pairs parent first, even pairs change first"),
         "machine": machine(),
         "verdict_rule": VERDICT_RULE,
         "summary": {},
@@ -170,36 +189,33 @@ def main(argv=None) -> int:
         "import_multide_us": {},
         "runs": {},
     }
-    imports = alternate(args.import_pairs, lambda side: import_us(checkouts[side]))
+    imports = alternate(IMPORT_PAIRS, lambda side: import_us(checkouts[side]))
     report["import_multide_us"] = {
         "samples": imports,
         **compare(imports["parent"], imports["change"], "lower", None),
     }
-    for workload in args.workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         print(f"{workload}: --trace 0", file=sys.stderr, flush=True)
-        timed = alternate(args.pairs, lambda side: perfbench(
-            checkouts[side], workload, args.seed, args.seconds, 0))
+        timed = alternate(PAIRS, lambda side: perfbench(checkouts[side], workload, seconds, 0))
         print(f"{workload}: --trace 1", file=sys.stderr, flush=True)
-        traced = alternate(args.trace_pairs, lambda side: perfbench(
-            checkouts[side], workload, args.seed, args.trace_seconds, 1))
+        traced = alternate(TRACE_PAIRS, lambda side: perfbench(
+            checkouts[side], workload, TRACE_SECONDS, 1))
         report["runs"][workload] = {"trace0": timed, "trace1": traced}
-        ok = {t: {side: [r for r in runs[side] if "metrics" in r] for side in SIDES}
-              for t, runs in (("trace0", timed), ("trace1", traced))}
         report["fingerprints"][workload] = {
-            side: sorted({fp for t in ok for r in ok[t][side] for fp in r["fingerprint"]})
+            side: sorted({fp for r in timed[side] + traced[side]
+                          for fp in r.get("fingerprint", ())})
             for side in SIDES}
         summary = report["summary"][workload] = {
             "correct": {side: all(r.get("correct") is True for r in timed[side] + traced[side])
                         for side in SIDES}}
         for name, m in end_to_end.items():
-            values = {side: [r["metrics"][name] for r in ok["trace0"][side]] for side in SIDES}
-            if all(values.values()):
+            values = figure(timed, name)
+            if values:
                 summary[name] = compare(values["parent"], values["change"], m["better"], m["bound"])
         per_layer = report["per_layer"][workload] = {}
         for name in LAYER_FIGURES:
-            values = {side: [r["metrics"][name] for r in ok["trace1"][side] if name in r["metrics"]]
-                      for side in SIDES}
-            if all(values.values()):
+            values = figure(traced, name)
+            if values:
                 per_layer[name] = compare(values["parent"], values["change"],
                                           layers[name]["better"], None)
         # after every workload, so an interrupted run keeps what it measured
