@@ -8,6 +8,7 @@ search stays free while the others' neighborhoods become unattractive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,15 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     happen to share a best point still repel each other.
 
     The work is laid out anchor by row, one row per anchor and one column
-    per point, built one dimension at a time; the own row's distance is set
-    to +inf, so its term is exactly 0. Each distance's d squares and each
-    point's K = nsp - 1 foreign terms are summed in the order numpy's
-    ``add.reduce`` sums that many contiguous numbers (:func:`_sum_rows`), so
-    the result has the same bits as the (n, K, d) formula
-    ``sqrt((diff * diff).sum(axis=2))`` then ``(exp(-delta) * active).sum(axis=1)``.
-    Rows are independent of their neighbours: stacking two point sets and
-    splitting the result gives each set's penalties bit for bit.
+    per point; the own row's distance is set to +inf, so its term is 0.
+    Fewer than 8 squares or anchor terms are added one by one, as numpy
+    adds them, and 8 or more by numpy's ``add.reduce`` over a C-contiguous
+    copy. So on any memory layout the result has the bits of the (n, K, d)
+    formula ``sqrt((diff * diff).sum(axis=2))`` then
+    ``(exp(-delta) * active).sum(axis=1)`` on C-ordered inputs, K = nsp - 1,
+    and a row's penalty does not depend on the rows stacked beside it.
+    A NaN coordinate, or infinities of one sign meeting, leaves a distance
+    undefined and raises :class:`ConfigurationError`.
     """
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2 or not anchors.shape[1]:
@@ -67,12 +69,20 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
             f"own_index must be an integer naming an anchor row, got {own_index!r}")
-    squares = []
-    for k in range(anchors.shape[1]):
-        diff = anchors[:, k, None] - pts[:, k]    # (nsp, n)
-        diff *= diff
-        squares.append(diff)
-    delta = _sum_rows(squares)
+    if anchors.shape[1] < 8:
+        delta = anchors[:, 0, None] - pts[:, 0]    # (nsp, n)
+        delta *= delta
+        for k in range(1, anchors.shape[1]):
+            diff = anchors[:, k, None] - pts[:, k]
+            diff *= diff
+            delta += diff
+    else:
+        # order="C" makes each distance's d squares one contiguous run.
+        delta = np.subtract(anchors[:, None, :], pts, order="C")    # (nsp, n, d)
+        delta *= delta
+        delta = np.add.reduce(delta, axis=2)
+    if math.isnan(np.add.reduce(delta, axis=None)):
+        raise ConfigurationError("a point or anchor holds NaN, or infinities of one sign meet")
     delta[own_index] = np.inf
     np.sqrt(delta, out=delta)
     active = delta <= params.radius
@@ -83,35 +93,11 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     np.exp(delta, out=delta)
     delta *= active
     # Below 8 rows an axis-0 reduce adds them one by one too, in one call,
-    # and the own row's 0 changes no sum; from 8 up that row must go.
+    # and the own row's 0 changes no sum; from 8 up that row must go, and
+    # each point's terms are summed as one contiguous run.
     terms = (np.add.reduce(delta, axis=0) if len(delta) < 8
-             else _sum_rows(np.delete(delta, own_index, axis=0)))
+             else np.add.reduce(np.delete(delta, own_index, axis=0).T.copy(), axis=1))
     return params.magnitude * terms
-
-
-def _sum_rows(rows):
-    """Sum of ``rows`` (m equal-shaped arrays, overwritten) in numpy's order.
-
-    That is the order in which ``np.add.reduce`` sums a contiguous run of m
-    non-negative numbers: one by one below 8; from 8 to 128 in 8 running sums
-    (term i goes to sum i % 8) folded pairwise, then the leftover m % 8 terms
-    one by one; above 128, each half cut at a multiple of 8 that way.
-    """
-    m = len(rows)
-    if m > 128:
-        half = m // 2 - m // 2 % 8
-        return _sum_rows(rows[:half]) + _sum_rows(rows[half:])
-    if m < 8:
-        total, rest = rows[0], rows[1:]
-    else:
-        acc, tail = rows[:8], m - m % 8
-        for i in range(8, tail):
-            acc[i % 8] += rows[i]
-        total = acc[0] + acc[1] + (acc[2] + acc[3]) + (acc[4] + acc[5] + (acc[6] + acc[7]))
-        rest = rows[tail:]
-    for row in rest:
-        total += row
-    return total
 
 
 class ResidualObjective:

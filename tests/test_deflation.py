@@ -179,6 +179,24 @@ def test_penalty_batch_refuses_points_that_are_not_rows():
             penalty_batch(bad, 0, np.zeros((2, 2)), params)
 
 
+def test_penalty_batch_refuses_undefined_distances():
+    # A NaN distance is never <= radius, so unchecked it would read as no penalty.
+    params = PenaltyParams(magnitude=2.0, radius=1.0)
+    for d in (2, 9):  # the per-dimension loop and numpy's reduce
+        pts, anchors = np.zeros((3, d)), np.zeros((3, d))
+        for where, row in ((pts, 1), (anchors, 2), (anchors, 0)):  # a point, foreign, own anchor
+            where[row, d - 1] = np.nan
+            with pytest.raises(ConfigurationError, match="NaN"):
+                penalty_batch(pts, 0, anchors, params)
+            where[row, d - 1] = 0.0
+        pts[1, 0] = anchors[2, 0] = np.inf  # inf - inf, which numpy warns of
+        with pytest.warns(RuntimeWarning, match="invalid"), \
+                pytest.raises(ConfigurationError, match="NaN"):
+            penalty_batch(pts, 0, anchors, params)
+        anchors[2, 0] = -np.inf  # an infinite distance is defined
+        assert penalty_batch(pts, 0, anchors, params)[1] == 0.0
+
+
 def test_penalty_batch_matches_scalar():
     params = PenaltyParams(magnitude=7.0, radius=1.3)
     anchors = anchors_of([0.5, 0.5], [-0.5, 0.25], [0.0, -1.0])

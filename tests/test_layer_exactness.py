@@ -93,37 +93,58 @@ def test_penalty_batch_matches_reference_bit_for_bit(nsp, d):
                 assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 
+def laid_out(x, layout):
+    """``x``'s values in C order, in Fortran order or as every other row of a larger array."""
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "strided":
+        rows = np.full((2 * len(x), x.shape[1]), np.nan)
+        rows[::2] = x
+        return rows[::2]
+    return np.ascontiguousarray(x)
+
+
 # numpy sums a contiguous run of fewer than 8 terms one by one and longer
 # runs pairwise in 8 running sums: 7, 8, 16 and 17 terms (d squares, or
-# nsp - 1 foreign anchors) sit on either side of a change of order.
-@pytest.mark.parametrize("nsp", [8, 9, 10, 17])
-@pytest.mark.parametrize("d", [7, 8, 16, 17])
-def test_penalty_batch_matches_reference_where_the_summation_order_changes(nsp, d):
+# nsp - 1 foreign anchors) sit on either side of a change of order, and 2
+# is the engines' case. The result must not depend on the inputs' memory
+# layout: it is compared with the reference on C-ordered copies, and a
+# broadcast that followed a Fortran layout would sum 8 or more squares in
+# another order.
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("nsp", [2, 8, 9, 10, 17])
+@pytest.mark.parametrize("d", [2, 7, 8, 9, 16, 17])
+def test_penalty_batch_matches_reference_where_the_summation_order_changes(nsp, d, layout):
     rng = np.random.default_rng(nsp * 100 + d)
     for rows in (1, 6, 11):
         anchors = rng.random((nsp, d)) * 2.0 - 1.0
         pts = rng.random((rows, d)) * 2.0 - 1.0
         dist = np.sqrt(np.sum((pts[:, None, :] - anchors[None]) ** 2, axis=2))
+        laid_pts, laid_anchors = laid_out(pts, layout), laid_out(anchors, layout)
         # none, some and all anchors active
         for radius in (1e-9, float(np.median(dist)), 2.0 * float(dist.max())):
             params = PenaltyParams(magnitude=2.0e3, radius=radius)
             for own in range(nsp):
-                got = penalty_batch(pts, own, anchors, params)
+                got = penalty_batch(laid_pts, own, laid_anchors, params)
                 assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 
 # Above 128 terms numpy cuts the run in two at a multiple of 8 and sums
 # each part its own way: 130 and 139 terms cut once, 259 and 260 twice.
-@pytest.mark.parametrize(("nsp", "d"), [(3, 130), (3, 260), (140, 2), (260, 2)])
-def test_penalty_batch_matches_reference_above_128_terms(nsp, d):
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize(("nsp", "d"), [
+    (2, 130), (3, 130), (8, 130), (9, 130), (140, 130), (3, 260),
+    (140, 2), (140, 7), (140, 8), (140, 9), (260, 2)])
+def test_penalty_batch_matches_reference_above_128_terms(nsp, d, layout):
     rng = np.random.default_rng(nsp * 1000 + d)
     anchors = rng.random((nsp, d)) * 2.0 - 1.0
     pts = rng.random((5, d)) * 2.0 - 1.0
     dist = np.sqrt(np.sum((pts[:, None, :] - anchors[None]) ** 2, axis=2))
+    laid_pts, laid_anchors = laid_out(pts, layout), laid_out(anchors, layout)
     for radius in (float(np.median(dist)), 2.0 * float(dist.max())):  # some and all active
         params = PenaltyParams(magnitude=2.0e3, radius=radius)
         for own in (0, nsp // 2, nsp - 1):
-            got = penalty_batch(pts, own, anchors, params)
+            got = penalty_batch(laid_pts, own, laid_anchors, params)
             assert same_bits(got, reference_penalty_batch(pts, own, anchors, params))
 
 

@@ -58,6 +58,8 @@ def test_second_copies_are_gone():
     # A stream's place is one index into its block's uint32 halves.
     stream = multide.RngStream(0)
     assert not hasattr(stream, "_pos") and not hasattr(stream, "_half")
+    # penalty_batch leaves its sums to numpy's add.reduce.
+    assert not hasattr(multide.deflation, "_sum_rows")
 
 
 def test_stream_draws_take_counts():

@@ -9,10 +9,11 @@ Run from the root of a source checkout, with two checkouts to compare
 For every workload in BENCHMARK.json it runs the checkouts' own, unchanged
 ``perfbench/run.py --seed 7 --seconds R --trace 0`` (R: BENCHMARK.json's
 ``run_seconds``) in 10 alternating pairs (odd pairs parent first, even pairs
-change first), then ``--seconds 4 --trace 1`` in 3 pairs for the per-layer
-figures. It also times ``python -X importtime -c "import multide"`` in 15
-alternating pairs. Every figure comes with the parent's own spread
-(``setup_s`` included), so a move smaller than that reads as noise.
+change first), then ``--seconds 4 --trace 1`` in 3 pairs for every
+per-layer figure BENCHMARK.json lists. It also times
+``python -X importtime -c "import multide"`` in 15 alternating pairs.
+Every figure comes with the parent's own spread (``setup_s`` included),
+so a move smaller than that reads as noise.
 The verdict rule is the one BENCHMARK.json's bounds imply; see VERDICT_RULE.
 """
 
@@ -33,14 +34,6 @@ SEED = 7
 PAIRS = 10                           # the fewest pairs a gain may be claimed on
 TRACE_SECONDS, TRACE_PAIRS = 4, 3
 IMPORT_PAIRS = 15
-
-LAYER_FIGURES = (
-    "deflation.penalty_batch.us_per_call",
-    "deflation.penalty_batch.calls",
-    "deflation.penalty_batch.self_s",
-    "multipop.selection_step.self_s",
-    "multipop.selection_step.calls",
-)
 
 VERDICT_RULE = (
     "worse: the change's median is worse than the parent's by more than the BENCHMARK.json "
@@ -213,11 +206,10 @@ def main(argv=None) -> int:
             if values:
                 summary[name] = compare(values["parent"], values["change"], m["better"], m["bound"])
         per_layer = report["per_layer"][workload] = {}
-        for name in LAYER_FIGURES:
+        for name, m in layers.items():
             values = figure(traced, name)
             if values:
-                per_layer[name] = compare(values["parent"], values["change"],
-                                          layers[name]["better"], None)
+                per_layer[name] = compare(values["parent"], values["change"], m["better"], None)
         # after every workload, so an interrupted run keeps what it measured
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
