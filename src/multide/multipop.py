@@ -13,6 +13,7 @@ engines reproduce ``run_de`` exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -23,6 +24,7 @@ from .core import (
     Bounds,
     DEParams,
     RunRecord,
+    TrialSource,
     _spreading,
     best_records,
     check_numbers,
@@ -41,7 +43,9 @@ class MultiParams:
 
     ``switch_tol`` is only meaningful for the hybrid engine and must stay
     strictly above the DE spreading tolerance, otherwise the plain-DE
-    refinement phase could never be entered before freezing.
+    refinement phase could never be entered before freezing. A row's
+    foreign penalty terms sum to at most ``magnitude * (subpops - 1)``, which
+    must be finite, so no engine run overflows its penalties.
     """
 
     de: DEParams
@@ -51,6 +55,10 @@ class MultiParams:
 
     def __post_init__(self):
         _index(self.subpops, "subpops", 1)
+        foreign = self.subpops - 1
+        if self.penalty is not None and not math.isfinite(self.penalty.magnitude * foreign):
+            raise ConfigurationError(f"penalty magnitude {self.penalty.magnitude!r} times "
+                                     f"{foreign} foreign subpopulations overflows")
         if self.switch_tol is not None:
             check_numbers(switch_tol=self.switch_tol)
             if not self.switch_tol > self.de.spread_tol:
@@ -163,6 +171,7 @@ def _run_engine(
             pop[j] = init_population(bounds, n, streams[j])
             nfe += n
             fit[j] = evaluate_batch(objective, pop[j])
+        sources = [TrialSource(stream, de.CR) for stream in streams]
         # anchors[j] is a copy of subpopulation j's best row (ties go to the
         # lowest index), rewritten whenever fit[j] changes.
         anchors = pop[np.arange(nsp), fit.argmin(axis=1)]
@@ -174,7 +183,7 @@ def _run_engine(
             spreads = _spreading(stack(pop, live), stack(anchors, live), bounds).tolist()
             steps = [j for j, spread in zip(live, spreads) if spread >= de.spread_tol]
             if steps:
-                trials = generate_trials(stack(pop, steps), de.F, de.CR, [streams[j] for j in steps])
+                trials = generate_trials(stack(pop, steps), de.F, [sources[j] for j in steps])
                 flat = trials.reshape(-1, dim)
                 rows = bounds.contains_all(flat).nonzero()[0]
                 nfe += len(rows)

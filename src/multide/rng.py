@@ -25,7 +25,7 @@ def is_count(value) -> bool:
 
 def _index(value, what: str, low: int = 0) -> int:
     """``value`` as an int, refusing a bool and anything but an integer >= ``low``."""
-    if type(value) is int and value >= low:  # first, as trial_draws runs it every generation
+    if type(value) is int and value >= low:  # the common case first, at the cost of one check
         return value
     if not is_count(value) or value < low:
         raise ConfigurationError(f"{what} must be an integer >= {low}, got {value!r}")
@@ -39,10 +39,67 @@ def _decode(halves: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     rejected.
     """
     scaled = halves.astype(np.uint64) * np.uint64(n)
-    values = (scaled >> 32).astype(np.int64)
-    rejected = scaled.astype(_HALF) < ((1 << 32) - n) % n
-    values[rejected] = -1
-    return values, bool(rejected.any())
+    values = (scaled >> 32).view(np.int64)  # below 2**32, so the same bits
+    threshold = ((1 << 32) - n) % n  # 0 for a power of two, which rejects nothing
+    if threshold:
+        rejected = scaled.astype(_HALF) < threshold
+        if rejected.any():
+            values[rejected] = -1
+            return values, True
+    return values, False
+
+
+def _accepted(values: np.ndarray, rejecting: bool, start: int,
+              count: int) -> tuple[np.ndarray, int]:
+    """The next ``count`` accepted values of a block table from half ``start`` on.
+
+    ``values`` and ``rejecting`` are a ``_decode`` of the block. Also
+    returns the halves the values span, rejected ones included. Fewer
+    values come back when the block runs out first.
+    """
+    if not rejecting:
+        taken = values[start:start + count]
+        return taken, len(taken)
+    used = count
+    while True:
+        taken = values[start:start + used]
+        taken = taken[taken >= 0]
+        if len(taken) == count or start + used >= len(values):
+            return taken, min(used, len(values) - start)
+        used += count - len(taken)  # each rejected half is replaced by the next uint32
+
+
+def _donors(values: np.ndarray, rejecting: bool, start: int, n: int,
+            window: int) -> tuple[list[int], int] | None:
+    """One generation's donor triples for ``n`` rows from a block table, from half ``start`` on.
+
+    Returns the triples as one flat list and the halves they span, or None
+    when the block runs out first. A row whose triple repeats an index or
+    holds the row's own is redrawn, in ascending order, from the values
+    that follow, and a row that collides again rejoins the queue after the
+    rest of its round, as one ``integers(n, 3 * m)`` call per round over
+    ``m`` rows would draw them. The values are read as a list from a window
+    of ``window``, taken again twice as long when the queue outruns it.
+    """
+    got = _accepted(values, rejecting, start, window)[0].tolist()
+    r = got[:3 * n]
+    if len(r) < 3 * n:
+        return None
+    it = iter(r)
+    queue = [i for i, a, b, c in zip(range(n), it, it, it)
+             if a == i or b == i or c == i or a == b or a == c or b == c]
+    used, last = 3 * n, len(got) - 3  # ``last``: where the last whole triple starts
+    for i in queue:
+        if used > last:
+            got = _accepted(values, rejecting, start, 2 * used + 6)[0].tolist()
+            last = len(got) - 3
+            if used > last:
+                return None
+        a, b, c = r[3 * i:3 * i + 3] = got[used:used + 3]
+        used += 3
+        if a == i or b == i or c == i or a == b or a == c or b == c:
+            queue.append(i)
+    return r, _accepted(values, rejecting, start, used)[1] if rejecting else used
 
 
 class RngStream:
@@ -67,17 +124,17 @@ class RngStream:
     nothing). Both take a count and return an array the caller owns; a
     count or range that is not an integer (a bool included), or out of
     range, raises :class:`ConfigurationError`.
-    ``trial_draws`` gives one generation of DE/rand/1/bin draws in one
-    call, exactly as its sequence of ``integers`` and ``uniform`` calls
-    would. Words pulled past the last draw are never seen, since engine
-    streams are private children from ``split``. No option selects numpy's
-    own generator instead.
+    ``trial_block`` gives every whole generation of DE/rand/1/bin draws the
+    buffered words hold in one call, exactly as its sequence of
+    ``integers`` and ``uniform`` calls would. Words pulled past the last
+    draw are never seen, since engine streams are private children from
+    ``split``. No option selects numpy's own generator instead.
 
     Each block decodes its uniforms once, and its integers once for each
-    range drawn from it, so a call is one slice copy and a ``trial_draws``
-    call a few slices. An engine stream draws from two ranges, ``n`` and
-    ``d``; a caller that changes the range on every call pays one
-    whole-block decode per new range and block.
+    range drawn from it, so a call is one slice copy and a ``trial_block``
+    call a few slices per generation. An engine stream draws from two
+    ranges, ``n`` and ``d``; a caller that changes the range on every call
+    pays one whole-block decode per new range and block.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -119,46 +176,59 @@ class RngStream:
         self._at += used
         return values.copy()
 
-    def trial_draws(self, n: int, d: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """One generation of DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
+    def trial_block(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block of generations of DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
 
-        Returns what these calls would, and leaves the stream where they
-        would: ``integers(n, 3 * n)`` as a flat list of donor indices, each
-        row's triple redrawn by one ``integers(n, 3 * m)`` per round over the
-        ``m`` rows, ascending, whose triple repeats an index or holds the
-        row's own; then ``integers(d, n)``, the forced crossover indices, and
-        ``uniform(n * d)`` as an ``(n, d)`` array. Both arrays may be views of
-        the block: do not write to them.
+        Returns every whole generation the buffered words hold, ``G >= 1``
+        of them, refilling first when not even one fits: the donor triples
+        ``(G, n, 3)``, the forced crossover indices ``(G, n)`` and the
+        uniforms ``(G, n, d)``, arrays the caller owns. Generation ``g`` is
+        what these calls would return, and the stream is left where ``G``
+        rounds of them would leave it: ``integers(n, 3 * n)``, each row's
+        triple redrawn by one ``integers(n, 3 * m)`` per round over the ``m``
+        rows, ascending, whose triple repeats an index or holds the row's
+        own; then ``integers(d, n)`` and ``uniform(n * d)``.
 
-        The redraws run in plain Python as one queue over a window of decoded
-        values, taken again twice as long when the queue outruns it: a row
-        that collides again rejoins at the end, after the rest of its round.
-        The forced indices are read past the halves the donors took, so the
-        stream moves once, before the uniforms. Any other ``n`` or ``d`` (a
-        float, a bool, a smaller value) raises :class:`ConfigurationError`.
+        The draws are read from the block tables directly: the donors by
+        :func:`_donors`, the forced indices past the halves the donors took
+        and the uniforms from the next whole word on. An owed half moves to
+        the last uniform word, as ``uniform`` moves it, and starts the next
+        generation's donors. Any other ``n`` or ``d`` (a float, a bool, a
+        smaller value) raises :class:`ConfigurationError`.
         """
-        n, d = _index(n, "trial_draws n", 4), _index(d, "trial_draws d", 1)
+        n, d = _index(n, "trial_block n", 4), _index(d, "trial_block d", 1)
+        nd = n * d
         # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
-        window, halves = self._take(n, 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12)
-        window = window.tolist()
-        r = window[:3 * n]
-        it = iter(r)
-        queue = [i for i, a, b, c in zip(range(n), it, it, it)
-                 if a == i or b == i or c == i or a == b or a == c or b == c]
-        used = 3 * n
-        for i in queue:
-            if used + 3 > len(window):
-                window, halves = self._take(n, 2 * used + 6)
-                window = window.tolist()
-            a, b, c = r[3 * i:3 * i + 3] = window[used:used + 3]
-            used += 3
-            if a == i or b == i or c == i or a == b or a == c or b == c:
-                queue.append(i)
-        if halves > len(window):  # a half was rejected: count those the values took
-            used = self._take(n, used)[1]
-        forced, halves = self._take(d, n, used)
-        self._at += used + halves
-        return r, forced, self._units(n * d).reshape(n, d)
+        window = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
+        least = 3 * n + (d > 1) * n + 2 * nd  # the fewest halves a generation spans
+        triples, forced, units = [], [], []
+        while True:
+            p, end = self._at, len(self._halves)
+            if end - p >= least:
+                vn, rn = self._table(n)
+                while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
+                    r, q = donors[0], p + donors[1]
+                    # a single-value range draws nothing
+                    f, halves = (_accepted(*self._table(d), q, n) if d > 1
+                                 else (np.zeros(n, np.int64), 0))
+                    q += halves
+                    s = (q + 1) // 2  # the first uniform word
+                    if len(f) < n or 2 * (s + nd) > end:
+                        break
+                    triples += r
+                    forced.append(f)
+                    units.append(self._unit[s:s + nd])
+                    self._at, p = q, 2 * (s + nd) - q % 2
+                    if q % 2:  # the owed half starts the next generation's donors
+                        vn[p] = vn[q]
+                if units:
+                    break
+            self._reserve(2 * (end - p) + least)
+        self._units(nd)  # moves past the last generation's uniforms and owed half
+        G = len(units)
+        return (np.fromiter(triples, np.intp, 3 * n * G).reshape(G, n, 3),
+                np.concatenate(forced).reshape(G, n),
+                np.concatenate(units).reshape(G, n, d))
 
     def _units(self, count: int) -> np.ndarray:
         """A view of the uniforms of the next ``count`` words, which the stream moves past.
@@ -175,8 +245,8 @@ class RngStream:
                 values[self._at] = values[at]
         return self._unit[start:start + count]
 
-    def _take(self, n: int, count: int, offset: int = 0) -> tuple[np.ndarray, int]:
-        """The next ``count`` accepted values of range ``n``, ``offset`` halves past the stream's place.
+    def _take(self, n: int, count: int) -> tuple[np.ndarray, int]:
+        """The next ``count`` accepted values of range ``n``, refilling as needed.
 
         Also returns the number of halves they span, rejected ones included.
         Nothing is consumed. The values may be a view of a table. A
@@ -184,19 +254,19 @@ class RngStream:
         """
         if n == 1:
             return np.zeros(count, dtype=np.int64), 0
-        used = count
+        need = count
         while True:
-            self._reserve(offset + used)
-            start = self._at + offset
-            if n not in self._tables:
-                self._tables[n] = _decode(self._halves, n)
-            values, rejecting = self._tables[n]
-            values = values[start:start + used]
-            if rejecting:
-                values = values[values >= 0]
+            self._reserve(need)
+            values, halves = _accepted(*self._table(n), self._at, count)
             if len(values) == count:
-                return values, used
-            used += count - len(values)  # each rejected half is replaced by the next uint32
+                return values, halves
+            need = halves + count - len(values)  # each rejected half is replaced by the next uint32
+
+    def _table(self, n: int) -> tuple[np.ndarray, bool]:
+        """The block's ``_decode`` for range ``n``, built on first use."""
+        if n not in self._tables:
+            self._tables[n] = _decode(self._halves, n)
+        return self._tables[n]
 
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.

@@ -13,7 +13,7 @@ from conftest import compass_minimal, grid_polish_minimizers
 
 from multide import RngStream, get_problem, run_de
 from multide.cli import main as cli_main
-from multide.core import _spreading, generate_trials
+from multide.core import TrialSource, _spreading, generate_trials
 from multide.deflation import PenaltyParams, penalty_batch
 from multide.harness import ENGINES, ExperimentConfig, SweepConfig, run_experiment, run_sweep
 
@@ -127,12 +127,14 @@ def test_criterion_5_operator_properties(b1):
     """Bulk operator invariants with no reference numbers involved."""
     # F = 0 makes each donor another row, which differs from the target in
     # every coordinate: a trial equal to its target inherited nothing.
+    # CR is drawn from the stream once per source; each source serves 20 generations.
     rng = RngStream(99)
     distinct_rows = np.repeat(np.arange(10.0)[:, None], 2, axis=1)
     guarantee = all(
-        (generate_trials(distinct_rows[None], 0.0, rng.uniform(1).item(), [rng])[0] != distinct_rows)
+        (generate_trials(distinct_rows[None], 0.0, [source])[0] != distinct_rows)
         .any(axis=1).all()
-        for _ in range(10_000)
+        for source in (TrialSource(rng, rng.uniform(1).item()) for _ in range(500))
+        for _ in range(20)
     )
 
     contained = True

@@ -18,14 +18,14 @@ from multide import (
     run_de,
     selection_step,
 )
-from multide.core import _spreading, evaluate_batch, generate_trials
+from multide.core import TrialSource, _spreading, evaluate_batch, generate_trials
 
 UNIT = Bounds(np.zeros(2), np.ones(2))
 
 
-def trials_of(pop, F, CR, rng):
-    """``generate_trials`` on a single population."""
-    return generate_trials(pop[None], F, CR, [rng])[0]
+def trials_of(pop, F, source):
+    """``generate_trials`` on a single population drawing from one :class:`TrialSource`."""
+    return generate_trials(pop[None], F, [source])[0]
 
 
 def spread_of(pop, best, bounds):
@@ -155,16 +155,18 @@ def test_init_population_rejects_bad_count():
 
 # ------------------------------------------------- mutation and crossover
 
-# generate_trials takes one trial_draws generation per stream: the donor
-# indices (with redraws of colliding rows, none when the script is valid),
-# the (n,) forced crossover indices and one (n, d) block of uniforms.
+# generate_trials takes one generation per stream from its TrialSource,
+# which decodes trial_block's blocks: the donor indices (with redraws of
+# colliding rows, none when the script is valid), the (n,) forced crossover
+# indices and one (n, d) array of uniforms per generation.
 
-def scripted(donors, forced=None, uniforms=None, dim=2):
+def scripted(donors, forced=None, uniforms=None, dim=2, CR=1.0):
+    """A TrialSource on a one-generation scripted block."""
     donors = np.array(donors)
     n = len(donors)
     forced = np.zeros(n, dtype=int) if forced is None else np.array(forced)
     uniforms = np.zeros((n, dim)) if uniforms is None else np.array(uniforms)
-    return FakeRng(generations=[(donors, forced, uniforms)])
+    return TrialSource(FakeRng(blocks=[(donors[None], forced[None], uniforms[None])]), CR)
 
 
 def valid_donors(n, gen):
@@ -191,35 +193,35 @@ def donor_triple(row, i):
 
 def test_mutate_direct_arithmetic():
     pop = np.array([(1, 1), (3, 3), (1, 1), (9, 9)], dtype=float)
-    rng = scripted([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-    trials = trials_of(pop, 0.5, 1.0, rng)
+    source = scripted([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    trials = trials_of(pop, 0.5, source)
     assert np.array_equal(trials[3], [2.0, 2.0])
     assert np.array_equal(trials, [[-1.0, -1.0], [-3.0, -3.0], [-2.0, -2.0], [2.0, 2.0]])
 
 
 def test_mutate_f_zero_returns_first_donor():
     pop = np.array([(1, 2), (5, 5), (7, 7), (9, 9)], dtype=float)
-    rng = scripted([[1, 2, 3], [2, 0, 3], [3, 0, 1], [0, 1, 2]])
-    trials = trials_of(pop, 0.0, 1.0, rng)
+    source = scripted([[1, 2, 3], [2, 0, 3], [3, 0, 1], [0, 1, 2]])
+    trials = trials_of(pop, 0.0, source)
     assert np.array_equal(trials, pop[[1, 2, 3, 0]])
 
 
 def test_mutate_zero_difference_collapses_to_base():
     pop = np.full((5, 2), 4.0)
-    trials = trials_of(pop, 0.9, 0.5, RngStream(3))
+    trials = trials_of(pop, 0.9, TrialSource(RngStream(3), 0.5))
     assert np.array_equal(trials, pop)
 
 
 def test_mutate_requires_four_members():
     with pytest.raises(ConfigurationError):
-        trials_of(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, 0.5, RngStream(0))
+        trials_of(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, TrialSource(RngStream(0), 0.5))
 
 
 def test_donor_indices_distinct_and_exclude_target():
-    rng = RngStream(11)
+    source = TrialSource(RngStream(11), 1.0)
     pop = np.eye(8)
     for _ in range(2000):
-        trials = trials_of(pop, 0.5, 1.0, rng)
+        trials = trials_of(pop, 0.5, source)
         for i, row in enumerate(trials):
             assert donor_triple(row, i) is not None
 
@@ -231,45 +233,67 @@ def test_crossover_cr_one_copies_donor():
         donors = valid_donors(4, gen)
         script = scripted(donors, gen.integers(0, 3, size=4), gen.random((4, 3)), dim=3)
         expected = pop[donors[:, 0]] + 0.7 * (pop[donors[:, 1]] - pop[donors[:, 2]])
-        assert np.array_equal(trials_of(pop, 0.7, 1.0, script), expected)
+        assert np.array_equal(trials_of(pop, 0.7, script), expected)
     # the same on live draws: every trial is a whole, valid donor
-    rng = RngStream(2)
+    source = TrialSource(RngStream(2), 1.0)
     pop = np.eye(6)
     for _ in range(50):
-        trials = trials_of(pop, 0.5, 1.0, rng)
+        trials = trials_of(pop, 0.5, source)
         assert all(donor_triple(row, i) is not None for i, row in enumerate(trials))
 
 
 def test_crossover_cr_zero_changes_exactly_one_coordinate():
-    rng = RngStream(3)
+    source = TrialSource(RngStream(3), 0.0)
     # F = 0 makes every donor another row, which differs from the target
     # in every coordinate
     pop = np.repeat(np.arange(5.0)[:, None], 4, axis=1)
     for _ in range(200):
-        trials = trials_of(pop, 0.0, 0.0, rng)
+        trials = trials_of(pop, 0.0, source)
         assert np.array_equal(np.count_nonzero(trials != pop, axis=1), np.ones(5))
 
 
 def test_crossover_scripted_example():
     # row 0: forced index 0 takes the donor; the second coordinate draws 0.9 > CR
     pop = np.array([(10, 20), (1, 2), (3, 4), (5, 6)], dtype=float)
-    rng = scripted(
+    source = scripted(
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
         forced=[0, 1, 0, 1],
         uniforms=[[0.3, 0.9], [0.9, 0.9], [0.05, 0.1], [0.9, 0.9]],
+        CR=0.1,
     )
-    trials = trials_of(pop, 0.0, 0.1, rng)
+    trials = trials_of(pop, 0.0, source)
     assert np.array_equal(trials[0], [1.0, 20.0])
     assert np.array_equal(trials, [[1.0, 20.0], [1.0, 20.0], [10.0, 20.0], [5.0, 20.0]])
 
 
 def test_crossover_always_inherits_from_donor():
+    # CR is drawn from the stream once per source; each source serves 20 generations.
     rng = RngStream(4)
     pop = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
-    for _ in range(5000):
-        cr = rng.uniform(1).item()
-        trials = trials_of(pop, 0.0, cr, rng)
-        assert (trials != pop).any(axis=1).all()
+    for _ in range(250):
+        source = TrialSource(rng, rng.uniform(1).item())
+        for _ in range(20):
+            assert (trials_of(pop, 0.0, source) != pop).any(axis=1).all()
+
+
+def test_trial_source_serves_its_blocks_generation_by_generation():
+    # Each block's generations in order, then the next block's; another
+    # population shape drops the rest of a block and takes the next one.
+    source, twin = TrialSource(RngStream(8), 0.5), RngStream(8)
+
+    def served(block, g):
+        donors, forced, u = block
+        take = u[g] <= 0.5
+        take[np.arange(len(forced[g])), forced[g]] = True
+        return donors[g].T, take
+
+    first, second, third = twin.trial_block(5, 2), twin.trial_block(5, 2), twin.trial_block(6, 3)
+    expected = [served(first, g) for g in range(len(first[0]))] + [served(second, 0)]
+    for rows, take in expected:
+        got = source.generation(5, 2)
+        assert np.array_equal(got[0], rows) and np.array_equal(got[1], take)
+    got = source.generation(6, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, served(third, 0)))
 
 
 # ---------------------------------------------------------------- selection

@@ -209,6 +209,18 @@ def test_apply_overrides_refuses_what_the_config_refuses():
         apply_overrides(replace(base, penalty=None, switch_tol=None), {"beta": 10.0})
 
 
+def test_a_penalty_that_can_overflow_is_refused():
+    # Three foreign anchors at distance 0 sum to 3 * 1e308, past the largest
+    # float: penalty_batch returned +inf with numpy's overflow warning.
+    base = get_problem("B1").default_params
+    four = apply_overrides(base, {"nsp": 4})
+    for params, overrides in ((four, {"beta": 1e308}), (base, {"beta": 6e307, "nsp": 4})):
+        with pytest.raises(ConfigurationError, match="3 foreign subpopulations overflows"):
+            apply_overrides(params, overrides)
+    assert apply_overrides(four, {"beta": 5e307}).penalty.magnitude == 5e307
+    assert apply_overrides(base, {"beta": 1e308, "nsp": 1}).subpops == 1  # no foreign anchor
+
+
 def test_algorithms_are_the_engine_table():
     assert ALGORITHMS == tuple(ENGINES)
     subcommands = _parser()._subparsers._group_actions[0].choices

@@ -23,7 +23,7 @@ from multide import (
     RngStream,
     get_problem,
 )
-from multide.core import _spreading, evaluate_batch, generate_trials
+from multide.core import TrialSource, _spreading, evaluate_batch, generate_trials
 from multide.deflation import penalty_batch
 from multide.harness import ENGINES
 
@@ -69,13 +69,16 @@ def same_bits(a, b):
 @pytest.mark.parametrize("n", [4, 5, 15, 30])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_generate_trials_matches_reference_draw_for_draw(n, d):
-    for seed in range(150):
+    for seed in range(40):
         coords = np.random.default_rng(10_000 + seed).random((n, d)) * 4.0 - 2.0
         a, b = RngStream(seed), np.random.default_rng(seed)
-        got = generate_trials(coords[None], 0.7, 0.4, [a])[0]
-        want = reference_generate_trials(coords, 0.7, 0.4, b)
-        assert same_bits(got, want)
-        # both consumed exactly the same draws
+        source = TrialSource(a, 0.4)
+        # every generation of the source's first block: several per seed
+        for _ in range(len(RngStream(seed).trial_block(n, d)[0])):
+            got = generate_trials(coords[None], 0.7, [source])[0]
+            want = reference_generate_trials(coords, 0.7, 0.4, b)
+            assert same_bits(got, want)
+        # after one block, both consumed exactly the same draws
         assert a.uniform(1) == b.random(1)
 
 

@@ -364,8 +364,8 @@ COUNT_INPUTS = {
     "subpops": (1, lambda v: MultiParams(de=DE, subpops=v)),
     "population count": (1, lambda v: init_population(BOX, v, RngStream(0))),
     "group_size": (1, lambda v: group_de_runs([], v)),
-    "trial_draws n": (4, lambda v: RngStream(0).trial_draws(v, 2)),
-    "trial_draws d": (1, lambda v: RngStream(0).trial_draws(6, v)),
+    "trial_block n": (4, lambda v: RngStream(0).trial_block(v, 2)),
+    "trial_block d": (1, lambda v: RngStream(0).trial_block(6, v)),
     "runs": (1, lambda v: ExperimentConfig(problems=["B1"], runs=v)),
     "seed": (0, lambda v: ExperimentConfig(problems=["B1"], seed=v)),
 }
@@ -585,8 +585,8 @@ def test_failed_generation_reports_the_previous_one_and_every_call(nsp, monkeypa
     params = replace(B1_MDE, subpops=nsp)
     stacks, real_generate_trials = [], mp.generate_trials
 
-    def recording_generate_trials(pops, F, CR, rngs):
-        stacks.append(real_generate_trials(pops, F, CR, rngs))
+    def recording_generate_trials(pops, F, sources):
+        stacks.append(real_generate_trials(pops, F, sources))
         return stacks[-1]
 
     monkeypatch.setattr(mp, "generate_trials", recording_generate_trials)

@@ -3,10 +3,10 @@
 ``RngStream`` decodes PCG64 words itself, in blocks, instead of calling
 ``Generator``. These tests make the same call sequence on an ``RngStream``
 and on ``default_rng(SeedSequence(entropy=seed, spawn_key=key))`` and
-compare every returned value, its type, dtype and shape. ``trial_draws``,
-one generation's draws in one call, is compared with the per-call draws it
-stands for, on numpy's words and on crafted words that force its rare
-paths.
+compare every returned value, its type, dtype and shape. ``trial_block``,
+a block of generations' draws in one call, is compared generation by
+generation with the per-call draws it stands for, on numpy's words and on
+crafted words that force its rare paths.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from conftest import examples, reference_trial_draws, twin
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multide import ConfigurationError, RngStream
+from multide import ConfigurationError, RngStream, rng
 from multide.rng import BLOCK
 
 # 2**31 + 1 rejects about half of all uint32 draws. At 3 * 2**30 a quarter
@@ -154,34 +154,44 @@ def test_numpy_integers_seed_key_and_split():
         RngStream(-1)
 
 
-# ------------------------------------------------------- one generation's draws
+# ------------------------------------------------------- blocks of generations
 
 def per_call_draws(ref, n, d):
-    """The reference draws from ``ref``, a numpy ``Generator`` or a :class:`PerCall`."""
+    """One generation's reference draws from ``ref``, a numpy ``Generator`` or a :class:`PerCall`."""
     return reference_trial_draws(ref.integers, ref.random, n, d)
 
 
-def same_draws(ours, theirs):
-    assert ours[0] == theirs[0] and all(type(v) is int for v in ours[0])
-    for got, want in zip(ours[1:], theirs[1:]):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+def same_block(block, ref, n, d):
+    """Each generation of a ``trial_block`` result against the next per-call draws of ``ref``."""
+    donors, forced, uniforms = block
+    G = len(donors)
+    assert G >= 1
+    assert (donors.shape, forced.shape, uniforms.shape) == ((G, n, 3), (G, n), (G, n, d))
+    assert (donors.dtype, forced.dtype, uniforms.dtype) == (np.intp, np.int64, np.float64)
+    for g in range(G):
+        r, f, u = per_call_draws(ref, n, d)
+        assert donors[g].ravel().tolist() == r
+        assert np.array_equal(forced[g], f) and np.array_equal(uniforms[g], u)
+
+
+probe_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
 
 
 @examples(60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
        before=st.lists(st.tuples(st.sampled_from(["uniform", "integers"]),
                                  st.integers(0, BLOCK + 3)), max_size=3),
-       probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
-def test_trial_draws_match_per_call_reference(seed, n, d, before, probes):
-    # Earlier draws start the first generation mid-block, next to a refill
-    # or on an owed half; each generation's probe draws (odd integer counts
-    # leave a half owed, none lets generations follow each other directly)
-    # show the stream ends where the per-call draws leave numpy's.
+       probes=probe_lists)
+def test_trial_blocks_match_per_call_reference(seed, n, d, before, probes):
+    # Earlier draws start the first block mid-block, next to a refill or on
+    # an owed half. After each of 1-4 blocks, probe draws (odd integer
+    # counts leave a half owed, a uniform call moves it, none lets blocks
+    # follow each other directly) show the stream ends where G generations
+    # of per-call draws leave numpy's.
     stream, ref = RngStream(seed), twin(seed)
     replay(stream, ref, [(kind, 30, count) for kind, count in before])
     for integer_probe, uniform_probe in probes:
-        same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
+        same_block(stream.trial_block(n, d), ref, n, d)
         replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
@@ -229,62 +239,91 @@ def crafted_pair(seed, rejected, zeros):
 @examples(40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
        rejected=st.sampled_from([0.0, 0.01, 0.25]), zeros=st.sampled_from([0.0, 0.05, 0.3]),
-       ranges=st.lists(st.integers(2, 70), max_size=5),
-       probes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=15))
-def test_trial_draws_match_per_call_draws_on_crafted_words(seed, n, d, rejected, zeros, ranges, probes):
+       ranges=st.lists(st.integers(2, 70), max_size=5), probes=probe_lists)
+def test_trial_blocks_match_per_call_draws_on_crafted_words(seed, n, d, rejected, zeros, ranges,
+                                                            probes):
     # Against the per-call draws of a twin stream on the same words, which
     # the tests above check against numpy. Other ranges drawn first give
     # the block tables before those of n and d.
     stream, ref = crafted_pair(seed, rejected, zeros)
     replay(stream, ref, [("integers", m, 1) for m in ranges])
     for integer_probe, uniform_probe in probes:
-        same_draws(stream.trial_draws(n, d), per_call_draws(ref, n, d))
+        same_block(stream.trial_block(n, d), ref, n, d)
         replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
-def test_trial_draws_rejections_refill_and_owed_half():
+def test_trial_block_rejections_owed_half_and_windows_past_the_block(monkeypatch):
     stream, ref = crafted_pair(17, 0.25, 0.3)
-    takes, places = [], []
-    take = stream._take
+    reads = []
+    accepted = rng._accepted
 
-    def recorded_take(n, count, offset=0):
-        values, halves = take(n, count, offset)
-        takes.append((n, count, offset, halves))
-        return values, halves
+    def recorded(values, rejecting, start, count):
+        taken, halves = accepted(values, rejecting, start, count)
+        reads.append((count, rejecting, len(taken), halves))
+        return taken, halves
 
-    stream._take = recorded_take
-    # A quarter of the halves are rejected and 3 in 10 decode to 0, so
-    # generations retake the window past the 159 values of n = 30, recount
-    # the halves the donors took and read forced indices past rejected
-    # halves. The first generation starts on an owed half.
+    monkeypatch.setattr(rng, "_accepted", recorded)
+    # A quarter of the halves are rejected and 3 in 10 decode to 0, so the
+    # donors and forced indices skip rejected halves of ranges 30 and 3 and
+    # redraw rounds outrun their windows. The first block starts on an
+    # owed half.
     replay(stream, ref, [("integers", 30, 1), ("uniform", 0, BLOCK - 300)])
     assert stream._at % 2 == 1
-    for _ in range(40):
-        same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
-        places.append(stream._at)
-    assert any(n == 30 and count > 159 and not offset for n, count, offset, _ in takes)
-    assert any(n == 3 and offset and halves > count for n, count, offset, halves in takes)
-    assert any(b < a for a, b in zip(places, places[1:]))  # block refills
+    sizes = []
+    for _ in range(8):
+        block = stream.trial_block(30, 3)
+        same_block(block, ref, 30, 3)
+        sizes.append(len(block[0]))
+    # The forced indices (30 values of range 3) read past rejected halves,
+    # and so do the donor windows of range 30.
+    assert any(count == 30 and rejecting and halves > count for count, rejecting, _, halves in reads)
+    assert any(count != 30 and rejecting and halves > taken
+               for count, rejecting, taken, halves in reads)
+    # Some window ran past the buffered words, so a generation did not fit.
+    assert any(taken < count for count, _, taken, _ in reads)
+    assert min(sizes) >= 1
     replay(stream, ref, FIXED_CALLS)
 
 
-def test_trial_draws_after_other_ranges_add_their_tables_to_the_block():
+@pytest.mark.parametrize("n", [4, 5, 30])
+def test_trial_blocks_in_one_dimension_draw_no_forced_index(n):
+    # A single-value range draws nothing: the forced indices are 0 and the
+    # uniforms follow the donors directly.
+    stream, ref = RngStream(n), twin(n)
+    for _ in range(3):
+        block = stream.trial_block(n, 1)
+        assert not block[1].any()
+        same_block(block, ref, n, 1)
+    replay(stream, ref, FIXED_CALLS)
+
+
+def test_trial_block_after_other_ranges_adds_its_tables_to_the_block():
     stream, ref = RngStream(23), twin(23)
     replay(stream, ref, [("integers", m, 1) for m in (5, 6, 7, 9)])
-    same_draws(stream.trial_draws(30, 3), per_call_draws(ref, 30, 3))
+    same_block(stream.trial_block(30, 3), ref, 30, 3)
     assert sorted(stream._tables) == [3, 5, 6, 7, 9, 30]  # every range drawn has a table
+    replay(stream, ref, FIXED_CALLS)
+
+
+def test_trial_block_arrays_are_the_callers():
+    stream, ref = RngStream(29), twin(29)
+    for d in (2, 1, 2):
+        block = stream.trial_block(30, d)
+        same_block(block, ref, 30, d)
+        for array in block:
+            array[...] = 0
     replay(stream, ref, FIXED_CALLS)
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (6, 0), (6, -1), (6.0, 2), (6, 2.5), (True, 2),
                                   (6, True)], ids=repr)
-def test_trial_draws_refuses_what_per_call_draws_refuse(n, d):
-    # (6, -1) returned a (6, 0) uniforms array and left the stream behind the
-    # words its donors took, (6, 0) returned values where numpy's
+def test_trial_block_refuses_what_per_call_draws_refuse(n, d):
+    # (6, -1) once returned a (6, 0) uniforms array and left the stream behind
+    # the words its donors took, (6, 0) returned values where numpy's
     # integers(0, 0) raises, and 6.0 or 2.5 ended in a raw TypeError. A
     # numpy int32 d overflowed in the decoder; numpy integers now work.
     stream, ref = RngStream(3), twin(3)
     with pytest.raises(ConfigurationError):
-        stream.trial_draws(n, d)
+        stream.trial_block(n, d)
     replay(stream, ref, FIXED_CALLS)  # the refused call drew nothing
-    same_draws(stream.trial_draws(np.int64(6), np.int32(2)), per_call_draws(ref, 6, 2))
+    same_block(stream.trial_block(np.int64(6), np.int32(2)), ref, 6, 2)

@@ -9,7 +9,7 @@ Run from the root of a source checkout, with two checkouts to compare
 For every workload in BENCHMARK.json it runs the checkouts' own, unchanged
 ``perfbench/run.py --seed 7 --seconds R --trace 0`` (R: BENCHMARK.json's
 ``run_seconds``) in 10 alternating pairs (odd pairs parent first, even pairs
-change first), then ``--seconds 4 --trace 1`` in 3 pairs for every
+change first), then ``--seconds 2 --trace 1`` in 8 pairs for every
 per-layer figure BENCHMARK.json lists. It also times
 ``python -X importtime -c "import multide"`` in 15 alternating pairs.
 Every figure comes with the parent's own spread (``setup_s`` included),
@@ -32,7 +32,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 SEED = 7
 PAIRS = 10                           # the fewest pairs a gain may be claimed on
-TRACE_SECONDS, TRACE_PAIRS = 4, 3
+# A traced run times one pass after --seconds / 2 of warm-up, so its length
+# buys little: over 8 runs of one parent tree on grid, the interquartile
+# range of core.generate_trials.us_per_call was 8.2% of the median at 2 s and
+# 7.0% at 6 s (crowded 10.2% and scalar 6.8% over 6 runs at 2 s). Eight pairs
+# give quartiles over 8 runs, so a per-call move past about 10% resolves.
+TRACE_SECONDS, TRACE_PAIRS = 2, 8
 IMPORT_PAIRS = 15
 
 VERDICT_RULE = (
