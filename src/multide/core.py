@@ -233,50 +233,27 @@ def _spreading(pops: np.ndarray, bests: np.ndarray, bounds: Bounds) -> np.ndarra
     return out
 
 
-class TrialSource:
-    """One population's DE/rand/1/bin draws: a stream's trial blocks, a generation at a time.
-
-    ``rng`` is the population's private stream (any object with
-    :meth:`RngStream.trial_block`). Each block is turned once into donor
-    rows ``(G, 3, n)`` and crossover masks ``(G, n, d)``: ``u <= CR``, with
-    each row's forced index set. A call with another population shape
-    drops the rest of the block and decodes a new one.
-    """
-
-    def __init__(self, rng, CR: float):
-        self.rng, self.CR = rng, CR
-        self._rows = self._take = np.empty((0, 0, 0))
-        self._next = 0
-
-    def generation(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next generation's (3, n) donor rows and (n, d) crossover mask."""
-        g = self._next
-        if g == len(self._take) or self._take.shape[1:] != (n, d):
-            donors, forced, u = self.rng.trial_block(n, d)
-            self._take = u <= self.CR
-            self._take.ravel()[forced.ravel() + np.arange(0, u.size, d)] = True
-            self._rows, g = donors.transpose(0, 2, 1).copy(), 0
-        self._next = g + 1
-        return self._rows[g], self._take[g]
-
-
 def generate_trials(pops: np.ndarray, F: float, sources) -> np.ndarray:
     """Mutation + crossover for a (k, n, d) stack of populations at once.
 
-    ``sources`` holds one :class:`TrialSource` per population; the result
-    holds one trial vector per row. Each source gives one generation per
-    call, which fixes its stream's draw order: donor index triples
-    (colliding rows redrawn round by round), then the forced crossover
-    indices, then one uniform per coordinate.
+    ``sources`` holds one :meth:`RngStream.trials` iterator per population,
+    made for its ``(n, d)``; the result holds one trial vector per row. Each
+    call takes the next generation of every source, which fixes its
+    stream's draw order: donor index triples (colliding rows redrawn round
+    by round), then the forced crossover indices, then one uniform per
+    coordinate. Sources made for another ``(n, d)`` raise ``ValueError``.
     """
     k, n, d = pops.shape
     flat = pops.reshape(k * n, d)
     if k == 1:
-        r, take = sources[0].generation(n, d)
-    else:  # donor rows in ``flat``: population j's rows start at j * n
-        rows, masks = zip(*[source.generation(n, d) for source in sources])
-        r = np.concatenate(rows, axis=1) + np.arange(0, k * n, n).repeat(n)
+        r, take = next(sources[0])
+    else:
+        rows, masks = zip(*[next(source) for source in sources])
         take = np.concatenate(masks)
+    if take.shape != flat.shape:
+        raise ConfigurationError(f"trial masks {take.shape} for population rows {flat.shape}")
+    if k > 1:  # donor rows in ``flat``: population j's rows start at j * n
+        r = np.concatenate(rows, axis=1) + np.arange(0, k * n, n).repeat(n)
     x = flat.take(r, axis=0)  # (3, k n, d)
     donors = x[0] + F * (x[1] - x[2])
     return np.where(take, donors, flat).reshape(k, n, d)

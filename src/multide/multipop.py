@@ -24,7 +24,6 @@ from .core import (
     Bounds,
     DEParams,
     RunRecord,
-    TrialSource,
     _spreading,
     best_records,
     check_numbers,
@@ -171,7 +170,7 @@ def _run_engine(
             pop[j] = init_population(bounds, n, streams[j])
             nfe += n
             fit[j] = evaluate_batch(objective, pop[j])
-        sources = [TrialSource(stream, de.CR) for stream in streams]
+        sources = [stream.trials(n, dim, de.CR) for stream in streams]
         # anchors[j] is a copy of subpopulation j's best row (ties go to the
         # lowest index), rewritten whenever fit[j] changes.
         anchors = pop[np.arange(nsp), fit.argmin(axis=1)]

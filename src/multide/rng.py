@@ -124,15 +124,15 @@ class RngStream:
     nothing). Both take a count and return an array the caller owns; a
     count or range that is not an integer (a bool included), or out of
     range, raises :class:`ConfigurationError`.
-    ``trial_block`` gives every whole generation of DE/rand/1/bin draws the
-    buffered words hold in one call, exactly as its sequence of
+    ``trials`` hands out DE/rand/1/bin draws a generation at a time,
+    decoded a block of generations at once, exactly as its sequence of
     ``integers`` and ``uniform`` calls would. Words pulled past the last
     draw are never seen, since engine streams are private children from
     ``split``. No option selects numpy's own generator instead.
 
     Each block decodes its uniforms once, and its integers once for each
-    range drawn from it, so a call is one slice copy and a ``trial_block``
-    call a few slices per generation. An engine stream draws from two
+    range drawn from it, so a call is one slice copy and a block of
+    ``trials`` a few slices per generation. An engine stream draws from two
     ranges, ``n`` and ``d``; a caller that changes the range on every call
     pays one whole-block decode per new range and block.
     """
@@ -172,63 +172,74 @@ class RngStream:
         n = _index(n, "integers range")
         if not 1 <= n <= 1 << 32:
             raise ConfigurationError(f"integers supports 1 to 2**32 values, got {n}")
-        values, used = self._take(n, _index(count, "integers count"))
-        self._at += used
-        return values.copy()
+        count = _index(count, "integers count")
+        if n == 1:  # a single-value range draws nothing
+            return np.zeros(count, dtype=np.int64)
+        need = count
+        while True:
+            self._reserve(need)
+            values, halves = _accepted(*self._table(n), self._at, count)
+            if len(values) == count:
+                self._at += halves
+                return values.copy()
+            need = halves + count - len(values)  # each rejected half is replaced by the next uint32
 
-    def trial_block(self, n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A block of generations of DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
+    def trials(self, n: int, d: int, CR: float):
+        """An iterator over DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
 
-        Returns every whole generation the buffered words hold, ``G >= 1``
-        of them, refilling first when not even one fits: the donor triples
-        ``(G, n, 3)``, the forced crossover indices ``(G, n)`` and the
-        uniforms ``(G, n, d)``, arrays the caller owns. Generation ``g`` is
-        what these calls would return, and the stream is left where ``G``
-        rounds of them would leave it: ``integers(n, 3 * n)``, each row's
-        triple redrawn by one ``integers(n, 3 * m)`` per round over the ``m``
-        rows, ascending, whose triple repeats an index or holds the row's
-        own; then ``integers(d, n)`` and ``uniform(n * d)``.
-
-        The draws are read from the block tables directly: the donors by
-        :func:`_donors`, the forced indices past the halves the donors took
-        and the uniforms from the next whole word on. An owed half moves to
-        the last uniform word, as ``uniform`` moves it, and starts the next
-        generation's donors. Any other ``n`` or ``d`` (a float, a bool, a
-        smaller value) raises :class:`ConfigurationError`.
+        Each item is one generation's ``(3, n)`` donor rows and ``(n, d)``
+        crossover mask (``u <= CR``, each row's forced index set), from what
+        these calls would draw: ``integers(n, 3 * n)`` for the donor triples,
+        one ``integers(n, 3 * m)`` per round over the ``m`` rows, ascending,
+        whose triple repeats an index or holds the row's own, then
+        ``integers(d, n)`` for the forced indices and ``uniform(n * d)``.
+        Taking the first item of a block decodes every whole generation the
+        buffered words hold, ``G >= 1`` of them, from the block tables
+        (refilling first when not even one fits) and moves the stream past
+        them; an owed half moves to each generation's last uniform word. Its
+        items are views of its ``(G, 3, n)`` and ``(G, n, d)`` arrays, the caller's.
+        A bad ``n``, ``d`` or ``CR`` raises :class:`ConfigurationError` here.
         """
-        n, d = _index(n, "trial_block n", 4), _index(d, "trial_block d", 1)
+        n, d = _index(n, "trials n", 4), _index(d, "trials d", 1)
+        if not isinstance(CR, numbers.Real) or isinstance(CR, bool) or not 0.0 <= CR <= 1.0:
+            raise ConfigurationError(f"trials CR must be a number in [0, 1], got {CR!r}")
+        return self._trials(n, d, CR)
+
+    def _trials(self, n: int, d: int, CR: float):
         nd = n * d
         # 4/3 of the 3n**4 / ((n-1)(n-2)(n-3)) values a population takes on average
         window = 4 * n ** 4 // ((n - 1) * (n - 2) * (n - 3)) + 12
         least = 3 * n + (d > 1) * n + 2 * nd  # the fewest halves a generation spans
-        triples, forced, units = [], [], []
         while True:
-            p, end = self._at, len(self._halves)
-            if end - p >= least:
-                vn, rn = self._table(n)
-                while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
-                    r, q = donors[0], p + donors[1]
-                    # a single-value range draws nothing
-                    f, halves = (_accepted(*self._table(d), q, n) if d > 1
-                                 else (np.zeros(n, np.int64), 0))
-                    q += halves
-                    s = (q + 1) // 2  # the first uniform word
-                    if len(f) < n or 2 * (s + nd) > end:
+            triples, forced, units = [], [], []
+            while True:
+                p, end = self._at, len(self._halves)
+                if end - p >= least:
+                    vn, rn = self._table(n)
+                    while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
+                        r, q = donors[0], p + donors[1]
+                        # a single-value range draws nothing
+                        f, halves = (_accepted(*self._table(d), q, n) if d > 1
+                                     else (np.zeros(n, np.int64), 0))
+                        q += halves
+                        s = (q + 1) // 2  # the first uniform word
+                        if len(f) < n or 2 * (s + nd) > end:
+                            break
+                        triples += r
+                        forced.append(f)
+                        units.append(self._unit[s:s + nd])
+                        self._at, p = q, 2 * (s + nd) - q % 2
+                        if q % 2:  # the owed half starts the next generation's donors
+                            vn[p] = vn[q]
+                    if units:
                         break
-                    triples += r
-                    forced.append(f)
-                    units.append(self._unit[s:s + nd])
-                    self._at, p = q, 2 * (s + nd) - q % 2
-                    if q % 2:  # the owed half starts the next generation's donors
-                        vn[p] = vn[q]
-                if units:
-                    break
-            self._reserve(2 * (end - p) + least)
-        self._units(nd)  # moves past the last generation's uniforms and owed half
-        G = len(units)
-        return (np.fromiter(triples, np.intp, 3 * n * G).reshape(G, n, 3),
-                np.concatenate(forced).reshape(G, n),
-                np.concatenate(units).reshape(G, n, d))
+                self._reserve(2 * (end - p) + least)
+            self._units(nd)  # moves past the last generation's uniforms and owed half
+            G = len(units)
+            rows = np.fromiter(triples, np.intp, 3 * n * G).reshape(G, n, 3).transpose(0, 2, 1)
+            take = np.concatenate(units).reshape(G, n, d) <= CR
+            take.ravel()[np.concatenate(forced) + np.arange(0, G * nd, d)] = True
+            yield from zip(rows.copy(), take)
 
     def _units(self, count: int) -> np.ndarray:
         """A view of the uniforms of the next ``count`` words, which the stream moves past.
@@ -244,23 +255,6 @@ class RngStream:
             for values, _ in self._tables.values():
                 values[self._at] = values[at]
         return self._unit[start:start + count]
-
-    def _take(self, n: int, count: int) -> tuple[np.ndarray, int]:
-        """The next ``count`` accepted values of range ``n``, refilling as needed.
-
-        Also returns the number of halves they span, rejected ones included.
-        Nothing is consumed. The values may be a view of a table. A
-        single-value range draws nothing: its values are 0 and span no half.
-        """
-        if n == 1:
-            return np.zeros(count, dtype=np.int64), 0
-        need = count
-        while True:
-            self._reserve(need)
-            values, halves = _accepted(*self._table(n), self._at, count)
-            if len(values) == count:
-                return values, halves
-            need = halves + count - len(values)  # each rejected half is replaced by the next uint32
 
     def _table(self, n: int) -> tuple[np.ndarray, bool]:
         """The block's ``_decode`` for range ``n``, built on first use."""

@@ -21,21 +21,13 @@ def examples(count):
 
 
 class FakeRng:
-    """Scripted stand-in for RngStream that replays queued draws."""
+    """Scripted stand-in for RngStream that replays queued uniform draws."""
 
-    def __init__(self, uniforms=None, blocks=None):
+    def __init__(self, uniforms=None):
         self._uniforms = list(uniforms or [])
-        self._blocks = list(blocks or [])
 
     def uniform(self, count):
         return np.asarray(self._uniforms.pop(0), dtype=float).reshape(count)
-
-    def trial_block(self, n, d):
-        """The next queued (donors, forced, uniforms) block of generations: a script holds no redraws."""
-        donors, forced, uniforms = self._blocks.pop(0)
-        donors = np.asarray(donors).reshape(-1, n, 3)
-        return (donors, np.asarray(forced).reshape(len(donors), n),
-                np.asarray(uniforms, dtype=float).reshape(len(donors), n, d))
 
 
 def twin(seed, spawn_key=()):
@@ -48,7 +40,7 @@ def reference_trial_draws(integers, uniform, n, d):
 
     ``integers(low, high, size)`` and ``uniform(size)`` are numpy's
     ``Generator.integers`` and ``.random``, or calls of those forms. This is
-    the order each generation of ``RngStream.trial_block`` must reproduce:
+    the order each generation of ``RngStream.trials`` must reproduce:
     each round redraws the colliding rows, ascending, in one ``integers``
     call.
     """

@@ -13,7 +13,7 @@ from conftest import compass_minimal, grid_polish_minimizers
 
 from multide import RngStream, get_problem, run_de
 from multide.cli import main as cli_main
-from multide.core import TrialSource, _spreading, generate_trials
+from multide.core import _spreading, generate_trials
 from multide.deflation import PenaltyParams, penalty_batch
 from multide.harness import ENGINES, ExperimentConfig, SweepConfig, run_experiment, run_sweep
 
@@ -133,7 +133,7 @@ def test_criterion_5_operator_properties(b1):
     guarantee = all(
         (generate_trials(distinct_rows[None], 0.0, [source])[0] != distinct_rows)
         .any(axis=1).all()
-        for source in (TrialSource(rng, rng.uniform(1).item()) for _ in range(500))
+        for source in (rng.trials(10, 2, rng.uniform(1).item()) for _ in range(500))
         for _ in range(20)
     )
 

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import CountingObjective, FakeRng, sphere, trial_values
+from conftest import CountingObjective, FakeRng, reference_trial_draws, sphere, trial_values
 
 from multide import (
     Bounds,
@@ -18,13 +18,13 @@ from multide import (
     run_de,
     selection_step,
 )
-from multide.core import TrialSource, _spreading, evaluate_batch, generate_trials
+from multide.core import _spreading, evaluate_batch, generate_trials
 
 UNIT = Bounds(np.zeros(2), np.ones(2))
 
 
 def trials_of(pop, F, source):
-    """``generate_trials`` on a single population drawing from one :class:`TrialSource`."""
+    """``generate_trials`` on a single population drawing from one ``trials`` iterator."""
     return generate_trials(pop[None], F, [source])[0]
 
 
@@ -155,18 +155,19 @@ def test_init_population_rejects_bad_count():
 
 # ------------------------------------------------- mutation and crossover
 
-# generate_trials takes one generation per stream from its TrialSource,
-# which decodes trial_block's blocks: the donor indices (with redraws of
-# colliding rows, none when the script is valid), the (n,) forced crossover
-# indices and one (n, d) array of uniforms per generation.
+# generate_trials takes one generation per stream from its trials
+# iterator: the (3, n) donor rows (drawn with redraws of colliding rows,
+# none when the script is valid) and the (n, d) crossover mask, u <= CR
+# with each row's forced index set.
 
 def scripted(donors, forced=None, uniforms=None, dim=2, CR=1.0):
-    """A TrialSource on a one-generation scripted block."""
+    """A one-item iterator, as ``trials`` yields, of scripted donors, forced indices and uniforms."""
     donors = np.array(donors)
     n = len(donors)
     forced = np.zeros(n, dtype=int) if forced is None else np.array(forced)
-    uniforms = np.zeros((n, dim)) if uniforms is None else np.array(uniforms)
-    return TrialSource(FakeRng(blocks=[(donors[None], forced[None], uniforms[None])]), CR)
+    take = (np.zeros((n, dim)) if uniforms is None else np.array(uniforms)) <= CR
+    take[np.arange(n), forced] = True
+    return iter([(donors.T, take)])
 
 
 def valid_donors(n, gen):
@@ -208,17 +209,17 @@ def test_mutate_f_zero_returns_first_donor():
 
 def test_mutate_zero_difference_collapses_to_base():
     pop = np.full((5, 2), 4.0)
-    trials = trials_of(pop, 0.9, TrialSource(RngStream(3), 0.5))
+    trials = trials_of(pop, 0.9, RngStream(3).trials(5, 2, 0.5))
     assert np.array_equal(trials, pop)
 
 
 def test_mutate_requires_four_members():
-    with pytest.raises(ConfigurationError):
-        trials_of(np.array([(0, 0), (1, 1), (2, 2)], dtype=float), 0.5, TrialSource(RngStream(0), 0.5))
+    with pytest.raises(ConfigurationError, match="trials n must be an integer >= 4"):
+        RngStream(0).trials(3, 2, 0.5)
 
 
 def test_donor_indices_distinct_and_exclude_target():
-    source = TrialSource(RngStream(11), 1.0)
+    source = RngStream(11).trials(8, 8, 1.0)
     pop = np.eye(8)
     for _ in range(2000):
         trials = trials_of(pop, 0.5, source)
@@ -235,7 +236,7 @@ def test_crossover_cr_one_copies_donor():
         expected = pop[donors[:, 0]] + 0.7 * (pop[donors[:, 1]] - pop[donors[:, 2]])
         assert np.array_equal(trials_of(pop, 0.7, script), expected)
     # the same on live draws: every trial is a whole, valid donor
-    source = TrialSource(RngStream(2), 1.0)
+    source = RngStream(2).trials(6, 6, 1.0)
     pop = np.eye(6)
     for _ in range(50):
         trials = trials_of(pop, 0.5, source)
@@ -243,7 +244,7 @@ def test_crossover_cr_one_copies_donor():
 
 
 def test_crossover_cr_zero_changes_exactly_one_coordinate():
-    source = TrialSource(RngStream(3), 0.0)
+    source = RngStream(3).trials(5, 4, 0.0)
     # F = 0 makes every donor another row, which differs from the target
     # in every coordinate
     pop = np.repeat(np.arange(5.0)[:, None], 4, axis=1)
@@ -267,33 +268,44 @@ def test_crossover_scripted_example():
 
 
 def test_crossover_always_inherits_from_donor():
-    # CR is drawn from the stream once per source; each source serves 20 generations.
+    # CR is drawn from the stream once per iterator; each iterator serves 20 generations.
     rng = RngStream(4)
     pop = np.repeat(np.arange(4.0)[:, None], 2, axis=1)
     for _ in range(250):
-        source = TrialSource(rng, rng.uniform(1).item())
+        source = rng.trials(4, 2, rng.uniform(1).item())
         for _ in range(20):
             assert (trials_of(pop, 0.0, source) != pop).any(axis=1).all()
 
 
-def test_trial_source_serves_its_blocks_generation_by_generation():
-    # Each block's generations in order, then the next block's; another
-    # population shape drops the rest of a block and takes the next one.
-    source, twin = TrialSource(RngStream(8), 0.5), RngStream(8)
+def test_trials_serve_their_blocks_generation_by_generation():
+    # Each block's generations in order, then the next block's: the stream
+    # moves once per block, when its first generation is taken, and the
+    # items are what generate_trials applies.
+    stream, ref = RngStream(8), np.random.default_rng(8)
+    items = stream.trials(5, 2, 0.5)
+    pop = np.arange(10.0).reshape(5, 2) ** 2
+    blocks = 0
+    for _ in range(3 * 40):
+        at = (stream._at, len(stream._halves))
+        rows, take = next(items)
+        blocks += (stream._at, len(stream._halves)) != at
+        r, f, u = reference_trial_draws(ref.integers, ref.random, 5, 2)
+        want = u <= 0.5
+        want[np.arange(5), f] = True
+        assert rows.T.ravel().tolist() == r and np.array_equal(take, want)
+        # the same generation through generate_trials
+        donors = pop[rows[0]] + 0.5 * (pop[rows[1]] - pop[rows[2]])
+        assert np.array_equal(trials_of(pop, 0.5, iter([(rows, take)])), np.where(want, donors, pop))
+    assert 3 <= blocks < 40  # several generations per block
 
-    def served(block, g):
-        donors, forced, u = block
-        take = u[g] <= 0.5
-        take[np.arange(len(forced[g])), forced[g]] = True
-        return donors[g].T, take
 
-    first, second, third = twin.trial_block(5, 2), twin.trial_block(5, 2), twin.trial_block(6, 3)
-    expected = [served(first, g) for g in range(len(first[0]))] + [served(second, 0)]
-    for rows, take in expected:
-        got = source.generation(5, 2)
-        assert np.array_equal(got[0], rows) and np.array_equal(got[1], take)
-    got = source.generation(6, 3)
-    assert all(np.array_equal(a, b) for a, b in zip(got, served(third, 0)))
+def test_generate_trials_refuses_sources_of_another_shape():
+    # A (5, 1) mask would otherwise broadcast over (5, 2) rows silently.
+    pop = np.zeros((2, 5, 2))
+    for k in (1, 2):
+        for n, d in ((5, 1), (6, 2), (4, 2)):
+            with pytest.raises(ConfigurationError, match="trial masks"):
+                generate_trials(pop[:k], 0.5, [RngStream(j).trials(n, d, 0.5) for j in range(k)])
 
 
 # ---------------------------------------------------------------- selection

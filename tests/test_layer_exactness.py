@@ -23,7 +23,7 @@ from multide import (
     RngStream,
     get_problem,
 )
-from multide.core import TrialSource, _spreading, evaluate_batch, generate_trials
+from multide.core import _spreading, evaluate_batch, generate_trials
 from multide.deflation import penalty_batch
 from multide.harness import ENGINES
 
@@ -72,9 +72,10 @@ def test_generate_trials_matches_reference_draw_for_draw(n, d):
     for seed in range(40):
         coords = np.random.default_rng(10_000 + seed).random((n, d)) * 4.0 - 2.0
         a, b = RngStream(seed), np.random.default_rng(seed)
-        source = TrialSource(a, 0.4)
-        # every generation of the source's first block: several per seed
-        for _ in range(len(RngStream(seed).trial_block(n, d)[0])):
+        source = a.trials(n, d, 0.4)
+        # every generation of the first block (a block's items are views of
+        # its (G, 3, n) donor rows): several per seed
+        for _ in range(len(next(RngStream(seed).trials(n, d, 0.4))[0].base)):
             got = generate_trials(coords[None], 0.7, [source])[0]
             want = reference_generate_trials(coords, 0.7, 0.4, b)
             assert same_bits(got, want)

@@ -364,8 +364,8 @@ COUNT_INPUTS = {
     "subpops": (1, lambda v: MultiParams(de=DE, subpops=v)),
     "population count": (1, lambda v: init_population(BOX, v, RngStream(0))),
     "group_size": (1, lambda v: group_de_runs([], v)),
-    "trial_block n": (4, lambda v: RngStream(0).trial_block(v, 2)),
-    "trial_block d": (1, lambda v: RngStream(0).trial_block(6, v)),
+    "trials n": (4, lambda v: RngStream(0).trials(v, 2, 0.5)),
+    "trials d": (1, lambda v: RngStream(0).trials(6, v, 0.5)),
     "runs": (1, lambda v: ExperimentConfig(problems=["B1"], runs=v)),
     "seed": (0, lambda v: ExperimentConfig(problems=["B1"], seed=v)),
 }

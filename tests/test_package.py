@@ -21,12 +21,13 @@ README = ROOT / "README.md"
 # held each final best before final bests became one record array, and the
 # aliases for len(match_minimizers(...)) and ResidualObjective(system), and
 # the residual holder that ResidualObjective now is itself, and RngStream's
-# one-generation draws that its trial_block blocks replace.
+# one-generation draws, its block draws and their cursor class, which its
+# trials iterator replaces, with the helper that integers now holds itself.
 REMOVED = ("AnchorSet", "NonlinearSystem", "Point", "PopulationTensor", "SubpopState",
-           "best_of_subpop", "count_ngp", "crossover", "donor_indices", "indicator", "mutate",
-           "penalized_objective", "penalty_term", "residual_objective", "select_greedy",
-           "snapshot_anchors", "spreading_measure", "subpop_spreading", "trial_draws",
-           "without_switch_tol")
+           "TrialSource", "_take", "best_of_subpop", "count_ngp", "crossover", "donor_indices",
+           "indicator", "mutate", "penalized_objective", "penalty_term", "residual_objective",
+           "select_greedy", "snapshot_anchors", "spreading_measure", "subpop_spreading",
+           "trial_block", "trial_draws", "without_switch_tol")
 
 
 def test_every_exported_name_resolves_once():
@@ -38,6 +39,7 @@ def test_every_exported_name_resolves_once():
 def test_scalar_operators_are_gone():
     assert [name for name in REMOVED if hasattr(multide, name)] == []
     assert [name for name in REMOVED if hasattr(multide.multipop, name)] == []
+    assert [name for name in REMOVED if hasattr(multide.core, name)] == []
     assert [name for name in REMOVED if hasattr(multide.RngStream, name)] == []
     assert not hasattr(multide.RngStream, "choice")
     assert not hasattr(multide.deflation, "AnchorSet")

@@ -3,10 +3,10 @@
 ``RngStream`` decodes PCG64 words itself, in blocks, instead of calling
 ``Generator``. These tests make the same call sequence on an ``RngStream``
 and on ``default_rng(SeedSequence(entropy=seed, spawn_key=key))`` and
-compare every returned value, its type, dtype and shape. ``trial_block``,
-a block of generations' draws in one call, is compared generation by
-generation with the per-call draws it stands for, on numpy's words and on
-crafted words that force its rare paths.
+compare every returned value, its type, dtype and shape. ``trials``,
+which decodes a block of generations' draws at once, is compared
+generation by generation with the per-call draws it stands for, on
+numpy's words and on crafted words that force its rare paths.
 """
 
 import numpy as np
@@ -154,44 +154,61 @@ def test_numpy_integers_seed_key_and_split():
         RngStream(-1)
 
 
-# ------------------------------------------------------- blocks of generations
+# ------------------------------------------------------ generations of trials
 
 def per_call_draws(ref, n, d):
     """One generation's reference draws from ``ref``, a numpy ``Generator`` or a :class:`PerCall`."""
     return reference_trial_draws(ref.integers, ref.random, n, d)
 
 
-def same_block(block, ref, n, d):
-    """Each generation of a ``trial_block`` result against the next per-call draws of ``ref``."""
-    donors, forced, uniforms = block
-    G = len(donors)
-    assert G >= 1
-    assert (donors.shape, forced.shape, uniforms.shape) == ((G, n, 3), (G, n), (G, n, d))
-    assert (donors.dtype, forced.dtype, uniforms.dtype) == (np.intp, np.int64, np.float64)
-    for g in range(G):
+def next_block(items):
+    """The items of the block that the next item of a ``trials`` iterator starts.
+
+    A block's items are views of its ``(G, 3, n)`` donor rows, so the first
+    item's base gives ``G``. The next block is decoded only when its first
+    item is taken, so the stream then sits where ``G`` generations leave it.
+    """
+    first = next(items)
+    return [first] + [next(items) for _ in range(len(first[0].base) - 1)]
+
+
+def same_block(block, ref, n, d, CR):
+    """Each generation of a block of ``trials`` items against the next per-call draws of ``ref``."""
+    assert len(block) >= 1
+    rows_base, take_base = block[0][0].base, block[0][1].base
+    assert (rows_base.shape, take_base.shape) == ((len(block), 3, n), (len(block), n, d))
+    for rows, take in block:
+        assert rows.base is rows_base and take.base is take_base
+        assert (rows.shape, take.shape, rows.dtype, take.dtype) == ((3, n), (n, d), np.intp, bool)
         r, f, u = per_call_draws(ref, n, d)
-        assert donors[g].ravel().tolist() == r
-        assert np.array_equal(forced[g], f) and np.array_equal(uniforms[g], u)
+        want = u <= CR
+        want[np.arange(n), f] = True  # at CR = 0 nothing else is set, so the forced indices show
+        assert rows.T.ravel().tolist() == r
+        assert np.array_equal(take, want)
 
 
-probe_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
+# At least three blocks per stream, with probe draws between them.
+probe_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=5)
+crossover_rates = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
 
 @examples(60)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
+       CR=crossover_rates,
        before=st.lists(st.tuples(st.sampled_from(["uniform", "integers"]),
                                  st.integers(0, BLOCK + 3)), max_size=3),
        probes=probe_lists)
-def test_trial_blocks_match_per_call_reference(seed, n, d, before, probes):
+def test_trials_match_per_call_reference(seed, n, d, CR, before, probes):
     # Earlier draws start the first block mid-block, next to a refill or on
-    # an owed half. After each of 1-4 blocks, probe draws (odd integer
-    # counts leave a half owed, a uniform call moves it, none lets blocks
-    # follow each other directly) show the stream ends where G generations
-    # of per-call draws leave numpy's.
+    # an owed half; the iterator, made before them, has drawn nothing. After
+    # each of 3-5 blocks, probe draws (odd integer counts leave a half owed,
+    # a uniform call moves it, none lets blocks follow each other directly)
+    # show the stream ends where G generations of per-call draws leave numpy's.
     stream, ref = RngStream(seed), twin(seed)
+    items = stream.trials(n, d, CR)
     replay(stream, ref, [(kind, 30, count) for kind, count in before])
     for integer_probe, uniform_probe in probes:
-        same_block(stream.trial_block(n, d), ref, n, d)
+        same_block(next_block(items), ref, n, d, CR)
         replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
@@ -238,21 +255,23 @@ def crafted_pair(seed, rejected, zeros):
 
 @examples(40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60), d=st.integers(1, 9),
+       CR=crossover_rates,
        rejected=st.sampled_from([0.0, 0.01, 0.25]), zeros=st.sampled_from([0.0, 0.05, 0.3]),
        ranges=st.lists(st.integers(2, 70), max_size=5), probes=probe_lists)
-def test_trial_blocks_match_per_call_draws_on_crafted_words(seed, n, d, rejected, zeros, ranges,
-                                                            probes):
+def test_trials_match_per_call_draws_on_crafted_words(seed, n, d, CR, rejected, zeros, ranges,
+                                                      probes):
     # Against the per-call draws of a twin stream on the same words, which
     # the tests above check against numpy. Other ranges drawn first give
     # the block tables before those of n and d.
     stream, ref = crafted_pair(seed, rejected, zeros)
     replay(stream, ref, [("integers", m, 1) for m in ranges])
+    items = stream.trials(n, d, CR)
     for integer_probe, uniform_probe in probes:
-        same_block(stream.trial_block(n, d), ref, n, d)
+        same_block(next_block(items), ref, n, d, CR)
         replay(stream, ref, [("integers", n, integer_probe), ("uniform", 0, uniform_probe)])
 
 
-def test_trial_block_rejections_owed_half_and_windows_past_the_block(monkeypatch):
+def test_trials_rejections_owed_half_and_windows_past_the_block(monkeypatch):
     stream, ref = crafted_pair(17, 0.25, 0.3)
     reads = []
     accepted = rng._accepted
@@ -269,11 +288,12 @@ def test_trial_block_rejections_owed_half_and_windows_past_the_block(monkeypatch
     # owed half.
     replay(stream, ref, [("integers", 30, 1), ("uniform", 0, BLOCK - 300)])
     assert stream._at % 2 == 1
+    items = stream.trials(30, 3, 0.0)
     sizes = []
     for _ in range(8):
-        block = stream.trial_block(30, 3)
-        same_block(block, ref, 30, 3)
-        sizes.append(len(block[0]))
+        block = next_block(items)
+        same_block(block, ref, 30, 3, 0.0)
+        sizes.append(len(block))
     # The forced indices (30 values of range 3) read past rejected halves,
     # and so do the donor windows of range 30.
     assert any(count == 30 and rejecting and halves > count for count, rejecting, _, halves in reads)
@@ -286,44 +306,68 @@ def test_trial_block_rejections_owed_half_and_windows_past_the_block(monkeypatch
 
 
 @pytest.mark.parametrize("n", [4, 5, 30])
-def test_trial_blocks_in_one_dimension_draw_no_forced_index(n):
-    # A single-value range draws nothing: the forced indices are 0 and the
-    # uniforms follow the donors directly.
+def test_trials_in_one_dimension_draw_no_forced_index(n):
+    # A single-value range draws nothing: the forced index is 0, so every
+    # mask is all set, and the uniforms follow the donors directly.
     stream, ref = RngStream(n), twin(n)
+    items = stream.trials(n, 1, 0.5)
     for _ in range(3):
-        block = stream.trial_block(n, 1)
-        assert not block[1].any()
-        same_block(block, ref, n, 1)
+        block = next_block(items)
+        assert all(take.all() for _, take in block)
+        same_block(block, ref, n, 1, 0.5)
     replay(stream, ref, FIXED_CALLS)
 
 
-def test_trial_block_after_other_ranges_adds_its_tables_to_the_block():
+def test_trials_after_other_ranges_add_their_tables_to_the_block():
     stream, ref = RngStream(23), twin(23)
     replay(stream, ref, [("integers", m, 1) for m in (5, 6, 7, 9)])
-    same_block(stream.trial_block(30, 3), ref, 30, 3)
+    items = stream.trials(30, 3, 0.5)
+    same_block(next_block(items), ref, 30, 3, 0.5)
     assert sorted(stream._tables) == [3, 5, 6, 7, 9, 30]  # every range drawn has a table
+    for _ in range(2):
+        same_block(next_block(items), ref, 30, 3, 0.5)
     replay(stream, ref, FIXED_CALLS)
 
 
-def test_trial_block_arrays_are_the_callers():
+def test_trials_arrays_are_the_callers():
+    # No item aliases a stream buffer, and writing into a block changes no
+    # later block of the same iterator or draw of the stream.
     stream, ref = RngStream(29), twin(29)
     for d in (2, 1, 2):
-        block = stream.trial_block(30, d)
-        same_block(block, ref, 30, d)
-        for array in block:
-            array[...] = 0
+        items = stream.trials(30, d, 0.5)
+        for _ in range(3):
+            block = next_block(items)
+            same_block(block, ref, 30, d, 0.5)
+            buffers = [stream._unit, stream._halves, *(v for v, _ in stream._tables.values())]
+            for array in (block[0][0].base, block[0][1].base):
+                assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+                array[...] = 0
     replay(stream, ref, FIXED_CALLS)
 
 
 @pytest.mark.parametrize("n, d", [(3, 2), (6, 0), (6, -1), (6.0, 2), (6, 2.5), (True, 2),
                                   (6, True)], ids=repr)
-def test_trial_block_refuses_what_per_call_draws_refuse(n, d):
+def test_trials_refuse_what_per_call_draws_refuse(n, d):
     # (6, -1) once returned a (6, 0) uniforms array and left the stream behind
     # the words its donors took, (6, 0) returned values where numpy's
     # integers(0, 0) raises, and 6.0 or 2.5 ended in a raw TypeError. A
-    # numpy int32 d overflowed in the decoder; numpy integers now work.
+    # numpy int32 d overflowed in the decoder; numpy integers now work. The
+    # refusal comes at the call, before any item is taken.
     stream, ref = RngStream(3), twin(3)
-    with pytest.raises(ConfigurationError):
-        stream.trial_block(n, d)
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        stream.trials(n, d, 0.5)
     replay(stream, ref, FIXED_CALLS)  # the refused call drew nothing
-    same_block(stream.trial_block(np.int64(6), np.int32(2)), ref, 6, 2)
+    items = stream.trials(np.int64(6), np.int32(2), 0.5)
+    for _ in range(3):
+        same_block(next_block(items), ref, 6, 2, 0.5)
+
+
+@pytest.mark.parametrize("CR", [float("nan"), -0.1, 1.1, True, "0.5"], ids=repr)
+def test_trials_refuse_a_crossover_rate_outside_zero_to_one(CR):
+    stream, ref = RngStream(4), twin(4)
+    with pytest.raises(ConfigurationError, match=r"trials CR must be a number in \[0, 1\]"):
+        stream.trials(6, 2, CR)
+    replay(stream, ref, FIXED_CALLS)  # the refused call drew nothing
+    # numpy numbers and the ends of [0, 1] are taken
+    for CR in (np.float32(0.25), np.float64(0.75), 0, 1):
+        same_block(next_block(stream.trials(6, 2, CR)), ref, 6, 2, CR)
