@@ -9,7 +9,6 @@ problem's ``formula`` string for the exact definition used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,7 @@ from .core import Bounds, DEParams
 from .deflation import PenaltyParams, ResidualObjective
 from .errors import ConfigurationError
 from .multipop import MultiParams
+from .rng import _real
 
 
 class Objective2D:
@@ -132,8 +132,7 @@ class BenchmarkProblem:
                                      f"with m >= 1, got shape {m.shape}")
         if not self.bounds.contains_all(m).all():  # the bounds are finite, so NaN and inf fail too
             raise ConfigurationError(f"known minimizers must lie inside the bounds, got {m.tolist()}")
-        if not 0.0 < self.match_tolerance < math.inf:
-            raise ConfigurationError("match_tolerance must be positive and finite")
+        _real(self.match_tolerance, "match_tolerance", 0, np.inf, closed=False)
         m.flags.writeable = False  # registry problems are shared by every run in the process
 
     @property

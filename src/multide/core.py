@@ -10,26 +10,17 @@ The engines themselves, canonical ``run_de`` included, live in
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, EvaluationError
-from .rng import RngStream, _index
+from .rng import RngStream, _index, _real
 
 # Below this normalized magnitude the spreading denominator is treated as
 # degenerate and the measure falls back to mean distance / domain diagonal.
 DEGENERATE_NORM = 1e-12
-
-
-def check_numbers(**values) -> None:
-    """Refuse, by name, any value that is not a real number (numpy's included) or is a bool."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ConfigurationError(f"{name}: {value!r} is not a number")
 
 
 def as_rows(pts, dim: int) -> np.ndarray:
@@ -95,14 +86,10 @@ class DEParams:
 
     def __post_init__(self):
         _index(self.pop_size, "pop_size", 4)  # mutation needs three donors besides the row
-        check_numbers(F=self.F, CR=self.CR, spread_tol=self.spread_tol)
-        if not 0.0 <= self.F <= 1.0:
-            raise ConfigurationError("F must lie in [0, 1]")
-        if not 0.0 <= self.CR <= 1.0:
-            raise ConfigurationError("CR must lie in [0, 1]")
+        _real(self.F, "F", 0, 1)
+        _real(self.CR, "CR", 0, 1)
         _index(self.max_generations, "max_generations", 1)
-        if not 0.0 < self.spread_tol < math.inf:
-            raise ConfigurationError("spread_tol must be positive and finite")
+        _real(self.spread_tol, "spread_tol", 0, np.inf, closed=False)
 
 
 @dataclass
@@ -241,7 +228,7 @@ def generate_trials(pops: np.ndarray, F: float, sources) -> np.ndarray:
     call takes the next generation of every source, which fixes its
     stream's draw order: donor index triples (colliding rows redrawn round
     by round), then the forced crossover indices, then one uniform per
-    coordinate. Sources made for another ``(n, d)`` raise ``ValueError``.
+    coordinate. Sources made for another ``(n, d)`` raise :class:`ConfigurationError`.
     """
     k, n, d = pops.shape
     flat = pops.reshape(k * n, d)

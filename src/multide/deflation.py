@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rows, check_numbers
+from .core import as_rows
 from .errors import ConfigurationError
-from .rng import is_count
+from .rng import _real, is_count
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,9 @@ class PenaltyParams:
     radius: float
 
     def __post_init__(self):
-        check_numbers(magnitude=self.magnitude, radius=self.radius)
         # An infinite magnitude would score every point outside all radii inf * 0 = NaN.
-        if not 0.0 < self.magnitude < np.inf:
-            raise ConfigurationError("penalty magnitude must be positive and finite")
-        if not self.radius > 0.0:
-            raise ConfigurationError("penalty radius must be positive")
+        _real(self.magnitude, "penalty magnitude", 0, np.inf, closed=False)
+        _real(self.radius, "penalty radius", 0, np.inf, closed=False)
 
 
 def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
@@ -69,18 +66,13 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
             f"own_index must be an integer naming an anchor row, got {own_index!r}")
-    if anchors.shape[1] < 8:
-        delta = anchors[:, 0, None] - pts[:, 0]    # (nsp, n)
-        delta *= delta
-        for k in range(1, anchors.shape[1]):
-            diff = anchors[:, k, None] - pts[:, k]
-            diff *= diff
-            delta += diff
+    # A Python sum, since numpy's warns of inf - inf itself: only an infinite anchor can
+    # meet a point as inf - inf, which is refused below without numpy's warning.
+    if math.isfinite(sum(anchors.ravel().tolist())):
+        delta = _squared_distances(anchors, pts)
     else:
-        # order="C" makes each distance's d squares one contiguous run.
-        delta = np.subtract(anchors[:, None, :], pts, order="C")    # (nsp, n, d)
-        delta *= delta
-        delta = np.add.reduce(delta, axis=2)
+        with np.errstate(invalid="ignore"):
+            delta = _squared_distances(anchors, pts)
     if math.isnan(np.add.reduce(delta, axis=None)):
         raise ConfigurationError("a point or anchor holds NaN, or infinities of one sign meet")
     delta[own_index] = np.inf
@@ -98,6 +90,22 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     terms = (np.add.reduce(delta, axis=0) if len(delta) < 8
              else np.add.reduce(np.delete(delta, own_index, axis=0).T.copy(), axis=1))
     return params.magnitude * terms
+
+
+def _squared_distances(anchors: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (nsp, n) squared distances of every anchor to every row of ``pts``."""
+    if anchors.shape[1] < 8:
+        delta = anchors[:, 0, None] - pts[:, 0]
+        delta *= delta
+        for k in range(1, anchors.shape[1]):
+            diff = anchors[:, k, None] - pts[:, k]
+            diff *= diff
+            delta += diff
+        return delta
+    # order="C" makes each distance's d squares one contiguous run.
+    delta = np.subtract(anchors[:, None, :], pts, order="C")    # (nsp, n, d)
+    delta *= delta
+    return np.add.reduce(delta, axis=2)
 
 
 class ResidualObjective:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -21,11 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import get_problem
-from .core import check_numbers
 from .errors import ConfigurationError, EvaluationError
 from .metrics import aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf
-from .rng import _index
+from .rng import _index, _real
 
 # Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
 ENGINES = {
@@ -165,13 +163,10 @@ def _override_value(key: str, value) -> float:
         raise ConfigurationError(
             f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
         )
-    check_numbers(**{f"parameter {key}": value})
     try:
-        number = float(value)
+        number = float(_real(value, f"parameter {key}"))
     except OverflowError:  # an int beyond the float range; its repr may exceed str's limit
         raise ConfigurationError(f"parameter {key} is too large to be a float") from None
-    if math.isnan(number):
-        raise ConfigurationError(f"parameter {key} must not be NaN")
     if _OVERRIDES[key][2] is int and not number.is_integer():
         raise ConfigurationError(f"parameter {key} must be an integer, got {value!r}")
     return number

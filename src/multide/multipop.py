@@ -26,14 +26,13 @@ from .core import (
     RunRecord,
     _spreading,
     best_records,
-    check_numbers,
     evaluate_batch,
     generate_trials,
     init_population,
 )
 from .deflation import PenaltyParams, penalty_batch
 from .errors import ConfigurationError, EvaluationError
-from .rng import RngStream, _index
+from .rng import RngStream, _index, _real
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,8 @@ class MultiParams:
         if self.penalty is not None and not math.isfinite(self.penalty.magnitude * foreign):
             raise ConfigurationError(f"penalty magnitude {self.penalty.magnitude!r} times "
                                      f"{foreign} foreign subpopulations overflows")
-        if self.switch_tol is not None:
-            check_numbers(switch_tol=self.switch_tol)
-            if not self.switch_tol > self.de.spread_tol:
-                raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
+        if self.switch_tol is not None and not _real(self.switch_tol, "switch_tol") > self.de.spread_tol:
+            raise ConfigurationError("switch_tol must be greater than the spreading tolerance")
 
 
 def selection_step(

@@ -32,6 +32,18 @@ def _index(value, what: str, low: int = 0) -> int:
     return int(value)
 
 
+def _real(value, what: str, low: float = -np.inf, high: float = np.inf, closed: bool = True):
+    """``value`` unchanged, refusing a bool, a non-number, NaN and anything outside ``[low, high]``.
+
+    The interval is ``(low, high)`` when not ``closed``.
+    """
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low <= value <= high if closed else low < value < high)):
+        return value
+    interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+    raise ConfigurationError(f"{what} must be a number in {interval}, got {value!r}")
+
+
 def _decode(halves: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     """Lemire's ``(x * n) >> 32`` for every uint32 ``x`` in ``halves``, as int64.
 
@@ -201,9 +213,7 @@ class RngStream:
         A bad ``n``, ``d`` or ``CR`` raises :class:`ConfigurationError` here.
         """
         n, d = _index(n, "trials n", 4), _index(d, "trials d", 1)
-        if not isinstance(CR, numbers.Real) or isinstance(CR, bool) or not 0.0 <= CR <= 1.0:
-            raise ConfigurationError(f"trials CR must be a number in [0, 1], got {CR!r}")
-        return self._trials(n, d, CR)
+        return self._trials(n, d, _real(CR, "trials CR", 0, 1))
 
     def _trials(self, n: int, d: int, CR: float):
         nd = n * d

@@ -107,7 +107,8 @@ def test_de_params_refuse_non_integer_counts(field, value):
 
 def test_de_params_refuse_infinite_spread_tol():
     # An infinite tolerance would freeze every subpopulation before its first step.
-    with pytest.raises(ConfigurationError, match="spread_tol must be positive and finite"):
+    with pytest.raises(ConfigurationError,
+                       match=r"spread_tol must be a number in \(0, inf\), got inf"):
         DEParams(pop_size=30, F=0.7, CR=0.8, spread_tol=float("inf"))
 
 

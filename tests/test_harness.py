@@ -131,16 +131,18 @@ def test_config_refuses_malformed_override_values_and_seeds():
     # integral floats are numbers; a numeric string is not
     config = ExperimentConfig(problems=["B1"], overrides={"np": 15.0, "f": 0.5})
     assert config.overrides == {"np": 15.0, "f": 0.5}
-    with pytest.raises(ConfigurationError, match="not a number"):
+    with pytest.raises(ConfigurationError,
+                       match=r"parameter f must be a number in \[-inf, inf\], got '0.5'"):
         ExperimentConfig(problems=["B1"], overrides={"f": "0.5"})
 
 
 def test_override_values_refuse_bools_and_strings():
-    with pytest.raises(ConfigurationError, match="not a number"):
+    with pytest.raises(ConfigurationError,
+                       match=r"parameter f must be a number in \[-inf, inf\], got True"):
         ExperimentConfig(problems=["B1"], overrides={"f": True})
     base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
     for parameter, values in (("cr", [True, False]), ("np", ["20"])):
-        with pytest.raises(ConfigurationError, match="not a number"):
+        with pytest.raises(ConfigurationError, match=f"parameter {parameter} must be a number in"):
             SweepConfig(base=base, parameter=parameter, values=values)
 
 
@@ -597,7 +599,7 @@ def spy_on_runs(monkeypatch) -> list:
 def test_sweep_refuses_a_bad_later_value_before_any_run(monkeypatch):
     runs = spy_on_runs(monkeypatch)
     base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
-    with pytest.raises(ConfigurationError, match=r"F must lie in \[0, 1\]"):
+    with pytest.raises(ConfigurationError, match=r"F must be a number in \[0, 1\], got 1.5"):
         run_sweep(SweepConfig(base=base, parameter="f", values=[0.5, 1.5]))
     assert runs == []
 
@@ -843,7 +845,7 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     code = cli_main(["run", "--problem", "B1", "--algo", "de", "--runs", "2",
                      "--param", "eps=inf", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: spread_tol must be positive and finite\n"
+    assert capsys.readouterr().err == "error: spread_tol must be a number in (0, inf), got inf\n"
     assert not out.exists()
 
 
@@ -879,7 +881,7 @@ def test_cli_sweep_refuses_a_bad_later_value_before_any_run(tmp_path, capsys, mo
                      "--sweep-param", "f", "--values", "0.5,1.5", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err == "error: F must lie in [0, 1]\n"
+    assert captured.err == "error: F must be a number in [0, 1], got 1.5\n"
     assert captured.out == ""  # nothing ran, so no table was printed
     assert not out.exists()
     assert runs == []

@@ -24,6 +24,7 @@ from multide import (
     run_dewi,
     run_mde_itmf,
     selection_step,
+    system_problem,
 )
 from multide.core import _spreading
 from multide.deflation import penalty_batch
@@ -309,7 +310,8 @@ def test_multiparams_validation():
 
 
 def test_penalty_magnitude_must_be_finite():
-    with pytest.raises(ConfigurationError, match="finite"):
+    with pytest.raises(ConfigurationError,
+                       match=r"penalty magnitude must be a number in \(0, inf\), got inf"):
         PenaltyParams(magnitude=float("inf"), radius=0.1)
 
 
@@ -326,15 +328,23 @@ def test_parameter_bundles_refuse_nan():
         MultiParams(de=de, switch_tol=nan)
 
 
+# Each parameter, as its refusal names it -> (its interval, None for own_index's
+# integer rule; a call taking it).
 BUNDLE_FIELDS = {
-    "F": lambda v: DEParams(pop_size=10, F=v, CR=0.5),
-    "CR": lambda v: DEParams(pop_size=10, F=0.5, CR=v),
-    "spread_tol": lambda v: DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=v),
-    "magnitude": lambda v: PenaltyParams(magnitude=v, radius=1.0),
-    "radius": lambda v: PenaltyParams(magnitude=1.0, radius=v),
-    "switch_tol": lambda v: MultiParams(de=DEParams(pop_size=10, F=0.5, CR=0.5), switch_tol=v),
-    "own_index": lambda v: penalty_batch(np.zeros((2, 2)), v, np.ones((3, 2)),
-                                         PenaltyParams(magnitude=1.0, radius=1.0)),
+    "F": ("[0, 1]", lambda v: DEParams(pop_size=10, F=v, CR=0.5)),
+    "CR": ("[0, 1]", lambda v: DEParams(pop_size=10, F=0.5, CR=v)),
+    "spread_tol": ("(0, inf)", lambda v: DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=v)),
+    "magnitude": ("(0, inf)", lambda v: PenaltyParams(magnitude=v, radius=1.0)),
+    "radius": ("(0, inf)", lambda v: PenaltyParams(magnitude=1.0, radius=v)),
+    "switch_tol": ("[-inf, inf]",
+                   lambda v: MultiParams(de=DEParams(pop_size=10, F=0.5, CR=0.5), switch_tol=v)),
+    "match_tolerance": ("(0, inf)", lambda v: system_problem(
+        get_problem("B7").objective, BOX, [[0.0, 0.0]], match_tolerance=v)),
+    "trials CR": ("[0, 1]", lambda v: RngStream(0).trials(6, 2, v)),
+    "parameter f": ("[-inf, inf]",
+                    lambda v: ExperimentConfig(problems=["B1"], overrides={"f": v})),
+    "own_index": (None, lambda v: penalty_batch(np.zeros((2, 2)), v, np.ones((3, 2)),
+                                                PenaltyParams(magnitude=1.0, radius=1.0))),
 }
 
 
@@ -347,12 +357,28 @@ BUNDLE_FIELDS = {
 ], ids=repr)
 def test_parameter_bundles_refuse_bools_and_non_numbers(field, value):
     with pytest.raises(ConfigurationError, match=field):
-        BUNDLE_FIELDS[field](value)
+        BUNDLE_FIELDS[field][1](value)
 
 
 @pytest.mark.parametrize("field", list(BUNDLE_FIELDS))
 def test_parameter_bundles_take_numpy_numbers(field):
-    BUNDLE_FIELDS[field](np.int64(1) if field == "own_index" else np.float32(0.5))
+    BUNDLE_FIELDS[field][1](np.int64(1) if field == "own_index" else np.float32(0.5))
+
+
+# An open interval refuses its bounds too, so a radius of inf is refused.
+@pytest.mark.parametrize("field", [field for field in BUNDLE_FIELDS if field != "own_index"])
+def test_every_real_parameter_takes_one_rule(field):
+    interval, call = BUNDLE_FIELDS[field]
+    low, high = (float(bound) for bound in interval[1:-1].split(", "))
+    past = [value for value in (low - 0.5, high + 0.5) if np.isfinite(value)]
+    if interval[0] == "(":
+        past += [low, high]
+    for bad in (True, "1", None, [1], float("nan"), *past):
+        if (field, bad) == ("switch_tol", None):
+            continue
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{field} must be a number in {interval}, got {bad!r}")):
+            call(bad)
 
 
 DE = DEParams(pop_size=10, F=0.5, CR=0.5)

@@ -24,10 +24,10 @@ README = ROOT / "README.md"
 # one-generation draws, its block draws and their cursor class, which its
 # trials iterator replaces, with the helper that integers now holds itself.
 REMOVED = ("AnchorSet", "NonlinearSystem", "Point", "PopulationTensor", "SubpopState",
-           "TrialSource", "_take", "best_of_subpop", "count_ngp", "crossover", "donor_indices",
-           "indicator", "mutate", "penalized_objective", "penalty_term", "residual_objective",
-           "select_greedy", "snapshot_anchors", "spreading_measure", "subpop_spreading",
-           "trial_block", "trial_draws", "without_switch_tol")
+           "TrialSource", "_take", "best_of_subpop", "check_numbers", "count_ngp", "crossover",
+           "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
+           "residual_objective", "select_greedy", "snapshot_anchors", "spreading_measure",
+           "subpop_spreading", "trial_block", "trial_draws", "without_switch_tol")
 
 
 def test_every_exported_name_resolves_once():
