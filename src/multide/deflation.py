@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import as_rows
 from .errors import ConfigurationError
-from .rng import _real, is_count
+from .rng import _real, _shown, is_count
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     pts = as_rows(pts, anchors.shape[1])
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
-            f"own_index must be an integer naming an anchor row, got {own_index!r}")
+            f"own_index must be an integer naming an anchor row, got {_shown(own_index)}")
     # A Python sum, since numpy's warns of inf - inf itself: only an infinite anchor can
     # meet a point as inf - inf, which is refused below without numpy's warning.
     if math.isfinite(sum(anchors.ravel().tolist())):

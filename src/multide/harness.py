@@ -23,7 +23,7 @@ from .benchmarks import get_problem
 from .errors import ConfigurationError, EvaluationError
 from .metrics import aggregate, group_de_runs, match_minimizers
 from .multipop import MultiParams, run_de, run_dewi, run_mde_itmf
-from .rng import _index, _real
+from .rng import _index, _real, _shown
 
 # Algorithm name -> (engine, the engine's parameters from a problem's MultiParams row).
 ENGINES = {
@@ -147,7 +147,7 @@ class SweepConfig:
 
 def _check_type(key: str, value, types, expected: str):
     if not isinstance(value, types):
-        raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
+        raise ConfigurationError(f"{key} must be {expected}, got {_shown(value)}")
 
 
 def _whole(key: str, value, low: int) -> int:
@@ -163,10 +163,7 @@ def _override_value(key: str, value) -> float:
         raise ConfigurationError(
             f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
         )
-    try:
-        number = float(_real(value, f"parameter {key}"))
-    except OverflowError:  # an int beyond the float range; its repr may exceed str's limit
-        raise ConfigurationError(f"parameter {key} is too large to be a float") from None
+    number = float(_real(value, f"parameter {key}"))
     if _OVERRIDES[key][2] is int and not number.is_integer():
         raise ConfigurationError(f"parameter {key} must be an integer, got {value!r}")
     return number

@@ -23,25 +23,41 @@ def is_count(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for a refusal, naming an int too long for ``repr`` by its digit count."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past str's digit limit (sys.set_int_max_str_digits), or holding one
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+        digits = int(abs(value).bit_length() * 0.30102999566398120)  # log10(2): digits or one fewer
+        return f"an integer of {digits + (abs(value) >= 10 ** digits)} digits"
+
+
 def _index(value, what: str, low: int = 0) -> int:
     """``value`` as an int, refusing a bool and anything but an integer >= ``low``."""
     if type(value) is int and value >= low:  # the common case first, at the cost of one check
         return value
     if not is_count(value) or value < low:
-        raise ConfigurationError(f"{what} must be an integer >= {low}, got {value!r}")
+        raise ConfigurationError(f"{what} must be an integer >= {low}, got {_shown(value)}")
     return int(value)
 
 
 def _real(value, what: str, low: float = -np.inf, high: float = np.inf, closed: bool = True):
     """``value`` unchanged, refusing a bool, a non-number, NaN and anything outside ``[low, high]``.
 
-    The interval is ``(low, high)`` when not ``closed``.
+    The interval is ``(low, high)`` when not ``closed``. A number inside it
+    that no float can hold, such as ``10**400``, is refused too.
     """
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (low <= value <= high if closed else low < value < high)):
-        return value
+        try:
+            float(value)
+            return value
+        except OverflowError:  # an int or a fraction past the float range
+            raise ConfigurationError(f"{what} is too large for a float") from None
     interval = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
-    raise ConfigurationError(f"{what} must be a number in {interval}, got {value!r}")
+    raise ConfigurationError(f"{what} must be a number in {interval}, got {_shown(value)}")
 
 
 def _decode(halves: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -66,19 +82,14 @@ def _accepted(values: np.ndarray, rejecting: bool, start: int,
     """The next ``count`` accepted values of a block table from half ``start`` on.
 
     ``values`` and ``rejecting`` are a ``_decode`` of the block. Also
-    returns the halves the values span, rejected ones included. Fewer
-    values come back when the block runs out first.
+    returns the halves the values span, up to and including the last one
+    taken. When the block runs out first, fewer values span all the rest.
     """
-    if not rejecting:
+    if not rejecting or not count:
         taken = values[start:start + count]
         return taken, len(taken)
-    used = count
-    while True:
-        taken = values[start:start + used]
-        taken = taken[taken >= 0]
-        if len(taken) == count or start + used >= len(values):
-            return taken, min(used, len(values) - start)
-        used += count - len(taken)  # each rejected half is replaced by the next uint32
+    at = np.flatnonzero(values[start:] >= 0)[:count]
+    return values[start + at], int(at[-1]) + 1 if len(at) == count else len(values) - start
 
 
 def _donors(values: np.ndarray, rejecting: bool, start: int, n: int,
@@ -224,25 +235,24 @@ class RngStream:
             triples, forced, units = [], [], []
             while True:
                 p, end = self._at, len(self._halves)
-                if end - p >= least:
-                    vn, rn = self._table(n)
-                    while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
-                        r, q = donors[0], p + donors[1]
-                        # a single-value range draws nothing
-                        f, halves = (_accepted(*self._table(d), q, n) if d > 1
-                                     else (np.zeros(n, np.int64), 0))
-                        q += halves
-                        s = (q + 1) // 2  # the first uniform word
-                        if len(f) < n or 2 * (s + nd) > end:
-                            break
-                        triples += r
-                        forced.append(f)
-                        units.append(self._unit[s:s + nd])
-                        self._at, p = q, 2 * (s + nd) - q % 2
-                        if q % 2:  # the owed half starts the next generation's donors
-                            vn[p] = vn[q]
-                    if units:
+                vn, rn = self._table(n)
+                while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
+                    r, q = donors[0], p + donors[1]
+                    # a single-value range draws nothing
+                    f, halves = (_accepted(*self._table(d), q, n) if d > 1
+                                 else (np.zeros(n, np.int64), 0))
+                    q += halves
+                    s = (q + 1) // 2  # the first uniform word
+                    if len(f) < n or 2 * (s + nd) > end:
                         break
+                    triples += r
+                    forced.append(f)
+                    units.append(self._unit[s:s + nd])
+                    self._at, p = q, 2 * (s + nd) - q % 2
+                    if q % 2:  # the owed half starts the next generation's donors
+                        vn[p] = vn[q]
+                if units:
+                    break
                 self._reserve(2 * (end - p) + least)
             self._units(nd)  # moves past the last generation's uniforms and owed half
             G = len(units)

@@ -144,8 +144,10 @@ def test_penalty_dimension_mismatch():
 def test_penalty_own_index_must_name_an_anchor_column():
     params = PenaltyParams(magnitude=10.0, radius=1.0)
     anchors = anchors_of([0.0, 0.0], [1.0, 1.0])
-    for own in (-1, 2):
-        with pytest.raises(ConfigurationError):
+    # 10**5000 is past str's digit limit, so the refusal names it by its digit count.
+    for own, shown in ((-1, "-1"), (2, "2"), (10**5000, "an integer of 5001 digits")):
+        with pytest.raises(ConfigurationError,
+                           match=f"^own_index must be an integer naming an anchor row, got {shown}$"):
             penalty_at([0.0, 0.0], own, anchors, params)
 
 

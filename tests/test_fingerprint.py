@@ -6,6 +6,10 @@ The hashes were recorded before the generation step was rewritten for
 speed, so they pin the RNG draw order and every floating-point result of
 the engines. A change that alters outputs on purpose updates the hashes
 here and says so in CHANGES.md.
+
+The hashes were recorded where numpy dispatches its AVX-512 float64 ``exp``,
+``log`` and ``power`` kernels. Without them ``B4 de traced`` moves, as
+``tools/dispatch_levels.py`` shows; the other cases hold.
 """
 
 import csv

@@ -92,6 +92,10 @@ def test_config_validation():
         ExperimentConfig(problems=["B1"], runs=0)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=["B1"], overrides={"population": 30})
+    # Past str's digit limit, alone or inside a list: named by size, not by repr.
+    for huge, shown in ((10**5000, "an integer of 5001 digits"), ([10**5000], "a list too long to print")):
+        with pytest.raises(ConfigurationError, match=f"^parallel must be true or false, got {shown}$"):
+            ExperimentConfig(problems=["B1"], parallel=huge)
     for repeated in ({"problems": ["B3", "six-hump camel"]}, {"problems": ["B1", "b1"]},
                      {"algorithms": ["de", "dewi", "de"]}):
         with pytest.raises(ConfigurationError, match="more than once"):

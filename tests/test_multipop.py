@@ -328,6 +328,14 @@ def test_parameter_bundles_refuse_nan():
         MultiParams(de=de, switch_tol=nan)
 
 
+# An int past str's digit limit, which a refusal names by its digit count.
+HUGE, HUGE_SHOWN = 10**5000, "an integer of 5001 digits"
+
+
+def shown(value) -> str:
+    return HUGE_SHOWN if value in (HUGE, -HUGE) else repr(value)
+
+
 # Each parameter, as its refusal names it -> (its interval, None for own_index's
 # integer rule; a call taking it).
 BUNDLE_FIELDS = {
@@ -373,12 +381,17 @@ def test_every_real_parameter_takes_one_rule(field):
     past = [value for value in (low - 0.5, high + 0.5) if np.isfinite(value)]
     if interval[0] == "(":
         past += [low, high]
+    if np.isfinite(high):
+        past.append(HUGE)
     for bad in (True, "1", None, [1], float("nan"), *past):
         if (field, bad) == ("switch_tol", None):
             continue
-        with pytest.raises(ConfigurationError,
-                           match=re.escape(f"{field} must be a number in {interval}, got {bad!r}")):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{field} must be a number in {interval}, got {shown(bad)}")):
             call(bad)
+    if not np.isfinite(high):  # inside the interval, but no float holds it
+        with pytest.raises(ConfigurationError, match=re.escape(f"{field} is too large for a float")):
+            call(10**400)
 
 
 DE = DEParams(pop_size=10, F=0.5, CR=0.5)
@@ -400,9 +413,9 @@ COUNT_INPUTS = {
 @pytest.mark.parametrize("what", list(COUNT_INPUTS))
 def test_every_count_input_takes_one_integer_rule(what):
     low, call = COUNT_INPUTS[what]
-    for bad in (True, 2.5, "3", None, low - 1):
+    for bad in (True, 2.5, "3", None, low - 1, -HUGE):
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"{what} must be an integer >= {low}, got {bad!r}")):
+                           match=re.escape(f"{what} must be an integer >= {low}, got {shown(bad)}")):
             call(bad)
     call(np.int64(low))
     # A config file's JSON number 2.0 is still the whole number 2.

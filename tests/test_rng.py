@@ -118,6 +118,37 @@ def test_single_value_range_draws_nothing():
     same(stream.uniform(1), twin(9).random(1))
 
 
+# A block table as ``rng._decode`` gives it, -1 marking a rejected half, and
+# one that rejects nothing.
+TABLE, PLAIN = np.array([4, -1, -1, 7, 2, -1, 9, -1]), np.array([4, 7, 2, 9])
+
+
+# (table, rejecting, start, count) -> the values read and the halves they span:
+# reads ending on a value after rejected ones, reads from the middle, short
+# reads where the block runs out first (every value left and the rest of the
+# block) and reads of nothing.
+@pytest.mark.parametrize("table, rejecting, start, count, values, halves", [
+    (TABLE, True, 0, 2, [4, 7], 4),
+    (TABLE, True, 0, 4, [4, 7, 2, 9], 7),
+    (TABLE, True, 2, 2, [7, 2], 3),
+    (TABLE, True, 4, 1, [2], 1),
+    (TABLE, True, 5, 1, [9], 2),
+    (TABLE, True, 4, 3, [2, 9], 4),
+    (TABLE, True, 7, 1, [], 1),
+    (TABLE, True, 8, 2, [], 0),
+    (TABLE, True, 1, 0, [], 0),
+    (PLAIN, False, 0, 2, [4, 7], 2),
+    (PLAIN, False, 1, 2, [7, 2], 2),
+    (PLAIN, False, 3, 2, [9], 1),
+    (PLAIN, False, 4, 1, [], 0),
+    (PLAIN, False, 2, 0, [], 0),
+])
+def test_accepted_reads_past_rejected_halves(table, rejecting, start, count, values, halves):
+    taken, spanned = rng._accepted(table, rejecting, start, count)
+    assert taken.tolist() == values
+    assert type(spanned) is int and spanned == halves
+
+
 def test_unsupported_ranges_are_refused():
     # A range outside 1 to 2**32, or a range or count that is not an integer
     # >= 0 (a bool included), is refused and draws nothing.

@@ -12,10 +12,11 @@ process it is set for. This script runs the checkout's
 ``tests/test_fingerprint.py`` and its ``perfbench/run.py --seed 7
 --seconds 1 --trace 0`` on every BENCHMARK.json workload, each in a child
 process: once with the variable unset and once with it set to LOWER. It
-prints the features numpy dispatches to at each level, every golden case
-whose outcome and every fingerprint that differs between the two, and
-any that fail at both. It sets the variable only for its children, writes
-no file and changes no output.
+prints the features numpy dispatches to at each level, each float64 function
+the registry's objectives and ``penalty_batch`` use whose bits on one fixed
+seeded sample differ between the two, every golden case whose outcome and
+every fingerprint that differs, and any case that fails at both. It sets
+the variable only for its children, writes no file and changes no output.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 print(np.__version__, *(f for f in {SHOWN!r}.split() if __cpu_features__.get(f)))
+"""
+# A hash of each function's bits on one seeded sample, a line each.
+FUNCTIONS = """
+import hashlib
+import numpy as np
+x = np.random.default_rng(0).uniform(-20.0, 20.0, 200_000)
+a = np.abs(x)
+for name, y in (("exp", np.exp(x)), ("log", np.log(a)), ("x ** 0.1", a ** 0.1), ("x ** 3", x ** 3),
+                ("x ** 4", x ** 4), ("x ** 6", x ** 6), ("sin", np.sin(x)), ("cos", np.cos(x)),
+                ("sqrt", np.sqrt(a))):
+    print(name, hashlib.sha256(y.tobytes()).hexdigest()[:16], sep="\\t")
 """
 
 
@@ -101,14 +113,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     workloads = [w["name"] for w in json.loads((checkout / "BENCHMARK.json").read_text())["workloads"]]
-    goldens, prints = {}, {}
+    functions, goldens, prints = {}, {}, {}
     print(f"checkout: {checkout}")
     for name, level in LEVELS.items():
         features = run(["-c", FEATURES], checkout, level).stdout.split()
         print(f"level '{name}' ({VARIABLE}={level or '<unset>'}): numpy {features[0]}, "
               f"active: {' '.join(features[1:]) or 'none of those shown'}")
+        lines = run(["-c", FUNCTIONS], checkout, level).stdout.splitlines()
+        functions[name] = dict(line.split("\t") for line in lines)
         goldens[name] = golden_outcomes(checkout, level)
         prints[name] = {w: fingerprint(checkout, w, level) for w in workloads}
+    compare("numpy float64 functions", functions)
     compare("golden cases", goldens)
     compare("perfbench --seed 7 fingerprints", prints)
     return 0
