@@ -18,7 +18,7 @@ from .core import Bounds, DEParams
 from .deflation import PenaltyParams, ResidualObjective
 from .errors import ConfigurationError
 from .multipop import MultiParams
-from .rng import _real
+from .rng import _real, _shown
 
 
 class Objective2D:
@@ -311,11 +311,11 @@ _BY_NAME = {p.name.lower(): p.pid for p in _REGISTRY.values()}
 
 def get_problem(key: str) -> BenchmarkProblem:
     """Look up a problem by id ("B1".."B10", case-insensitive) or by name."""
-    token = str(key).strip().lower()
+    token = (key if isinstance(key, str) else _shown(key)).strip().lower()
     pid = token.upper() if token.upper() in _REGISTRY else _BY_NAME.get(token)
     if pid is None:
         raise ConfigurationError(
-            f"unknown problem {key!r}; expected one of {', '.join(_REGISTRY)} or a problem name"
+            f"unknown problem {_shown(key)}; expected one of {', '.join(_REGISTRY)} or a problem name"
         )
     return _REGISTRY[pid]
 

@@ -3,7 +3,8 @@
 Bounds, parameters and run records (a run's final bests are one record
 array), plus the operators every engine runs on whole (sub)populations at
 once: uniform initialization, checked batch evaluation, trial generation
-(mutation and binomial crossover) and the population spreading measure.
+(mutation and binomial crossover) and the population spreading measure;
+also the squared distances that the penalty and minimizer matching share.
 The engines themselves, canonical ``run_de`` included, live in
 :mod:`multide.multipop`.
 """
@@ -218,6 +219,26 @@ def _spreading(pops: np.ndarray, bests: np.ndarray, bounds: Bounds) -> np.ndarra
     dist = np.sqrt(np.add.reduce(diff[degenerate] ** 2, axis=1))
     out[degenerate] = np.add.reduce(dist, axis=1) / n / bounds.diagonal
     return out
+
+
+def _squared_distances(refs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """The (k, n) squared distances of every row of ``refs`` (k, d) to every row of ``pts`` (n, d).
+
+    Below 8 dimensions the squares are added one by one, as numpy adds
+    fewer than 8 terms; from 8 up in numpy's pairwise order over each
+    distance's contiguous run of d squares. So the result has the bits of
+    ``((refs[:, None] - pts) ** 2).sum(axis=2)`` on any memory layout. A
+    square or sum past the float range reads inf and ``inf - inf`` reads
+    NaN, without numpy's warnings, for callers to ignore or refuse.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if refs.shape[1] < 8:  # the (k, d, n) layout of ``_spreading``, reduced over d
+            diff = np.subtract(refs[:, :, None], pts.T, order="C")
+            diff *= diff
+            return np.add.reduce(diff, axis=1)
+        diff = np.subtract(refs[:, None, :], pts, order="C")  # (k, n, d)
+        diff *= diff
+        return np.add.reduce(diff, axis=2)
 
 
 def generate_trials(pops: np.ndarray, F: float, sources) -> np.ndarray:

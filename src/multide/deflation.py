@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_rows
+from .core import _squared_distances, as_rows
 from .errors import ConfigurationError
 from .rng import _real, _shown, is_count
 
@@ -49,15 +49,15 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     happen to share a best point still repel each other.
 
     The work is laid out anchor by row, one row per anchor and one column
-    per point; the own row's distance is set to +inf, so its term is 0.
-    Fewer than 8 squares or anchor terms are added one by one, as numpy
-    adds them, and 8 or more by numpy's ``add.reduce`` over a C-contiguous
-    copy. So on any memory layout the result has the bits of the (n, K, d)
-    formula ``sqrt((diff * diff).sum(axis=2))`` then
-    ``(exp(-delta) * active).sum(axis=1)`` on C-ordered inputs, K = nsp - 1,
-    and a row's penalty does not depend on the rows stacked beside it.
-    A NaN coordinate, or infinities of one sign meeting, leaves a distance
-    undefined and raises :class:`ConfigurationError`.
+    per point, on :func:`multide.core._squared_distances`. The own row's
+    distance is set to +inf, so its term is 0, as is that of a distance
+    past the float range. Fewer than 8 anchor terms are added one by one,
+    as numpy adds them, and 8 or more by numpy's ``add.reduce`` over a
+    C-contiguous copy. So on any memory layout the result has the bits of
+    ``(exp(-delta) * active).sum(axis=1)`` over the C-ordered (n, K)
+    distances, K = nsp - 1, and a row's penalty does not depend on the rows
+    stacked beside it. A NaN coordinate, or infinities of one sign meeting,
+    leaves a distance undefined and raises :class:`ConfigurationError`.
     """
     anchors = np.asarray(anchors, dtype=float)
     if anchors.ndim != 2 or not anchors.shape[1]:
@@ -66,17 +66,11 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     if not is_count(own_index) or not 0 <= own_index < len(anchors):
         raise ConfigurationError(
             f"own_index must be an integer naming an anchor row, got {_shown(own_index)}")
-    # A Python sum, since numpy's warns of inf - inf itself: only an infinite anchor can
-    # meet a point as inf - inf, which is refused below without numpy's warning.
-    if math.isfinite(sum(anchors.ravel().tolist())):
-        delta = _squared_distances(anchors, pts)
-    else:
-        with np.errstate(invalid="ignore"):
-            delta = _squared_distances(anchors, pts)
-    if math.isnan(np.add.reduce(delta, axis=None)):
+    delta = _squared_distances(anchors, pts)
+    # Summed after the root: a sum of squares can overflow, one of their roots cannot.
+    if math.isnan(np.add.reduce(np.sqrt(delta, out=delta), axis=None)):
         raise ConfigurationError("a point or anchor holds NaN, or infinities of one sign meet")
     delta[own_index] = np.inf
-    np.sqrt(delta, out=delta)
     active = delta <= params.radius
     if not np.count_nonzero(active):
         # What the lines below give, since every term is multiplied by 0.
@@ -90,22 +84,6 @@ def penalty_batch(pts: np.ndarray, own_index: int, anchors: np.ndarray,
     terms = (np.add.reduce(delta, axis=0) if len(delta) < 8
              else np.add.reduce(np.delete(delta, own_index, axis=0).T.copy(), axis=1))
     return params.magnitude * terms
-
-
-def _squared_distances(anchors: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """The (nsp, n) squared distances of every anchor to every row of ``pts``."""
-    if anchors.shape[1] < 8:
-        delta = anchors[:, 0, None] - pts[:, 0]
-        delta *= delta
-        for k in range(1, anchors.shape[1]):
-            diff = anchors[:, k, None] - pts[:, k]
-            diff *= diff
-            delta += diff
-        return delta
-    # order="C" makes each distance's d squares one contiguous run.
-    delta = np.subtract(anchors[:, None, :], pts, order="C")    # (nsp, n, d)
-    delta *= delta
-    return np.add.reduce(delta, axis=2)
 
 
 class ResidualObjective:

@@ -87,7 +87,7 @@ class ExperimentConfig:
         for key in ("problems", "algorithms"):
             names = getattr(self, key)
             if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-                raise ConfigurationError(f"{key} must be a list of names, got {names!r}")
+                raise ConfigurationError(f"{key} must be a list of names, got {_shown(names)}")
         _check_type("parallel", self.parallel, bool, "true or false")
         _check_type("trace", self.trace, bool, "true or false")
         _check_type("overrides", self.overrides, dict, "an object of parameter overrides")
@@ -128,10 +128,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.parameter not in SWEEPABLE_KEYS:
             raise ConfigurationError(
-                f"cannot sweep {self.parameter!r}; expected one of {SWEEPABLE_KEYS}"
+                f"cannot sweep {_shown(self.parameter)}; expected one of {SWEEPABLE_KEYS}"
             )
         if not isinstance(self.values, (list, tuple)):
-            raise ConfigurationError(f"sweep values must be a list, got {self.values!r}")
+            raise ConfigurationError(f"sweep values must be a list, got {_shown(self.values)}")
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
         self.values = [_override_value(self.parameter, v) for v in self.values]
@@ -161,11 +161,11 @@ def _override_value(key: str, value) -> float:
     """``value`` as a float; refuses unknown keys, non-numbers, NaN, overflow, non-integral ints."""
     if key not in _OVERRIDES:
         raise ConfigurationError(
-            f"unknown parameter override {key!r}; expected keys from {OVERRIDABLE_KEYS}"
+            f"unknown parameter override {_shown(key)}; expected keys from {OVERRIDABLE_KEYS}"
         )
     number = float(_real(value, f"parameter {key}"))
     if _OVERRIDES[key][2] is int and not number.is_integer():
-        raise ConfigurationError(f"parameter {key} must be an integer, got {value!r}")
+        raise ConfigurationError(f"parameter {key} must be an integer, got {_shown(value)}")
     return number
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RunRecord, best_records
+from .core import RunRecord, _squared_distances, best_records
 from .errors import ConfigurationError
 from .rng import _index
 
@@ -27,8 +27,7 @@ def match_minimizers(final_bests: np.recarray, problem) -> set[int]:
     if coords.shape[1:] != minimizers.shape[1:]:
         raise ConfigurationError(f"bests must be (k, {minimizers.shape[1]}) points, "
                                  f"got shape {coords.shape}")
-    diff = coords[:, None, :] - minimizers  # (k, m, d)
-    dist = np.sqrt(np.add.reduce(diff * diff, axis=2))
+    dist = np.sqrt(_squared_distances(coords, minimizers))  # (k, m)
     return set(np.flatnonzero((dist <= float(problem.match_tolerance)).any(axis=0)).tolist())
 
 

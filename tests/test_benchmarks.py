@@ -1,5 +1,6 @@
 """Registry correctness: domains, minimizers, parameter rows, and the oracle."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +58,11 @@ def test_lookup_by_id_and_name():
     assert get_problem("ackley 3").pid == "B10"
     with pytest.raises(ConfigurationError):
         get_problem("B11")
+    # Past str's digit limit: named by size, not by a raw ValueError.
+    with pytest.raises(ConfigurationError, match="^" + re.escape(
+            "unknown problem an integer of 5001 digits; expected one of B1, B2, B3, B4, B5, B6, B7, "
+            "B8, B9, B10 or a problem name") + "$"):
+        get_problem(10**5000)
 
 
 @pytest.mark.parametrize("pid", sorted(EXPECTED_COUNTS))

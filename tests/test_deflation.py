@@ -184,7 +184,7 @@ def test_penalty_batch_refuses_points_that_are_not_rows():
 def test_penalty_batch_refuses_undefined_distances():
     # A NaN distance is never <= radius, so unchecked it would read as no penalty.
     params = PenaltyParams(magnitude=2.0, radius=1.0)
-    for d in (2, 9):  # the per-dimension loop and numpy's reduce
+    for d in (2, 9):  # both sum orders of core._squared_distances
         pts, anchors = np.zeros((3, d)), np.zeros((3, d))
         for where, row in ((pts, 1), (anchors, 2), (anchors, 0)):  # a point, foreign, own anchor
             where[row, d - 1] = np.nan

@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from multide.harness import (
     ALGORITHMS,
     ENGINES,
     OVERRIDABLE_KEYS,
+    SWEEPABLE_KEYS,
     CellResult,
     ExperimentReport,
     RUNS_CSV_HEADER,
@@ -86,6 +89,8 @@ def scrub_json(node):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=[], algorithms=["de"])
+    with pytest.raises(ConfigurationError, match="^config needs at least one algorithm$"):
+        ExperimentConfig(problems=["B1"], algorithms=[])
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=["B1"], algorithms=["annealing"])
     with pytest.raises(ConfigurationError):
@@ -93,9 +98,23 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(problems=["B1"], overrides={"population": 30})
     # Past str's digit limit, alone or inside a list: named by size, not by repr.
-    for huge, shown in ((10**5000, "an integer of 5001 digits"), ([10**5000], "a list too long to print")):
-        with pytest.raises(ConfigurationError, match=f"^parallel must be true or false, got {shown}$"):
-            ExperimentConfig(problems=["B1"], parallel=huge)
+    huge, shown, base = 10**5000, "an integer of 5001 digits", ExperimentConfig(problems=["B1"])
+    for call, message in (
+            (lambda: ExperimentConfig(problems=["B1"], parallel=huge),
+             f"parallel must be true or false, got {shown}"),
+            (lambda: ExperimentConfig(problems=["B1"], parallel=[huge]),
+             "parallel must be true or false, got a list too long to print"),
+            (lambda: ExperimentConfig(problems=huge), f"problems must be a list of names, got {shown}"),
+            (lambda: ExperimentConfig(problems=["B1"], overrides={huge: 1}),
+             f"unknown parameter override {shown}; expected keys from {OVERRIDABLE_KEYS}"),
+            (lambda: SweepConfig(base, parameter="np", values=huge),
+             f"sweep values must be a list, got {shown}"),
+            (lambda: SweepConfig(base, parameter=huge, values=[1]),
+             f"cannot sweep {shown}; expected one of {SWEEPABLE_KEYS}"),
+            (lambda: ExperimentConfig(problems=["B1"], overrides={"np": Fraction(huge + 1, 2 * huge)}),
+             "parameter np must be an integer, got a Fraction too long to print")):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            call()
     for repeated in ({"problems": ["B3", "six-hump camel"]}, {"problems": ["B1", "b1"]},
                      {"algorithms": ["de", "dewi", "de"]}):
         with pytest.raises(ConfigurationError, match="more than once"):
@@ -309,7 +328,7 @@ def test_single_run_refuses_aggregation():
     assert cell.aggregates is None
 
 
-def test_failed_runs_are_recorded_and_experiment_continues():
+def test_failed_runs_are_recorded_and_experiment_continues(capsys):
     config = small_config(algorithms=["mde-itmf"], runs=2, overrides={"gmax": 1})
     report = run_experiment(config)
     assert report.ok  # gmax=1 is legal, runs complete
@@ -326,12 +345,16 @@ def test_failed_runs_are_recorded_and_experiment_continues():
     hz._single_run = sabotage
     try:
         report = run_experiment(bad)
+        # The command line prints the failure under the table and exits 1.
+        assert cli_main(["run", "--problem", "B3", "--algo", "mde-itmf", "--runs", "2",
+                         "--seed", "11"]) == 1
     finally:
         hz._single_run = original
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0]["seed"] == 12
     assert len(report.cells[0].records) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAILED B3 mde-itmf seed=12: RuntimeError: boom"
 
 
 def test_failed_run_reports_its_partial_record(monkeypatch, tmp_path):
@@ -659,6 +682,12 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
     out = capsys.readouterr().out
     assert "mde-itmf" in out
+    # An output directory that cannot be made: the OS error, exit 1, and no table.
+    blocked = tmp_path / "runs.csv" / "out"
+    assert cli_main(["run", "--problem", "B3", "--algo", "de", "--runs", "2",
+                     "--out", str(blocked)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno ") and err.endswith(f"'{blocked}'\n")
 
 
 def test_cli_accepts_config_file_with_flag_override(tmp_path):
@@ -1004,3 +1033,8 @@ def test_cli_rejects_bad_input(capsys):
     assert cli_main(["run", "--problem", "B3", "--param", "np=abc"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    for argv, message in ((["run", "--param", "np"], "--param expects key=value, got 'np'"),
+                          (["sweep", "--sweep-param", "np", "--values", "8,abc"],
+                           "--values expects comma-separated numbers, got '8,abc'")):
+        assert cli_main(argv + ["--problem", "B3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -264,6 +264,22 @@ def test_selection_step_out_of_bounds_trial_loses_to_an_overflowing_parent():
     assert new_fitness.tolist() == [0.0, 1.0]
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_domains_run_and_score_without_overflow_warnings():
+    # Squared distances past the float range read +inf, so they give no
+    # penalty and match no minimizer; they once raised numpy's overflow warning.
+    huge = Bounds([-1e200] * 2, [1e200] * 2)
+    de = DEParams(pop_size=10, F=0.5, CR=0.9, max_generations=20)
+    multi = MultiParams(de=de, penalty=PenaltyParams(2.0, 1.0), subpops=3)
+    objective = lambda x: float(np.abs(x).sum())  # finite everywhere in the domain
+    for run, params in ((run_de, de), (run_mde_itmf, multi),
+                        (run_dewi, replace(multi, switch_tol=1e-3))):
+        assert run(objective, huge, params, 0).generations_used[0] == 20
+    distant = penalty_batch(np.zeros((3, 2)), 0, np.full((3, 2), 1e308), PenaltyParams(2.0, 1.0))
+    assert distant.tolist() == [0.0, 0.0, 0.0]
+    assert match_minimizers(best_records([[1e200, 0.0]], [0.0]), B1) == set()
+
+
 def test_selection_step_needs_penalty_params_for_penalized_mode():
     coords, fitness, trials, anchors = random_scenario(1)
     with pytest.raises(ConfigurationError):
@@ -307,25 +323,6 @@ def test_multiparams_validation():
         with pytest.raises(ConfigurationError, match="subpops must be an integer"):
             MultiParams(de=de, subpops=subpops)
     assert MultiParams(de=de, subpops=np.int64(2)).subpops == 2
-
-
-def test_penalty_magnitude_must_be_finite():
-    with pytest.raises(ConfigurationError,
-                       match=r"penalty magnitude must be a number in \(0, inf\), got inf"):
-        PenaltyParams(magnitude=float("inf"), radius=0.1)
-
-
-def test_parameter_bundles_refuse_nan():
-    nan = float("nan")
-    de = DEParams(pop_size=10, F=0.5, CR=0.5)
-    with pytest.raises(ConfigurationError):
-        DEParams(pop_size=10, F=0.5, CR=0.5, spread_tol=nan)
-    with pytest.raises(ConfigurationError):
-        PenaltyParams(magnitude=nan, radius=1.0)
-    with pytest.raises(ConfigurationError):
-        PenaltyParams(magnitude=1.0, radius=nan)
-    with pytest.raises(ConfigurationError):
-        MultiParams(de=de, switch_tol=nan)
 
 
 # An int past str's digit limit, which a refusal names by its digit count.
@@ -429,6 +426,8 @@ def test_engine_parameter_bundle_contracts():
         run_mde_itmf(problem.objective, problem.bounds, params, 0)  # carries switch_tol
     with pytest.raises(ConfigurationError):
         run_dewi(problem.objective, problem.bounds, replace(params, switch_tol=None), 0)
+    with pytest.raises(ConfigurationError, match="^run_dewi needs penalty parameters$"):
+        run_dewi(problem.objective, problem.bounds, replace(params, penalty=None), 0)
     bare = replace(params, switch_tol=None, penalty=None)
     with pytest.raises(ConfigurationError):
         run_mde_itmf(problem.objective, problem.bounds, bare, 0)

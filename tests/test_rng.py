@@ -336,6 +336,26 @@ def test_trials_rejections_owed_half_and_windows_past_the_block(monkeypatch):
     replay(stream, ref, FIXED_CALLS)
 
 
+def test_trials_refill_when_a_first_round_outruns_the_block(monkeypatch):
+    # Half the halves rejected: a block can end with the halves a generation
+    # spans but fewer accepted values than its first round of six triples
+    # takes, so ``_donors`` gives up on the block before any redraw.
+    stream, ref = crafted_pair(2, 0.5, 0.0)
+    short = []
+    donors = rng._donors
+
+    def recorded(values, rejecting, start, n, window):
+        short.append(len(rng._accepted(values, rejecting, start, 3 * n)[0]) < 3 * n)
+        return donors(values, rejecting, start, n, window)
+
+    monkeypatch.setattr(rng, "_donors", recorded)
+    items = stream.trials(6, 1, 0.5)
+    for _ in range(5):
+        same_block(next_block(items), ref, 6, 1, 0.5)
+    assert any(short)
+    replay(stream, ref, FIXED_CALLS)
+
+
 @pytest.mark.parametrize("n", [4, 5, 30])
 def test_trials_in_one_dimension_draw_no_forced_index(n):
     # A single-value range draws nothing: the forced index is 0, so every
