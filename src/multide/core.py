@@ -11,6 +11,7 @@ The engines themselves, canonical ``run_de`` included, live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,18 +50,16 @@ class Bounds:
         if not np.all(self.lower < self.upper):
             raise ConfigurationError("every lower bound must be strictly below its upper bound")
         object.__setattr__(self, "span", self.upper - self.lower)  # side lengths U - L
-        if not np.all(np.isfinite(self.span)):
-            raise ConfigurationError("bounds must be finite, with finite side lengths")
+        # hypot scales its terms, so a diagonal the float range holds never overflows
+        object.__setattr__(self, "diagonal", math.hypot(*self.span))
+        if self.diagonal == math.inf:  # as it is for an infinite limit or side length
+            raise ConfigurationError("bounds must be finite, with a finite diagonal")
         for limits in (self.lower, self.upper, self.span):
             limits.flags.writeable = False  # frozen all the way down
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.span))
 
     def contains(self, x) -> bool:
         return bool(self.contains_all(np.asarray(x, dtype=float)[None])[0])
@@ -216,8 +215,9 @@ def _spreading(pops: np.ndarray, bests: np.ndarray, bounds: Bounds) -> np.ndarra
     degenerate = denom[:, 0] < DEGENERATE_NORM
     denom[degenerate] = 1.0  # their spreading is replaced below
     out = np.add.reduce(numer / denom, axis=1) / n
-    dist = np.sqrt(np.add.reduce(diff[degenerate] ** 2, axis=1))
-    out[degenerate] = np.add.reduce(dist, axis=1) / n / bounds.diagonal
+    with np.errstate(over="ignore"):  # a distance past the float range reads inf
+        dist = np.sqrt(np.add.reduce(diff[degenerate] ** 2, axis=1))
+        out[degenerate] = np.add.reduce(dist, axis=1) / n / bounds.diagonal
     return out
 
 

@@ -158,12 +158,15 @@ def _whole(key: str, value, low: int) -> int:
 
 
 def _override_value(key: str, value) -> float:
-    """``value`` as a float; refuses unknown keys, non-numbers, NaN, overflow, non-integral ints."""
+    """``value`` as a float; refuses unknown keys, non-numbers, NaN, infinities, non-integral ints.
+
+    An infinity is refused so that every override can be written as JSON.
+    """
     if key not in _OVERRIDES:
         raise ConfigurationError(
             f"unknown parameter override {_shown(key)}; expected keys from {OVERRIDABLE_KEYS}"
         )
-    number = float(_real(value, f"parameter {key}"))
+    number = float(_real(value, f"parameter {key}", closed=False))
     if _OVERRIDES[key][2] is int and not number.is_integer():
         raise ConfigurationError(f"parameter {key} must be an integer, got {_shown(value)}")
     return number

@@ -153,11 +153,10 @@ class RngStream:
     draw are never seen, since engine streams are private children from
     ``split``. No option selects numpy's own generator instead.
 
-    Each block decodes its uniforms once, and its integers once for each
-    range drawn from it, so a call is one slice copy and a block of
-    ``trials`` a few slices per generation. An engine stream draws from two
-    ranges, ``n`` and ``d``; a caller that changes the range on every call
-    pays one whole-block decode per new range and block.
+    Each block decodes its uniforms once, as it is pulled, and ``trials``
+    decodes its two ranges, ``n`` and ``d``, once per block of generations,
+    so a generation is a few slices. ``integers`` decodes the buffered
+    words on each call.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -167,13 +166,11 @@ class RngStream:
             np.random.SeedSequence(entropy=self.seed, spawn_key=self.spawn_key)
         )
         # Each block word is decoded up front: ``_unit`` holds its uniform
-        # and ``_halves`` its two uint32 halves, low first. ``_tables`` maps a
-        # range ``n`` to its ``_decode`` of the whole block, built on first
-        # use. ``_at`` is the next uint32 in ``_halves``; when it is odd, that
-        # high half is still owed to the next integer draw.
+        # and ``_halves`` its two uint32 halves, low first. ``_at`` is the
+        # next uint32 in ``_halves``; when it is odd, that high half is still
+        # owed to the next integer draw.
         self._unit = np.empty(0)
         self._halves = np.empty(0, dtype=_HALF)
-        self._tables = {}
         self._at = 0
 
     def _reserve(self, count: int) -> None:
@@ -183,7 +180,6 @@ class RngStream:
             raw = self._bitgen.random_raw(max(BLOCK, (count + 1) // 2)).astype(_WORD, copy=False)
             self._unit = np.concatenate((self._unit[keep:], (raw >> 11) * _UNIT))
             self._halves = np.concatenate((self._halves[2 * keep:], raw.view(_HALF)))
-            self._tables = {}
             self._at -= 2 * keep
 
     def uniform(self, count: int) -> np.ndarray:
@@ -201,7 +197,7 @@ class RngStream:
         need = count
         while True:
             self._reserve(need)
-            values, halves = _accepted(*self._table(n), self._at, count)
+            values, halves = _accepted(*_decode(self._halves[self._at:], n), 0, count)
             if len(values) == count:
                 self._at += halves
                 return values.copy()
@@ -216,11 +212,12 @@ class RngStream:
         one ``integers(n, 3 * m)`` per round over the ``m`` rows, ascending,
         whose triple repeats an index or holds the row's own, then
         ``integers(d, n)`` for the forced indices and ``uniform(n * d)``.
-        Taking the first item of a block decodes every whole generation the
-        buffered words hold, ``G >= 1`` of them, from the block tables
-        (refilling first when not even one fits) and moves the stream past
-        them; an owed half moves to each generation's last uniform word. Its
-        items are views of its ``(G, 3, n)`` and ``(G, n, d)`` arrays, the caller's.
+        Taking the first item of a block decodes the buffered words for
+        ranges ``n`` and ``d`` and, from them, every whole generation they
+        hold, ``G >= 1`` of them (refilling first when not even one fits),
+        and moves the stream past them; an owed half moves to each
+        generation's last uniform word. Its items are views of its
+        ``(G, 3, n)`` and ``(G, n, d)`` arrays, the caller's.
         A bad ``n``, ``d`` or ``CR`` raises :class:`ConfigurationError` here.
         """
         n, d = _index(n, "trials n", 4), _index(d, "trials d", 1)
@@ -233,27 +230,27 @@ class RngStream:
         least = 3 * n + (d > 1) * n + 2 * nd  # the fewest halves a generation spans
         while True:
             triples, forced, units = [], [], []
-            while True:
-                p, end = self._at, len(self._halves)
-                vn, rn = self._table(n)
-                while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
-                    r, q = donors[0], p + donors[1]
-                    # a single-value range draws nothing
-                    f, halves = (_accepted(*self._table(d), q, n) if d > 1
-                                 else (np.zeros(n, np.int64), 0))
-                    q += halves
-                    s = (q + 1) // 2  # the first uniform word
-                    if len(f) < n or 2 * (s + nd) > end:
-                        break
-                    triples += r
-                    forced.append(f)
-                    units.append(self._unit[s:s + nd])
-                    self._at, p = q, 2 * (s + nd) - q % 2
-                    if q % 2:  # the owed half starts the next generation's donors
-                        vn[p] = vn[q]
-                if units:
+            p, end = self._at, len(self._halves)
+            if end - p >= least:  # the words left after a block are never decoded
+                vn, rn = _decode(self._halves, n)
+                vd, rd = _decode(self._halves, d) if d > 1 else (None, False)
+            while end - p >= least and (donors := _donors(vn, rn, p, n, window)):
+                r, q = donors[0], p + donors[1]
+                # a single-value range draws nothing
+                f, halves = _accepted(vd, rd, q, n) if d > 1 else (np.zeros(n, np.int64), 0)
+                q += halves
+                s = (q + 1) // 2  # the first uniform word
+                if len(f) < n or 2 * (s + nd) > end:
                     break
+                triples += r
+                forced.append(f)
+                units.append(self._unit[s:s + nd])
+                self._at, p = q, 2 * (s + nd) - q % 2
+                if q % 2:  # the owed half starts the next generation's donors
+                    vn[p] = vn[q]
+            if not units:
                 self._reserve(2 * (end - p) + least)
+                continue
             self._units(nd)  # moves past the last generation's uniforms and owed half
             G = len(units)
             rows = np.fromiter(triples, np.intp, 3 * n * G).reshape(G, n, 3).transpose(0, 2, 1)
@@ -272,15 +269,7 @@ class RngStream:
         self._at = 2 * (start + count) - at % 2
         if at % 2:
             self._halves[self._at] = self._halves[at]
-            for values, _ in self._tables.values():
-                values[self._at] = values[at]
         return self._unit[start:start + count]
-
-    def _table(self, n: int) -> tuple[np.ndarray, bool]:
-        """The block's ``_decode`` for range ``n``, built on first use."""
-        if n not in self._tables:
-            self._tables[n] = _decode(self._halves, n)
-        return self._tables[n]
 
     def split(self, n: int) -> list[RngStream]:
         """Derive ``n`` independent child streams.

@@ -60,6 +60,9 @@ def test_bounds_validation():
         Bounds(np.array([0.0]), np.array([1.0, 2.0]))
     with pytest.raises(ConfigurationError, match="^bounds must have at least one dimension$"):
         Bounds([], [])
+    # Finite side lengths whose diagonal is past the float range.
+    with pytest.raises(ConfigurationError, match="^bounds must be finite, with a finite diagonal$"):
+        Bounds([0.0, 0.0], [1.5e308, 1.5e308])
     b = Bounds(np.array([-1.0, 0.0]), np.array([1.0, 2.0]))
     assert b.span.tolist() == [2.0, 2.0]
     assert b.contains([0.0, 1.0]) and not b.contains([0.0, 2.5])

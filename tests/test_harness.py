@@ -155,13 +155,13 @@ def test_config_refuses_malformed_override_values_and_seeds():
     config = ExperimentConfig(problems=["B1"], overrides={"np": 15.0, "f": 0.5})
     assert config.overrides == {"np": 15.0, "f": 0.5}
     with pytest.raises(ConfigurationError,
-                       match=r"parameter f must be a number in \[-inf, inf\], got '0.5'"):
+                       match=r"parameter f must be a number in \(-inf, inf\), got '0.5'"):
         ExperimentConfig(problems=["B1"], overrides={"f": "0.5"})
 
 
 def test_override_values_refuse_bools_and_strings():
     with pytest.raises(ConfigurationError,
-                       match=r"parameter f must be a number in \[-inf, inf\], got True"):
+                       match=r"parameter f must be a number in \(-inf, inf\), got True"):
         ExperimentConfig(problems=["B1"], overrides={"f": True})
     base = ExperimentConfig(problems=["B3"], algorithms=["mde-itmf"], runs=2)
     for parameter, values in (("cr", [True, False]), ("np", ["20"])):
@@ -679,7 +679,8 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "runs.csv").exists()
     assert (tmp_path / "aggregates.csv").exists()
-    assert (tmp_path / "report.json").exists()
+    with open(tmp_path / "report.json") as fh:  # standard JSON: no NaN or Infinity
+        json.load(fh, parse_constant=lambda name: pytest.fail(f"report.json holds {name}"))
     out = capsys.readouterr().out
     assert "mde-itmf" in out
     # An output directory that cannot be made: the OS error, exit 1, and no table.
@@ -852,6 +853,7 @@ MALFORMED_CLI = [
     ["run", "--param", "eps=nan"],
     ["run", "--param", "eps=inf"],
     ["run", "--param", "tol=nan"],
+    ["sweep", "--sweep-param", "tol", "--values", "1e-3,inf"],
     ["run", "--seed", "-1"],
     # with the appended --problem B3: one problem named by id and by name
     ["run", "--problem", "six-hump camel"],
@@ -878,7 +880,7 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     code = cli_main(["run", "--problem", "B1", "--algo", "de", "--runs", "2",
                      "--param", "eps=inf", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: spread_tol must be a number in (0, inf), got inf\n"
+    assert capsys.readouterr().err == "error: parameter eps must be a number in (-inf, inf), got inf\n"
     assert not out.exists()
 
 
@@ -1035,6 +1037,9 @@ def test_cli_rejects_bad_input(capsys):
     assert "error:" in err
     for argv, message in ((["run", "--param", "np"], "--param expects key=value, got 'np'"),
                           (["sweep", "--sweep-param", "np", "--values", "8,abc"],
-                           "--values expects comma-separated numbers, got '8,abc'")):
+                           "--values expects comma-separated numbers, got '8,abc'"),
+                          # report.json would hold it as Infinity, which is not JSON
+                          (["run", "--algo", "dewi", "--runs", "2", "--param", "tol=inf"],
+                           "parameter tol must be a number in (-inf, inf), got inf")):
         assert cli_main(argv + ["--problem", "B3"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -275,6 +275,12 @@ def test_huge_domains_run_and_score_without_overflow_warnings():
     for run, params in ((run_de, de), (run_mde_itmf, multi),
                         (run_dewi, replace(multi, switch_tol=1e-3))):
         assert run(objective, huge, params, 0).generations_used[0] == 20
+    # A best at the origin makes the spreading fall back to distances over
+    # the diagonal (2.8e200, which numpy's norm overflowed on); a distance
+    # past the float range reads inf, so the population keeps stepping.
+    run_de(objective, huge, replace(de, max_generations=1000), 1)
+    rows = np.array([[[1e200, 0.0], [0.0, -1e200], [-1e200, 0.0], [0.0, 1e200]]])
+    assert _spreading(rows, np.zeros((1, 2)), huge).tolist() == [np.inf]
     distant = penalty_batch(np.zeros((3, 2)), 0, np.full((3, 2), 1e308), PenaltyParams(2.0, 1.0))
     assert distant.tolist() == [0.0, 0.0, 0.0]
     assert match_minimizers(best_records([[1e200, 0.0]], [0.0]), B1) == set()
@@ -346,7 +352,7 @@ BUNDLE_FIELDS = {
     "match_tolerance": ("(0, inf)", lambda v: system_problem(
         get_problem("B7").objective, BOX, [[0.0, 0.0]], match_tolerance=v)),
     "trials CR": ("[0, 1]", lambda v: RngStream(0).trials(6, 2, v)),
-    "parameter f": ("[-inf, inf]",
+    "parameter f": ("(-inf, inf)",
                     lambda v: ExperimentConfig(problems=["B1"], overrides={"f": v})),
     "own_index": (None, lambda v: penalty_batch(np.zeros((2, 2)), v, np.ones((3, 2)),
                                                 PenaltyParams(magnitude=1.0, radius=1.0))),

@@ -22,10 +22,11 @@ README = ROOT / "README.md"
 # aliases for len(match_minimizers(...)) and ResidualObjective(system), and
 # the residual holder that ResidualObjective now is itself, and RngStream's
 # one-generation draws, its block draws and their cursor class, which its
-# trials iterator replaces, with the helper that integers now holds itself.
+# trials iterator replaces, with the helper that integers now holds itself,
+# and its per-range block table cache.
 REMOVED = ("AnchorSet", "NonlinearSystem", "Point", "PopulationTensor", "SubpopState",
-           "TrialSource", "_take", "best_of_subpop", "check_numbers", "count_ngp", "crossover",
-           "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
+           "TrialSource", "_table", "_take", "best_of_subpop", "check_numbers", "count_ngp",
+           "crossover", "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
            "residual_objective", "select_greedy", "snapshot_anchors", "spreading_measure",
            "subpop_spreading", "trial_block", "trial_draws", "without_switch_tol")
 
@@ -63,6 +64,8 @@ def test_second_copies_are_gone():
     # A stream's place is one index into its block's uint32 halves.
     stream = multide.RngStream(0)
     assert not hasattr(stream, "_pos") and not hasattr(stream, "_half")
+    # trials decodes its block's tables as locals: a stream keeps none between calls.
+    assert not hasattr(stream, "_tables")
     # penalty_batch leaves its sums to numpy's add.reduce.
     assert not hasattr(multide.deflation, "_sum_rows")
 
