@@ -158,10 +158,7 @@ def _whole(key: str, value, low: int) -> int:
 
 
 def _override_value(key: str, value) -> float:
-    """``value`` as a float; refuses unknown keys, non-numbers, NaN, infinities, non-integral ints.
-
-    An infinity is refused so that every override can be written as JSON.
-    """
+    """``value`` as a finite float, so JSON can hold it; refuses unknown keys, non-integral ints."""
     if key not in _OVERRIDES:
         raise ConfigurationError(
             f"unknown parameter override {_shown(key)}; expected keys from {OVERRIDABLE_KEYS}"

@@ -880,7 +880,8 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     code = cli_main(["run", "--problem", "B1", "--algo", "de", "--runs", "2",
                      "--param", "eps=inf", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == "error: parameter eps must be a number in (-inf, inf), got inf\n"
+    assert capsys.readouterr().err == (
+        "error: parameter eps must be a number in (-inf, inf), got inf\n")
     assert not out.exists()
 
 

@@ -26,9 +26,10 @@ README = ROOT / "README.md"
 # and its per-range block table cache.
 REMOVED = ("AnchorSet", "NonlinearSystem", "Point", "PopulationTensor", "SubpopState",
            "TrialSource", "_table", "_take", "best_of_subpop", "check_numbers", "count_ngp",
-           "crossover", "donor_indices", "indicator", "mutate", "penalized_objective", "penalty_term",
-           "residual_objective", "select_greedy", "snapshot_anchors", "spreading_measure",
-           "subpop_spreading", "trial_block", "trial_draws", "without_switch_tol")
+           "crossover", "donor_indices", "indicator", "mutate", "penalized_objective",
+           "penalty_term", "residual_objective", "select_greedy", "snapshot_anchors",
+           "spreading_measure", "subpop_spreading", "trial_block", "trial_draws",
+           "without_switch_tol")
 
 
 def test_every_exported_name_resolves_once():
