@@ -188,11 +188,13 @@ def apply_overrides(params: MultiParams, overrides: dict) -> MultiParams:
 def _resolve(config: ExperimentConfig) -> list:
     """Each configured problem with its parameters, overrides applied and range-checked.
 
-    A row's ``switch_tol`` binds only ``dewi``, so it is dropped before the
-    overrides when ``dewi`` is not configured.
+    A row's ``switch_tol`` binds only ``dewi``, so when ``dewi`` is not
+    configured it is dropped, and so is a ``tol`` override.
     """
-    drop = {} if "dewi" in config.algorithms else {"switch_tol": None}
-    return [(problem, apply_overrides(replace(problem.default_params, **drop), config.overrides))
+    dewi = "dewi" in config.algorithms
+    drop = {} if dewi else {"switch_tol": None}
+    overrides = {k: v for k, v in config.overrides.items() if dewi or k != "tol"}
+    return [(problem, apply_overrides(replace(problem.default_params, **drop), overrides))
             for problem in map(get_problem, config.problems)]
 
 

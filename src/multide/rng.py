@@ -85,7 +85,7 @@ def _accepted(values: np.ndarray, rejecting: bool, start: int,
     returns the halves the values span, up to and including the last one
     taken. When the block runs out first, fewer values span all the rest.
     """
-    if not rejecting or not count:
+    if not rejecting:
         taken = values[start:start + count]
         return taken, len(taken)
     at = np.flatnonzero(values[start:] >= 0)[:count]
@@ -100,9 +100,10 @@ def _donors(values: np.ndarray, rejecting: bool, start: int, n: int,
     when the block runs out first. A row whose triple repeats an index or
     holds the row's own is redrawn, in ascending order, from the values
     that follow, and a row that collides again rejoins the queue after the
-    rest of its round, as one ``integers(n, 3 * m)`` call per round over
-    ``m`` rows would draw them. The values are read as a list from a window
-    of ``window``, taken again twice as long when the queue outruns it.
+    rest of its round, as numpy's ``integers(0, n, size=3 * m)`` per round
+    over ``m`` rows would draw them. The values are read as a list from a
+    window of ``window``, taken again twice as long when the queue outruns
+    it.
     """
     got = _accepted(values, rejecting, start, window)[0].tolist()
     r = got[:3 * n]
@@ -135,28 +136,22 @@ class RngStream:
     and stay deterministic regardless of update order.
 
     The stream owns a ``PCG64`` bit generator, pulls its raw 64-bit words
-    in blocks of :data:`BLOCK` and decodes them itself, so every call
-    returns exactly what numpy's own generator on a ``PCG64`` seeded with
-    ``SeedSequence(entropy=seed, spawn_key=spawn_key)`` returns for the
-    same calls.
-    ``uniform`` is ``(w >> 11) * 2**-53`` of one fresh word per value.
-    ``integers`` is Lemire's ``(x * n) >> 32`` on uint32 halves ``x``, low
-    half first (an odd high half waits for the next ``integers`` call),
-    skipping ``x`` while the low 32 bits of ``x * n`` are below
-    ``(2**32 - n) % n``, for 1 to ``2**32`` values (``n == 1`` draws
-    nothing). Both take a count and return an array the caller owns; a
-    count or range that is not an integer (a bool included), or out of
-    range, raises :class:`ConfigurationError`.
-    ``trials`` hands out DE/rand/1/bin draws a generation at a time,
-    decoded a block of generations at once, exactly as its sequence of
-    ``integers`` and ``uniform`` calls would. Words pulled past the last
-    draw are never seen, since engine streams are private children from
-    ``split``. No option selects numpy's own generator instead.
+    in blocks of :data:`BLOCK` and decodes them itself, so it draws exactly
+    what numpy's ``Generator`` on a ``PCG64`` seeded with
+    ``SeedSequence(entropy=seed, spawn_key=spawn_key)`` draws for the same
+    calls: ``uniform(count)`` is ``random(count)``, ``(w >> 11) * 2**-53``
+    of one fresh word per value, and ``trials`` is a sequence of
+    ``integers(0, n, size=...)`` and ``random(...)`` calls. Its integers
+    are Lemire's ``(x * n) >> 32`` on uint32 halves ``x``, low half first
+    (an odd high half is owed to the next integer draw), skipping ``x``
+    while the low 32 bits of ``x * n`` are below ``(2**32 - n) % n``;
+    ``n == 1`` draws nothing. Words pulled past the last draw are never
+    seen, since engine streams are private children from ``split``. No
+    option selects numpy's own generator instead.
 
     Each block decodes its uniforms once, as it is pulled, and ``trials``
     decodes its two ranges, ``n`` and ``d``, once per block of generations,
-    so a generation is a few slices. ``integers`` decodes the buffered
-    words on each call.
+    so a generation is a few slices.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -183,35 +178,21 @@ class RngStream:
             self._at -= 2 * keep
 
     def uniform(self, count: int) -> np.ndarray:
-        """``count`` uniform draws in [0, 1), as numpy's ``random(count)``."""
+        """``count`` uniform draws in [0, 1), as numpy's ``random(count)``, in a new array."""
         return self._units(_index(count, "uniform count")).copy()
 
-    def integers(self, n: int, count: int) -> np.ndarray:
-        """``count`` integer draws in [0, n), as numpy's ``integers(0, n, size=count)``."""
-        n = _index(n, "integers range")
-        if not 1 <= n <= 1 << 32:
-            raise ConfigurationError(f"integers supports 1 to 2**32 values, got {n}")
-        count = _index(count, "integers count")
-        if n == 1:  # a single-value range draws nothing
-            return np.zeros(count, dtype=np.int64)
-        need = count
-        while True:
-            self._reserve(need)
-            values, halves = _accepted(*_decode(self._halves[self._at:], n), 0, count)
-            if len(values) == count:
-                self._at += halves
-                return values.copy()
-            need = halves + count - len(values)  # each rejected half is replaced by the next uint32
+    integers = None  # a name perfbench's traced pass rebinds (layers.RNG_METHODS); ROADMAP item 4
 
     def trials(self, n: int, d: int, CR: float):
         """An iterator over DE/rand/1/bin draws for ``n >= 4`` rows in ``d >= 1`` dimensions.
 
         Each item is one generation's ``(3, n)`` donor rows and ``(n, d)``
         crossover mask (``u <= CR``, each row's forced index set), from what
-        these calls would draw: ``integers(n, 3 * n)`` for the donor triples,
-        one ``integers(n, 3 * m)`` per round over the ``m`` rows, ascending,
-        whose triple repeats an index or holds the row's own, then
-        ``integers(d, n)`` for the forced indices and ``uniform(n * d)``.
+        these numpy ``Generator`` calls would draw: ``integers(0, n, size=3 * n)``
+        for the donor triples, one ``integers(0, n, size=3 * m)`` per round
+        over the ``m`` rows, ascending, whose triple repeats an index or
+        holds the row's own, then ``integers(0, d, size=n)`` for the forced
+        indices and ``random(n * d)``.
         Taking the first item of a block decodes the buffered words for
         ranges ``n`` and ``d`` and, from them, every whole generation they
         hold, ``G >= 1`` of them (refilling first when not even one fits),

@@ -39,7 +39,8 @@ def test_rng_same_seed_same_draws():
     a = RngStream(42)
     b = RngStream(42)
     assert np.array_equal(a.uniform(16), b.uniform(16))
-    assert np.array_equal(a.integers(100, 8), b.integers(100, 8))
+    (rows_a, take_a), (rows_b, take_b) = next(a.trials(8, 2, 0.5)), next(b.trials(8, 2, 0.5))
+    assert np.array_equal(rows_a, rows_b) and np.array_equal(take_a, take_b)
 
 
 def test_rng_split_is_deterministic_and_independent():

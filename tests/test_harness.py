@@ -889,10 +889,14 @@ def test_cli_refuses_an_infinite_spreading_tolerance(tmp_path, capsys):
     ["run", "--problem", "B2", "--algo", "de", "--runs", "2", "--param", "eps=1e-3"],
     ["sweep", "--problem", "B2", "--algo", "mde-itmf", "--runs", "2", "--sweep-param", "eps",
      "--values", "1e-4,1e-3"],
-], ids=["de", "mde-itmf"])
+    ["run", "--problem", "B2", "--algo", "mde-itmf", "--runs", "2", "--param", "tol=1e-6"],
+    ["sweep", "--problem", "B2", "--algo", "mde-itmf", "--runs", "2", "--sweep-param", "tol",
+     "--values", "1e-6,0.5"],
+], ids=["de", "mde-itmf", "tol run", "tol sweep"])
 def test_cli_eps_above_the_rows_switch_tol_without_dewi(argv, tmp_path, capsys):
-    # B2's row carries switch_tol=5e-4 for dewi, which neither of these reads;
-    # an eps above it once exited 2 on the switch tolerance.
+    # B2's row carries switch_tol=5e-4 for dewi, which none of these reads;
+    # an eps above it, or a tol override below the row's eps, once exited 2
+    # on the switch tolerance.
     assert cli_main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
 

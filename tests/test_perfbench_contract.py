@@ -5,8 +5,9 @@
 one element at a time (``len``, ``best.coords``, ``best.fitness``). Each
 workload runs here on the cells of its first problem, B1, and must pass
 perfbench's own output check with the fingerprint it had when final bests
-became a record array. ``--trace 1`` rebinds engine names and ``RngStream``
-draw methods (``perfbench/layers.py``), so a traced pass runs here too. A
+became a record array. ``--trace 1`` rebinds engine names,
+``RngStream.uniform`` and the ``RngStream.integers`` placeholder, a
+``None`` (``perfbench/layers.py``), so a traced pass runs here too. A
 change to anything perfbench reads then fails here, not in the next
 benchmark run.
 """
